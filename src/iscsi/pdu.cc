@@ -150,75 +150,41 @@ verifyHdgst(const IscsiWireConfig &wc, ByteView pdu)
     return crc == static_cast<uint32_t>(getLe32(pdu.data() + kBhsSize));
 }
 
-void
-IscsiAssembler::ingest(const tcp::RxSegment &seg,
-                       std::function<void(IscsiRxPdu &&)> sink)
+// ------------------------------------------------------ wire traits
+
+namespace {
+
+std::optional<core::PduFrame>
+iscsiParsePrefix(const uint8_t *prefix, core::Digests d)
 {
-    size_t off = 0;
-    const size_t n = seg.data.size();
-    while (off < n && !error_) {
-        if (!hdrComplete_) {
-            if (hdr8_.empty() && have_ == 0)
-                pduStartOff_ = seg.streamOff + off;
-            size_t need = 8 - hdr8_.size();
-            size_t take = std::min(need, n - off);
-            hdr8_.insert(hdr8_.end(), seg.data.begin() + off,
-                         seg.data.begin() + off + take);
-            off += take;
-            have_ += take;
-            consumed_ = seg.streamOff + off;
-            if (hdr8_.size() < 8)
-                break;
-            std::optional<uint64_t> wire_len =
-                parseBhsPrefix(wc_, hdr8_, maxDsl_);
-            if (!wire_len) {
-                error_ = true;
-                return;
-            }
-            cur_.wireLen = *wire_len;
-            cur_.bytes.resize(*wire_len);
-            std::memcpy(cur_.bytes.data(), hdr8_.data(), 8);
-            cur_.slices.clear();
-            hdrComplete_ = true;
-            continue;
-        }
-
-        size_t want = static_cast<size_t>(cur_.wireLen) - have_;
-        size_t take = std::min(want, n - off);
-        std::memcpy(cur_.bytes.data() + have_, seg.data.data() + off, take);
-
-        IscsiPduSlice slice;
-        slice.pduOff = have_;
-        slice.len = take;
-        net::VerifyOutcome v = seg.meta.verifyOf(net::L5Kind::Iscsi);
-        slice.digestChecked =
-            seg.meta.offloaded && v != net::VerifyOutcome::Incomplete;
-        slice.digestOk =
-            slice.digestChecked && v != net::VerifyOutcome::Failed;
-        for (const net::PlacedRange &r : seg.meta.placed) {
-            uint64_t s = std::max<uint64_t>(r.payloadOff, off);
-            uint64_t e = std::min<uint64_t>(r.payloadOff + r.len, off + take);
-            if (s < e) {
-                slice.placed.push_back(net::PlacedRange{
-                    static_cast<uint32_t>(have_ + (s - off)),
-                    static_cast<uint32_t>(e - s)});
-            }
-        }
-        cur_.slices.push_back(std::move(slice));
-
-        have_ += take;
-        off += take;
-        consumed_ = seg.streamOff + off;
-        if (have_ == cur_.wireLen) {
-            IscsiRxPdu done = std::move(cur_);
-            cur_ = IscsiRxPdu{};
-            hdr8_.clear();
-            hdrComplete_ = false;
-            have_ = 0;
-            pduIdx_++;
-            sink(std::move(done));
-        }
-    }
+    IscsiWireConfig wc;
+    wc.headerDigest = d.header;
+    wc.dataDigest = d.data;
+    std::optional<uint64_t> len = parseBhsPrefix(wc, ByteView(prefix, 8));
+    if (!len)
+        return std::nullopt;
+    core::PduFrame f;
+    f.type = prefix[0];
+    f.wireLen = static_cast<uint32_t>(*len);
+    f.dataOff = static_cast<uint32_t>(kBhsSize + wc.hdgstLen());
+    f.dataLen = getBe24(prefix + 5);
+    f.subHdrEnd = kBhsSize;
+    f.isData = prefix[0] == kOpDataIn || prefix[0] == kOpDataOut;
+    return f;
 }
+
+/** BHS bytes from offset 8: ITT at [16, 20), BufferOffset at [40, 44). */
+core::PduTag
+iscsiParseTag(const uint8_t *sub)
+{
+    return core::PduTag{static_cast<uint32_t>(getLe32(sub + 8)),
+                        static_cast<uint32_t>(getLe32(sub + 32))};
+}
+
+} // namespace
+
+const core::StorageWire kIscsiWire{net::L5Kind::Iscsi,
+                                   /*nicHeaderDigest=*/true,
+                                   iscsiParsePrefix, iscsiParseTag};
 
 } // namespace anic::iscsi

@@ -28,12 +28,10 @@
 #ifndef ANIC_ISCSI_PDU_HH
 #define ANIC_ISCSI_PDU_HH
 
-#include <functional>
 #include <optional>
 
+#include "core/storage_pdu.hh"
 #include "crypto/crc32c.hh"
-#include "net/packet.hh"
-#include "tcp/socket.hh"
 #include "util/bytes.hh"
 
 namespace anic::iscsi {
@@ -60,7 +58,7 @@ enum ScsiOp : uint8_t
 };
 
 constexpr size_t kBhsSize = 48;
-constexpr size_t kDigestSize = 4;
+using core::kDigestSize;
 
 /** Session-wide wire options (negotiated at login in real iSCSI). */
 struct IscsiWireConfig
@@ -78,7 +76,17 @@ struct IscsiWireConfig
     {
         return kBhsSize + hdgstLen() + dsl + (dsl > 0 ? ddgstLen() : 0);
     }
+
+    core::Digests digests() const { return {headerDigest, dataDigest}; }
 };
+
+/** Which offloads a session requests from the NIC. */
+using IscsiOffloadConfig = core::StorageOffloadConfig;
+
+/** iSCSI's plug-in to the shared storage-L5P layer: BHS-prefix
+ *  framing, ITT + BufferOffset from the BHS, and a NIC that verifies
+ *  the header digest too, folding both digests into one verdict. */
+extern const core::StorageWire kIscsiWire;
 
 /** Decoded BHS (superset of all four opcodes' fields). */
 struct IscsiBhs
@@ -103,7 +111,8 @@ struct IscsiBhs
  * Returns the full wire length (BHS + digests + data) on success.
  */
 std::optional<uint64_t> parseBhsPrefix(const IscsiWireConfig &wc,
-                                       ByteView h, size_t maxDsl);
+                                       ByteView h,
+                                       size_t maxDsl = core::kMaxStoragePdu);
 
 /** Decodes a complete 48-byte BHS (no validation beyond size). */
 IscsiBhs parseBhs(ByteView pdu);
@@ -118,76 +127,6 @@ Bytes buildDataPdu(const IscsiWireConfig &wc, uint8_t opcode,
 
 /** Verifies the header digest (true when absent by config). */
 bool verifyHdgst(const IscsiWireConfig &wc, ByteView pdu);
-
-/** One contiguous chunk of a reassembled PDU with its rx-offload
- *  verdicts (mirrors nvmetcp::PduSlice). */
-struct IscsiPduSlice
-{
-    uint64_t pduOff = 0;
-    size_t len = 0;
-    bool digestChecked = false;
-    bool digestOk = false;
-    std::vector<net::PlacedRange> placed; ///< PDU-relative
-};
-
-/** A reassembled PDU plus per-chunk offload metadata. */
-struct IscsiRxPdu
-{
-    Bytes bytes;
-    uint64_t wireLen = 0;
-    std::vector<IscsiPduSlice> slices;
-
-    /** True iff every chunk was digest-checked by the NIC and none
-     *  failed — software may skip both digests. */
-    bool
-    digestFullyOffloaded() const
-    {
-        if (slices.empty())
-            return false;
-        for (const IscsiPduSlice &s : slices)
-            if (!s.digestChecked || !s.digestOk)
-                return false;
-        return true;
-    }
-};
-
-/**
- * Streams TCP segments into complete PDUs, preserving per-chunk
- * offload metadata. Framing loss (invalid BHS prefix) sets error().
- */
-class IscsiAssembler
-{
-  public:
-    explicit IscsiAssembler(const IscsiWireConfig &wc,
-                            size_t maxDsl = 2 << 20)
-        : wc_(wc), maxDsl_(maxDsl)
-    {
-    }
-
-    void ingest(const tcp::RxSegment &seg,
-                std::function<void(IscsiRxPdu &&)> sink);
-
-    bool error() const { return error_; }
-    uint64_t curPduStartOff() const { return pduStartOff_; }
-    uint64_t streamConsumed() const { return consumed_; }
-    bool midPdu() const { return have_ > 0; }
-
-    /** PDUs fully delivered; echoed on resync confirmation so the
-     *  NIC renumbers messages consistently with software. */
-    uint64_t pdusDelivered() const { return pduIdx_; }
-
-  private:
-    IscsiWireConfig wc_;
-    size_t maxDsl_;
-    IscsiRxPdu cur_;
-    Bytes hdr8_;
-    bool hdrComplete_ = false;
-    size_t have_ = 0;
-    uint64_t pduStartOff_ = 0;
-    uint64_t consumed_ = 0;
-    uint64_t pduIdx_ = 0;
-    bool error_ = false;
-};
 
 } // namespace anic::iscsi
 

@@ -1,118 +1,20 @@
 #include "iscsi/session.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "host/core.hh"
 #include "util/panic.hh"
 
 namespace anic::iscsi {
 
-namespace {
-
-/** Placement-aware copy of a data PDU's segment into @p dst at
- *  @p bufferOffset: NIC-placed ranges are skipped, the rest is
- *  memcpy'd. Returns {copied, placed} byte counts. */
-std::pair<uint64_t, uint64_t>
-copySegment(const IscsiWireConfig &wc, const IscsiRxPdu &pdu, uint32_t dsl,
-            uint32_t bufferOffset, host::BlockBuffer &dst)
-{
-    const uint64_t pdo = kBhsSize + wc.hdgstLen();
-    const uint64_t data_end = pdo + dsl;
-
-    std::vector<net::PlacedRange> placed;
-    for (const IscsiPduSlice &s : pdu.slices) {
-        for (const net::PlacedRange &r : s.placed)
-            placed.push_back(r); // already PDU-relative
-    }
-    std::sort(placed.begin(), placed.end(),
-              [](const net::PlacedRange &a, const net::PlacedRange &b) {
-                  return a.payloadOff < b.payloadOff;
-              });
-
-    uint64_t cursor = pdo;
-    uint64_t copied = 0;
-    uint64_t placed_bytes = 0;
-    auto copyRange = [&](uint64_t from, uint64_t to) {
-        if (from >= to)
-            return;
-        uint64_t at = bufferOffset + (from - pdo);
-        if (at + (to - from) <= dst.data.size()) {
-            std::memcpy(dst.data.data() + at, pdu.bytes.data() + from,
-                        to - from);
-        }
-        copied += to - from;
-    };
-    for (const net::PlacedRange &r : placed) {
-        uint64_t ps = std::max<uint64_t>(r.payloadOff, pdo);
-        uint64_t pe = std::min<uint64_t>(r.payloadOff + r.len, data_end);
-        if (ps >= pe)
-            continue;
-        copyRange(cursor, ps);
-        placed_bytes += pe - ps;
-        cursor = std::max(cursor, pe);
-    }
-    copyRange(cursor, data_end);
-    return {copied, placed_bytes};
-}
-
-/** Software data-digest check of a data PDU (true = matches). */
-bool
-checkDataDigest(const IscsiWireConfig &wc, const IscsiRxPdu &pdu,
-                uint32_t dsl)
-{
-    const uint64_t pdo = kBhsSize + wc.hdgstLen();
-    ByteView data = ByteView(pdu.bytes).subspan(pdo, dsl);
-    uint32_t wire =
-        static_cast<uint32_t>(getLe32(pdu.bytes.data() + pdo + dsl));
-    return crypto::Crc32c::compute(data) == wire;
-}
-
-} // namespace
-
 // ----------------------------------------------------------- initiator
 
 IscsiInitiator::IscsiInitiator(tcp::StreamSocket &sock, IscsiWireConfig wc,
                                IscsiOffloadConfig ocfg,
                                IscsiInitiatorStats *aggregate)
-    : sock_(sock), wc_(wc), ocfg_(ocfg), assembler_(wc),
+    : StorageEndpoint(sock, kIscsiWire, wc.digests(), ocfg), wc_(wc),
       aggregate_(aggregate)
 {
-    sock_.setOnReadable([this] { onReadable(); });
-    sock_.setOnWritable([this] { flushSendQueue(); });
-}
-
-IscsiInitiator::~IscsiInitiator()
-{
-    if (l5o_ != nullptr)
-        l5o_->destroy();
-}
-
-void
-IscsiInitiator::enableOffload(core::OffloadDevice &dev,
-                              tcp::TcpConnection &conn)
-{
-    ANIC_ASSERT(l5o_ == nullptr);
-    conn_ = &conn;
-    if (!ocfg_.crcRx && !ocfg_.copyRx && !ocfg_.crcTx)
-        return;
-
-    IscsiStaticState st(wc_);
-    unsigned dirs = ((ocfg_.crcRx || ocfg_.copyRx) ? core::kL5Rx : 0u) |
-                    (ocfg_.crcTx ? core::kL5Tx : 0u);
-    if (ocfg_.crcTx)
-        conn.setOnAcked([this](uint32_t una) { txMap_.trimAcked(una); });
-    l5o_ = dev.l5oCreate(conn, st, dirs, this);
-    if (dirs & core::kL5Rx)
-        rxEngine_ = static_cast<IscsiRxEngine *>(l5o_->rxEngine());
-    if (ocfg_.crcTx)
-        conn.setTxOffloadCtx(l5o_->txCtxId());
-}
-
-const nic::FsmStats *
-IscsiInitiator::rxFsmStats() const
-{
-    return l5o_ != nullptr ? l5o_->rxFsmStats() : nullptr;
 }
 
 uint32_t
@@ -141,10 +43,8 @@ IscsiInitiator::read(uint64_t slba, uint32_t len, ReadDone done)
     task.buffer = std::make_shared<host::BlockBuffer>(len);
     task.readDone = std::move(done);
 
-    if (ocfg_.copyRx && rxEngine_ != nullptr) {
-        // l5o_add_rr_state: tell the NIC where Data-In belongs.
-        rxEngine_->addRrState(itt, task.buffer);
-    }
+    // l5o_add_rr_state: tell the NIC where Data-In belongs.
+    addRrState(itt, task.buffer);
     tasks_.emplace(itt, std::move(task));
 
     IscsiBhs bhs;
@@ -153,7 +53,7 @@ IscsiInitiator::read(uint64_t slba, uint32_t len, ReadDone done)
     bhs.scsiOp = kScsiRead;
     bhs.slba = slba;
     bhs.length = len;
-    enqueuePdu(buildScsiCmd(wc_, bhs));
+    enqueue(buildScsiCmd(wc_, bhs));
 }
 
 void
@@ -176,7 +76,7 @@ IscsiInitiator::write(uint64_t slba, uint32_t len, uint64_t contentSeed,
     bhs.scsiOp = kScsiWrite;
     bhs.slba = slba;
     bhs.length = len;
-    enqueuePdu(buildScsiCmd(wc_, bhs));
+    enqueue(buildScsiCmd(wc_, bhs));
     sendDataOut(itt, task, contentSeed);
     tasks_.emplace(itt, std::move(task));
 }
@@ -202,69 +102,14 @@ IscsiInitiator::sendDataOut(uint32_t itt, const Task &task,
         core.charge(m.copyLlcPerByte * n +
                     (wc_.dataDigest && !ocfg_.crcTx ? m.crcPerByte * n : 0) +
                     m.nvmePduCost);
-        enqueuePdu(buildDataPdu(wc_, kOpDataOut, dh, data,
+        enqueue(buildDataPdu(wc_, kOpDataOut, dh, data,
                                 /*fillDdgst=*/!ocfg_.crcTx));
         off += n;
     }
 }
 
 void
-IscsiInitiator::enqueuePdu(Bytes pdu)
-{
-    SendEntry e;
-    e.bytes = std::move(pdu);
-    sendq_.push_back(std::move(e));
-    flushSendQueue();
-}
-
-void
-IscsiInitiator::flushSendQueue()
-{
-    while (!sendq_.empty()) {
-        SendEntry &e = sendq_.front();
-        if (!e.added && conn_ != nullptr && l5o_ != nullptr &&
-            l5o_->txCtxId() != 0) {
-            // All stream messages must be tracked when a tx context
-            // exists, so framing recovery can cross any message.
-            txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
-            e.added = true;
-        }
-        ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
-        size_t acc = sock_.send(rest);
-        sendqOff_ += acc;
-        if (sendqOff_ < e.bytes.size())
-            return; // transport full; resume on writable
-        sendq_.pop_front();
-        sendqOff_ = 0;
-    }
-}
-
-void
-IscsiInitiator::onReadable()
-{
-    while (sock_.readable()) {
-        tcp::RxSegment seg = sock_.pop();
-        if (dead_) {
-            (void)seg;
-            continue;
-        }
-        assembler_.ingest(std::move(seg),
-                          [this](IscsiRxPdu &&pdu) { onPdu(std::move(pdu)); });
-        if (assembler_.error()) {
-            // BHS framing lost: fatal transport error, fail every
-            // outstanding task and go quiescent (impairment fuzzing
-            // corrupts streams; never assert on wire content).
-            dead_ = true;
-            failAllOutstanding();
-        }
-    }
-    checkPendingResync();
-}
-
-void
-IscsiInitiator::failAllOutstanding()
+IscsiInitiator::onTransportError()
 {
     std::vector<uint32_t> itts;
     itts.reserve(tasks_.size());
@@ -282,7 +127,7 @@ IscsiInitiator::failAllOutstanding()
 }
 
 void
-IscsiInitiator::onPdu(IscsiRxPdu &&pdu)
+IscsiInitiator::onPdu(core::RxPdu &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
@@ -305,15 +150,14 @@ IscsiInitiator::onPdu(IscsiRxPdu &&pdu)
         }
         if (wc_.dataDigest && bhs.dsl > 0) {
             core.charge(m.crcPerByte * bhs.dsl);
-            ddgst_ok = checkDataDigest(wc_, pdu, bhs.dsl);
+            ddgst_ok = core::dataDigestOk(pdu, pdu.frame.dataOff, bhs.dsl);
         }
     }
     if (!hdgst_ok) {
         // The BHS (ITT, buffer offset) cannot be trusted: fatal
         // transport error, like a corrupted NVMe specific header.
         count(&IscsiInitiatorStats::digestFailures);
-        dead_ = true;
-        failAllOutstanding();
+        transportError();
         return;
     }
 
@@ -323,11 +167,12 @@ IscsiInitiator::onPdu(IscsiRxPdu &&pdu)
         if (it == tasks_.end())
             return; // stale / unknown task
         Task &task = it->second;
-        auto [copied, placed] =
-            copySegment(wc_, pdu, bhs.dsl, bhs.bufferOffset, *task.buffer);
-        core.charge(m.copyPerByte(task.len) * static_cast<double>(copied));
-        count(&IscsiInitiatorStats::bytesCopied, copied);
-        count(&IscsiInitiatorStats::bytesPlaced, placed);
+        core::CopyCounts c =
+            core::copyUnplaced(pdu, pdu.frame.dataOff, bhs.dsl,
+                               bhs.bufferOffset, task.buffer.get());
+        core.charge(m.copyPerByte(task.len) * static_cast<double>(c.copied));
+        count(&IscsiInitiatorStats::bytesCopied, c.copied);
+        count(&IscsiInitiatorStats::bytesPlaced, c.placed);
         if (!ddgst_ok) {
             task.failed = true;
             count(&IscsiInitiatorStats::digestFailures);
@@ -355,8 +200,7 @@ IscsiInitiator::completeTask(uint32_t itt, bool ok)
     host::Core &core = sock_.core();
     core.charge(core.model().nvmeRequestCost / 2);
 
-    if (ocfg_.copyRx && rxEngine_ != nullptr)
-        rxEngine_->delRrState(itt); // l5o_del_rr_state
+    delRrState(itt); // l5o_del_rr_state
 
     bool success = ok && !task.failed &&
                    (task.scsiOp != kScsiRead || task.received == task.len);
@@ -373,122 +217,17 @@ IscsiInitiator::completeTask(uint32_t itt, bool ok)
     }
 }
 
-// ------------------------------------------------------------- resync
-
-void
-IscsiInitiator::checkPendingResync()
-{
-    if (!resyncPending_)
-        return;
-    uint64_t cur = assembler_.midPdu() ? assembler_.curPduStartOff()
-                                       : assembler_.streamConsumed();
-    bool ok;
-    if (cur == resyncOff_) {
-        ok = true;
-    } else if (cur > resyncOff_) {
-        ok = false;
-    } else {
-        return; // not there yet
-    }
-    resyncPending_ = false;
-    if (ok)
-        count(&IscsiInitiatorStats::resyncConfirmed);
-    if (l5o_ != nullptr)
-        l5o_->resyncRxResp(resyncSeq_, ok, assembler_.pdusDelivered());
-}
-
-std::optional<core::L5pCallbacks::TxMsgState>
-IscsiInitiator::getTxMsgState(uint32_t tcpsn)
-{
-    const core::TxMsgTracker::Entry *e = txMap_.find(tcpsn);
-    if (e == nullptr)
-        return std::nullopt;
-    TxMsgState st;
-    st.msgStartSeq = e->startSeq;
-    st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
-    return st;
-}
-
-void
-IscsiInitiator::resyncRxReq(uint32_t tcpsn)
-{
-    ANIC_ASSERT(conn_ != nullptr);
-    count(&IscsiInitiatorStats::resyncRequests);
-    resyncPending_ = true;
-    resyncSeq_ = tcpsn;
-    // Translate the sequence number into our stream-offset space.
-    uint64_t consumed = assembler_.streamConsumed();
-    int64_t delta = static_cast<int32_t>(
-        tcpsn - conn_->seqOfRcvStreamOff(consumed));
-    resyncOff_ = consumed + delta;
-    checkPendingResync();
-}
-
 // -------------------------------------------------------------- target
 
 IscsiTarget::IscsiTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
                          IscsiWireConfig wc)
-    : sock_(sock), drive_(drive), wc_(wc), assembler_(wc)
+    : StorageEndpoint(sock, kIscsiWire, wc.digests(), {}), drive_(drive),
+      wc_(wc)
 {
-    sock_.setOnReadable([this] { onReadable(); });
-    sock_.setOnWritable([this] { flush(); });
-}
-
-IscsiTarget::~IscsiTarget()
-{
-    if (l5o_ != nullptr)
-        l5o_->destroy();
 }
 
 void
-IscsiTarget::enableOffload(core::OffloadDevice &dev,
-                           tcp::TcpConnection &conn, IscsiOffloadConfig ocfg)
-{
-    ANIC_ASSERT(l5o_ == nullptr);
-    conn_ = &conn;
-    ocfg_ = ocfg;
-    if (!ocfg_.crcRx && !ocfg_.copyRx && !ocfg_.crcTx)
-        return;
-
-    IscsiStaticState st(wc_);
-    unsigned dirs = ((ocfg_.crcRx || ocfg_.copyRx) ? core::kL5Rx : 0u) |
-                    (ocfg_.crcTx ? core::kL5Tx : 0u);
-    if (ocfg_.crcTx)
-        conn.setOnAcked([this](uint32_t una) { txMap_.trimAcked(una); });
-    l5o_ = dev.l5oCreate(conn, st, dirs, this);
-    if (dirs & core::kL5Rx)
-        rxEngine_ = static_cast<IscsiRxEngine *>(l5o_->rxEngine());
-    if (ocfg_.crcTx)
-        conn.setTxOffloadCtx(l5o_->txCtxId());
-}
-
-const nic::FsmStats *
-IscsiTarget::rxFsmStats() const
-{
-    return l5o_ != nullptr ? l5o_->rxFsmStats() : nullptr;
-}
-
-void
-IscsiTarget::onReadable()
-{
-    while (sock_.readable()) {
-        tcp::RxSegment seg = sock_.pop();
-        if (dead_) {
-            (void)seg;
-            continue;
-        }
-        assembler_.ingest(std::move(seg),
-                          [this](IscsiRxPdu &&pdu) { onPdu(std::move(pdu)); });
-        if (assembler_.error())
-            dead_ = true; // fatal transport error; stop serving
-    }
-    checkPendingResync();
-}
-
-void
-IscsiTarget::onPdu(IscsiRxPdu &&pdu)
+IscsiTarget::onPdu(core::RxPdu &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
@@ -508,12 +247,12 @@ IscsiTarget::onPdu(IscsiRxPdu &&pdu)
         }
         if (wc_.dataDigest && bhs.dsl > 0) {
             core.charge(m.crcPerByte * bhs.dsl);
-            ddgst_ok = checkDataDigest(wc_, pdu, bhs.dsl);
+            ddgst_ok = core::dataDigestOk(pdu, pdu.frame.dataOff, bhs.dsl);
         }
     }
     if (!hdgst_ok) {
         stats_.digestFailures++;
-        dead_ = true; // a corrupted BHS must not reach the task table
+        transportError(); // a corrupted BHS must not reach the task table
         return;
     }
 
@@ -526,10 +265,10 @@ IscsiTarget::onPdu(IscsiRxPdu &&pdu)
             w.slba = bhs.slba;
             w.len = bhs.length;
             w.buffer = std::make_shared<host::BlockBuffer>(bhs.length);
-            if (ocfg_.copyRx && rxEngine_ != nullptr && bhs.length > 0) {
+            if (bhs.length > 0) {
                 // Unsolicited Data-Out can arrive right behind the
                 // command: register placement state immediately.
-                rxEngine_->addRrState(bhs.itt, w.buffer);
+                addRrState(bhs.itt, w.buffer);
             }
             writes_[bhs.itt] = std::move(w);
             if (bhs.length == 0)
@@ -552,7 +291,7 @@ IscsiTarget::onPdu(IscsiRxPdu &&pdu)
 }
 
 void
-IscsiTarget::onDataOut(IscsiRxPdu &pdu, const IscsiBhs &bhs)
+IscsiTarget::onDataOut(core::RxPdu &pdu, const IscsiBhs &bhs)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
@@ -563,11 +302,11 @@ IscsiTarget::onDataOut(IscsiRxPdu &pdu, const IscsiBhs &bhs)
         return; // stale / unknown task
     PendingWrite &w = it->second;
 
-    auto [copied, placed] =
-        copySegment(wc_, pdu, bhs.dsl, bhs.bufferOffset, *w.buffer);
-    core.charge(m.copyPerByte(w.len) * static_cast<double>(copied));
-    stats_.bytesCopied += copied;
-    stats_.bytesPlaced += placed;
+    core::CopyCounts c = core::copyUnplaced(pdu, pdu.frame.dataOff, bhs.dsl,
+                                            bhs.bufferOffset, w.buffer.get());
+    core.charge(m.copyPerByte(w.len) * static_cast<double>(c.copied));
+    stats_.bytesCopied += c.copied;
+    stats_.bytesPlaced += c.placed;
 
     w.received += bhs.dsl;
     if (w.received >= w.len)
@@ -618,8 +357,7 @@ IscsiTarget::finishWrite(uint32_t itt)
     ANIC_ASSERT(it != writes_.end());
     PendingWrite w = std::move(it->second);
     writes_.erase(it);
-    if (rxEngine_ != nullptr)
-        rxEngine_->delRrState(itt); // l5o_del_rr_state
+    delRrState(itt); // l5o_del_rr_state
 
     drive_.write(w.slba, w.len,
                  [this, itt, len = w.len, digestOk = w.digestOk] {
@@ -632,89 +370,6 @@ IscsiTarget::finishWrite(uint32_t itt)
             enqueue(buildScsiResp(wc_, resp));
         });
     });
-}
-
-void
-IscsiTarget::enqueue(Bytes pdu)
-{
-    SendEntry e;
-    e.bytes = std::move(pdu);
-    sendq_.push_back(std::move(e));
-    flush();
-}
-
-void
-IscsiTarget::flush()
-{
-    while (!sendq_.empty()) {
-        SendEntry &e = sendq_.front();
-        if (!e.added && conn_ != nullptr && l5o_ != nullptr &&
-            l5o_->txCtxId() != 0) {
-            txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
-            e.added = true;
-        }
-        ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
-        size_t acc = sock_.send(rest);
-        sendqOff_ += acc;
-        if (sendqOff_ < e.bytes.size())
-            return;
-        sendq_.pop_front();
-        sendqOff_ = 0;
-    }
-}
-
-// ------------------------------------------------------------- resync
-
-void
-IscsiTarget::checkPendingResync()
-{
-    if (!resyncPending_)
-        return;
-    uint64_t cur = assembler_.midPdu() ? assembler_.curPduStartOff()
-                                       : assembler_.streamConsumed();
-    bool ok;
-    if (cur == resyncOff_) {
-        ok = true;
-    } else if (cur > resyncOff_) {
-        ok = false;
-    } else {
-        return; // not there yet
-    }
-    resyncPending_ = false;
-    if (ok)
-        stats_.resyncConfirmed++;
-    if (l5o_ != nullptr)
-        l5o_->resyncRxResp(resyncSeq_, ok, assembler_.pdusDelivered());
-}
-
-std::optional<core::L5pCallbacks::TxMsgState>
-IscsiTarget::getTxMsgState(uint32_t tcpsn)
-{
-    const core::TxMsgTracker::Entry *e = txMap_.find(tcpsn);
-    if (e == nullptr)
-        return std::nullopt;
-    TxMsgState st;
-    st.msgStartSeq = e->startSeq;
-    st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
-    return st;
-}
-
-void
-IscsiTarget::resyncRxReq(uint32_t tcpsn)
-{
-    ANIC_ASSERT(conn_ != nullptr);
-    stats_.resyncRequests++;
-    resyncPending_ = true;
-    resyncSeq_ = tcpsn;
-    uint64_t consumed = assembler_.streamConsumed();
-    int64_t delta = static_cast<int32_t>(
-        tcpsn - conn_->seqOfRcvStreamOff(consumed));
-    resyncOff_ = consumed + delta;
-    checkPendingResync();
 }
 
 } // namespace anic::iscsi

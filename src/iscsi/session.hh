@@ -9,8 +9,8 @@
  * data-out is exercised by the NVMe-TCP R2T path). IscsiTarget serves
  * Data-In segments and collects Data-Out into per-task buffers.
  *
- * Both sides install NIC offloads through the protocol-agnostic
- * l5o_create binding (IscsiStaticState + direction mask):
+ * Both sides install NIC offloads through the shared storage-L5P
+ * endpoint (core::StorageEndpoint, l5o_create with kIscsiWire):
  *  - rx digest offload: skip software header+data digest checks when
  *    the NIC verified every chunk of a PDU;
  *  - rx copy offload: skip copying ranges the NIC placed into the
@@ -23,13 +23,9 @@
 #ifndef ANIC_ISCSI_SESSION_HH
 #define ANIC_ISCSI_SESSION_HH
 
-#include <deque>
 #include <unordered_map>
 
-#include "core/offload_device.hh"
-#include "core/tx_msg_tracker.hh"
-#include "host/storage.hh"
-#include "iscsi/iscsi_engine.hh"
+#include "core/storage_endpoint.hh"
 #include "iscsi/pdu.hh"
 
 namespace anic::iscsi {
@@ -49,16 +45,19 @@ struct IscsiInitiatorStats
     sim::Counter resyncConfirmed;
 };
 
-class IscsiInitiator : private core::L5pCallbacks
+class IscsiInitiator : public core::StorageEndpoint
 {
   public:
     IscsiInitiator(tcp::StreamSocket &sock, IscsiWireConfig wc,
                    IscsiOffloadConfig ocfg,
                    IscsiInitiatorStats *aggregate = nullptr);
-    ~IscsiInitiator() override;
 
     /** Installs NIC offload contexts (unified l5o_create binding). */
-    void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn);
+    void
+    enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn)
+    {
+        installOffload(dev, conn);
+    }
 
     using ReadDone = std::function<void(bool ok, host::BlockBufferPtr)>;
     using WriteDone = std::function<void(bool ok)>;
@@ -73,8 +72,6 @@ class IscsiInitiator : private core::L5pCallbacks
 
     const IscsiInitiatorStats &stats() const { return stats_; }
     size_t outstanding() const { return tasks_.size(); }
-    bool desynced() const { return dead_; }
-    const nic::FsmStats *rxFsmStats() const;
 
   private:
     struct Task
@@ -91,17 +88,22 @@ class IscsiInitiator : private core::L5pCallbacks
 
     uint32_t allocItt();
     void sendDataOut(uint32_t itt, const Task &task, uint64_t contentSeed);
-    void enqueuePdu(Bytes pdu);
-    void flushSendQueue();
-    void onReadable();
-    void onPdu(IscsiRxPdu &&pdu);
     void completeTask(uint32_t itt, bool ok);
-    void failAllOutstanding();
-    void checkPendingResync();
 
-    // L5pCallbacks.
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
+    // StorageEndpoint. A lost framing or BHS digest fails every
+    // outstanding task and the session goes quiescent.
+    void onPdu(core::RxPdu &&pdu) override;
+    void onTransportError() override;
+    void
+    countResyncRequest() override
+    {
+        count(&IscsiInitiatorStats::resyncRequests);
+    }
+    void
+    countResyncConfirmed() override
+    {
+        count(&IscsiInitiatorStats::resyncConfirmed);
+    }
 
     void
     count(sim::Counter IscsiInitiatorStats::*m, uint64_t n = 1)
@@ -111,33 +113,9 @@ class IscsiInitiator : private core::L5pCallbacks
             (aggregate_->*m) += n;
     }
 
-    tcp::StreamSocket &sock_;
     IscsiWireConfig wc_;
-    IscsiOffloadConfig ocfg_;
-
-    core::L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
-    IscsiRxEngine *rxEngine_ = nullptr;
-
     std::unordered_map<uint32_t, Task> tasks_;
     uint32_t nextItt_ = 1;
-
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool added = false;
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    IscsiAssembler assembler_;
-    bool dead_ = false;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
-
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
     IscsiInitiatorStats stats_;
     IscsiInitiatorStats *aggregate_ = nullptr;
@@ -159,20 +137,22 @@ struct IscsiTargetStats
     sim::Counter resyncConfirmed;
 };
 
-class IscsiTarget : private core::L5pCallbacks
+class IscsiTarget : public core::StorageEndpoint
 {
   public:
     IscsiTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
                 IscsiWireConfig wc);
-    ~IscsiTarget() override;
 
     /** Installs NIC offload contexts (unified l5o_create binding). */
-    void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
-                       IscsiOffloadConfig ocfg);
+    void
+    enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
+                  IscsiOffloadConfig ocfg)
+    {
+        ocfg_ = ocfg;
+        installOffload(dev, conn);
+    }
 
     const IscsiTargetStats &stats() const { return stats_; }
-    bool desynced() const { return dead_; }
-    const nic::FsmStats *rxFsmStats() const;
 
   private:
     struct PendingWrite
@@ -184,46 +164,18 @@ class IscsiTarget : private core::L5pCallbacks
         host::BlockBufferPtr buffer;
     };
 
-    void onReadable();
-    void onPdu(IscsiRxPdu &&pdu);
-    void onDataOut(IscsiRxPdu &pdu, const IscsiBhs &bhs);
+    // StorageEndpoint. A lost framing or BHS digest stops serving.
+    void onPdu(core::RxPdu &&pdu) override;
+    void countResyncRequest() override { stats_.resyncRequests++; }
+    void countResyncConfirmed() override { stats_.resyncConfirmed++; }
+
+    void onDataOut(core::RxPdu &pdu, const IscsiBhs &bhs);
     void serveRead(const IscsiBhs &bhs);
     void finishWrite(uint32_t itt);
-    void enqueue(Bytes pdu);
-    void flush();
-    void checkPendingResync();
 
-    // L5pCallbacks.
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
-
-    tcp::StreamSocket &sock_;
     host::NvmeDrive &drive_;
     IscsiWireConfig wc_;
-    IscsiOffloadConfig ocfg_;
-
-    core::L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
-    IscsiRxEngine *rxEngine_ = nullptr;
-
     std::unordered_map<uint32_t, PendingWrite> writes_;
-
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool added = false;
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    IscsiAssembler assembler_;
-    bool dead_ = false;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
-
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
     IscsiTargetStats stats_;
 };

@@ -8,37 +8,9 @@ namespace anic::nvmetcp {
 
 NvmeHostQueue::NvmeHostQueue(tcp::StreamSocket &sock, WireConfig wc,
                              NvmeOffloadConfig ocfg, NvmeHostStats *aggregate)
-    : sock_(sock), wc_(wc), ocfg_(ocfg), assembler_(wc), aggregate_(aggregate)
+    : StorageEndpoint(sock, kNvmeWire, wc.digests(), ocfg), wc_(wc),
+      aggregate_(aggregate)
 {
-    sock_.setOnReadable([this] { onReadable(); });
-    sock_.setOnWritable([this] { flushSendQueue(); });
-}
-
-NvmeHostQueue::~NvmeHostQueue()
-{
-    if (l5o_ != nullptr)
-        l5o_->destroy();
-}
-
-void
-NvmeHostQueue::enableOffload(core::OffloadDevice &dev,
-                             tcp::TcpConnection &conn)
-{
-    ANIC_ASSERT(l5o_ == nullptr && tlsSock_ == nullptr);
-    conn_ = &conn;
-    if (!ocfg_.crcRx && !ocfg_.copyRx && !ocfg_.crcTx)
-        return;
-
-    NvmeStaticState st(wc_);
-    unsigned dirs = ((ocfg_.crcRx || ocfg_.copyRx) ? core::kL5Rx : 0u) |
-                    (ocfg_.crcTx ? core::kL5Tx : 0u);
-    if (ocfg_.crcTx)
-        conn.setOnAcked([this](uint32_t una) { txMap_.trimAcked(una); });
-    l5o_ = dev.l5oCreate(conn, st, dirs, this);
-    if (dirs & core::kL5Rx)
-        rxEngine_ = static_cast<NvmeRxEngine *>(l5o_->rxEngine());
-    if (ocfg_.crcTx)
-        conn.setTxOffloadCtx(l5o_->txCtxId());
 }
 
 void
@@ -57,7 +29,8 @@ NvmeHostQueue::enableOffloadOverTls(tls::TlsSocket &tlsSock)
     tlsRxEngine_ = dynamic_cast<tls::TlsRxEngine *>(tls_l5o->rxEngine());
     ANIC_ASSERT(tlsRxEngine_ != nullptr);
 
-    auto eng = std::make_unique<NvmeRxEngine>(wc_);
+    auto eng = std::make_unique<core::StorageRxEngine>(kNvmeWire,
+                                                       wc_.digests());
     rxEngine_ = eng.get();
     host::Core *core = &sock_.core();
     tlsRxEngine_->installInner(
@@ -68,7 +41,7 @@ NvmeHostQueue::enableOffloadOverTls(tls::TlsSocket &tlsSock)
                 count(&NvmeHostStats::resyncRequests);
                 resyncPending_ = true;
                 resyncReqId_ = reqId;
-                resyncPlainValid_ = false;
+                resyncOffValid_ = false;
                 innerAnchorPending_ = true;
                 innerAnchorRecIdx_ = recIdx;
                 innerAnchorRecOff_ = recOff;
@@ -94,8 +67,8 @@ NvmeHostQueue::handleInnerAnchor(uint64_t recIdx, uint64_t plainOff)
         return;
     if (recIdx == innerAnchorRecIdx_) {
         innerAnchorPending_ = false;
-        resyncPlainOff_ = plainOff + innerAnchorRecOff_;
-        resyncPlainValid_ = true;
+        resyncOff_ = plainOff + innerAnchorRecOff_;
+        resyncOffValid_ = true;
         checkPendingResync();
     } else if (recIdx > innerAnchorRecIdx_) {
         innerAnchorPending_ = false;
@@ -104,12 +77,33 @@ NvmeHostQueue::handleInnerAnchor(uint64_t recIdx, uint64_t plainOff)
     }
 }
 
+void
+NvmeHostQueue::answerResync(bool ok)
+{
+    if (tlsRxEngine_ != nullptr)
+        tlsRxEngine_->innerResyncResponse(resyncReqId_, ok, 0);
+    else
+        StorageEndpoint::answerResync(ok);
+}
+
+void
+NvmeHostQueue::countResyncRequest()
+{
+    count(&NvmeHostStats::resyncRequests);
+}
+
+void
+NvmeHostQueue::countResyncConfirmed()
+{
+    count(&NvmeHostStats::resyncConfirmed);
+}
+
 const nic::FsmStats *
 NvmeHostQueue::rxFsmStats() const
 {
     if (tlsRxEngine_ != nullptr)
         return tlsRxEngine_->innerFsmStats();
-    return l5o_ != nullptr ? l5o_->rxFsmStats() : nullptr;
+    return StorageEndpoint::rxFsmStats();
 }
 
 uint16_t
@@ -121,48 +115,6 @@ NvmeHostQueue::allocCid()
             nextCid_ = 1;
         if (requests_.find(cid) == requests_.end())
             return cid;
-    }
-}
-
-void
-NvmeHostQueue::enqueuePdu(Bytes pdu, bool trackForResync)
-{
-    SendEntry e;
-    e.bytes = std::move(pdu);
-    e.track = trackForResync;
-    sendq_.push_back(std::move(e));
-    flushSendQueue();
-}
-
-void
-NvmeHostQueue::flushSendQueue()
-{
-    while (!sendq_.empty()) {
-        SendEntry &e = sendq_.front();
-        if (e.track && !e.added) {
-            // Register the message where its first byte will actually
-            // land in the stream (now, not at enqueue time).
-            ANIC_ASSERT(conn_ != nullptr);
-            txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
-            e.added = true;
-        } else if (!e.track && !e.added && conn_ != nullptr &&
-                   l5o_ != nullptr && l5o_->txCtxId() != 0) {
-            // All stream messages must be tracked when a tx context
-            // exists, so framing recovery can cross any message.
-            txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
-            e.added = true;
-        }
-        ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
-        size_t acc = sock_.send(rest);
-        sendqOff_ += acc;
-        if (sendqOff_ < e.bytes.size())
-            return; // transport full; resume on writable
-        sendq_.pop_front();
-        sendqOff_ = 0;
     }
 }
 
@@ -181,10 +133,8 @@ NvmeHostQueue::read(uint64_t slba, uint32_t len, ReadDone done)
     req.readDone = std::move(done);
     outstandingBytes_ += len;
 
-    if (ocfg_.copyRx && rxEngine_ != nullptr) {
-        // l5o_add_rr_state: tell the NIC where responses belong.
-        rxEngine_->addRrState(cid, req.buffer);
-    }
+    // l5o_add_rr_state: tell the NIC where responses belong.
+    addRrState(cid, req.buffer);
     requests_.emplace(cid, std::move(req));
 
     CmdCapsule cmd;
@@ -192,7 +142,7 @@ NvmeHostQueue::read(uint64_t slba, uint32_t len, ReadDone done)
     cmd.opcode = kOpRead;
     cmd.slba = slba;
     cmd.length = len;
-    enqueuePdu(buildCmdCapsule(wc_, cmd), ocfg_.crcTx);
+    enqueue(buildCmdCapsule(wc_, cmd));
 }
 
 void
@@ -237,7 +187,7 @@ NvmeHostQueue::issueDataOutCmd(uint8_t opcode, uint64_t slba, uint32_t len,
     cmd.opcode = opcode;
     cmd.slba = slba;
     cmd.length = len;
-    enqueuePdu(buildCmdCapsule(wc_, cmd), ocfg_.crcTx);
+    enqueue(buildCmdCapsule(wc_, cmd));
     // The payload stays queued until the target grants R2T credit
     // (NVMe/TCP §3.3.2.2); data-less commands complete on the
     // response capsule alone.
@@ -273,38 +223,14 @@ NvmeHostQueue::onR2t(const R2tHdr &r2t)
         core.charge(m.copyLlcPerByte * n +
                     (wc_.dataDigest && !ocfg_.crcTx ? m.crcPerByte * n : 0) +
                     m.nvmePduCost);
-        enqueuePdu(buildDataPdu(wc_, kPduH2CData, dh, data,
-                                /*fillDdgst=*/!ocfg_.crcTx),
-                   ocfg_.crcTx);
+        enqueue(buildDataPdu(wc_, kPduH2CData, dh, data,
+                             /*fillDdgst=*/!ocfg_.crcTx));
         off += n;
     }
 }
 
 void
-NvmeHostQueue::onReadable()
-{
-    while (sock_.readable()) {
-        tcp::RxSegment seg = sock_.pop();
-        if (dead_) {
-            (void)seg;
-            continue;
-        }
-        assembler_.ingest(std::move(seg),
-                          [this](RxPdu &&pdu) { onPdu(std::move(pdu)); });
-        if (assembler_.error()) {
-            // PDU framing lost (corrupted common header). Mirror a
-            // real initiator's fatal-transport-error handling: fail
-            // every outstanding command and go quiescent, instead of
-            // asserting, so impairment fuzzing can corrupt streams.
-            dead_ = true;
-            failAllOutstanding();
-        }
-    }
-    checkPendingResync();
-}
-
-void
-NvmeHostQueue::failAllOutstanding()
+NvmeHostQueue::onTransportError()
 {
     std::vector<uint16_t> cids;
     cids.reserve(requests_.size());
@@ -323,25 +249,25 @@ NvmeHostQueue::failAllOutstanding()
 }
 
 void
-NvmeHostQueue::onPdu(RxPdu &&pdu)
+NvmeHostQueue::onPdu(core::RxPdu &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
     core.charge(m.nvmePduCost);
 
+    const core::PduFrame &f = pdu.frame;
     if (wc_.headerDigest) {
-        core.charge(m.crcPerByte * pdu.ch.hlen);
-        if (!verifyHdgst(wc_, pdu.bytes, pdu.ch)) {
+        core.charge(m.crcPerByte * f.subHdrEnd);
+        if (!verifyHdgst(wc_, pdu.bytes, f.subHdrEnd)) {
             // Fatal transport error: the specific header (cid, data
             // offset) cannot be trusted, so nothing in this PDU can
             // be attributed to a command.
-            dead_ = true;
-            failAllOutstanding();
+            transportError();
             return;
         }
     }
 
-    if (pdu.ch.type == kPduC2HData) {
+    if (f.type == kPduC2HData) {
         count(&NvmeHostStats::dataPdusRx);
         DataPduHdr dh = parseDataPduHdr(pdu.bytes);
         auto it = requests_.find(dh.cid);
@@ -349,60 +275,25 @@ NvmeHostQueue::onPdu(RxPdu &&pdu)
             return; // stale / unknown capsule
         Request &req = it->second;
 
-        size_t pdo = pdu.ch.pdo;
-        ByteView data = ByteView(pdu.bytes).subspan(pdo, dh.dataLen);
-
         // ---- copy (placement offload skips NIC-placed ranges)
-        std::vector<net::PlacedRange> placed;
-        for (const PduSlice &s : pdu.slices) {
-            for (const net::PlacedRange &r : s.placed)
-                placed.push_back(r); // already PDU-relative
-        }
-        std::sort(placed.begin(), placed.end(),
-                  [](const net::PlacedRange &a, const net::PlacedRange &b) {
-                      return a.payloadOff < b.payloadOff;
-                  });
-        uint64_t cursor = pdo;
-        uint64_t data_end = pdo + dh.dataLen;
-        double copied = 0;
-        uint64_t placed_bytes = 0;
-        auto copyRange = [&](uint64_t from, uint64_t to) {
-            if (from >= to)
-                return;
-            uint64_t dst = dh.dataOffset + (from - pdo);
-            if (dst + (to - from) <= req.buffer->data.size()) {
-                std::memcpy(req.buffer->data.data() + dst,
-                            pdu.bytes.data() + from, to - from);
-            }
-            copied += static_cast<double>(to - from);
-        };
-        for (const net::PlacedRange &r : placed) {
-            uint64_t ps = std::max<uint64_t>(r.payloadOff, pdo);
-            uint64_t pe = std::min<uint64_t>(r.payloadOff + r.len, data_end);
-            if (ps >= pe)
-                continue;
-            copyRange(cursor, ps);
-            placed_bytes += pe - ps;
-            cursor = std::max(cursor, pe);
-        }
-        copyRange(cursor, data_end);
+        core::CopyCounts c = core::copyUnplaced(pdu, f.dataOff, dh.dataLen,
+                                                dh.dataOffset,
+                                                req.buffer.get());
         if (req.opcode != kOpRead)
-            copied = 0; // writes have no inbound payload
-        core.charge(m.copyPerByte(outstandingBytes_) * copied);
-        count(&NvmeHostStats::bytesCopied, static_cast<uint64_t>(copied));
-        count(&NvmeHostStats::bytesPlaced, placed_bytes);
+            c.copied = 0; // writes have no inbound payload
+        core.charge(m.copyPerByte(outstandingBytes_) *
+                    static_cast<double>(c.copied));
+        count(&NvmeHostStats::bytesCopied, c.copied);
+        count(&NvmeHostStats::bytesPlaced, c.placed);
 
         // ---- data digest
         if (wc_.dataDigest && dh.dataLen > 0) {
-            bool skip = ocfg_.crcRx && pdu.digestFullyOffloaded();
-            if (skip) {
+            if (ocfg_.crcRx && pdu.digestFullyOffloaded()) {
                 count(&NvmeHostStats::crcSkipped);
             } else {
                 count(&NvmeHostStats::crcSoftware);
                 core.charge(m.crcPerByte * dh.dataLen);
-                uint32_t wire = static_cast<uint32_t>(
-                    getLe32(pdu.bytes.data() + data_end));
-                if (crypto::Crc32c::compute(data) != wire) {
+                if (!core::dataDigestOk(pdu, f.dataOff, dh.dataLen)) {
                     req.failed = true;
                     count(&NvmeHostStats::crcFailures);
                 }
@@ -412,12 +303,12 @@ NvmeHostQueue::onPdu(RxPdu &&pdu)
         return;
     }
 
-    if (pdu.ch.type == kPduR2T) {
+    if (f.type == kPduR2T) {
         onR2t(parseR2tHdr(pdu.bytes));
         return;
     }
 
-    if (pdu.ch.type == kPduCapsuleResp) {
+    if (f.type == kPduCapsuleResp) {
         RespCapsule resp = parseRespCapsule(pdu.bytes);
         completeRequest(resp.cid, resp.status == 0);
         return;
@@ -438,8 +329,7 @@ NvmeHostQueue::completeRequest(uint16_t cid, bool ok)
     core.charge(core.model().nvmeRequestCost / 2);
     outstandingBytes_ -= req.len;
 
-    if (ocfg_.copyRx && rxEngine_ != nullptr)
-        rxEngine_->delRrState(cid); // l5o_del_rr_state
+    delRrState(cid); // l5o_del_rr_state
 
     bool success = ok && !req.failed &&
                    (req.opcode != kOpRead || req.received == req.len);
@@ -456,68 +346,6 @@ NvmeHostQueue::completeRequest(uint16_t cid, bool ok)
         if (req.writeDone)
             req.writeDone(success);
     }
-}
-
-// ------------------------------------------------------------- resync
-
-void
-NvmeHostQueue::checkPendingResync()
-{
-    if (!resyncPending_ || !resyncPlainValid_)
-        return;
-    uint64_t cur = assembler_.midPdu() ? assembler_.curPduStartOff()
-                                       : assembler_.streamConsumed();
-    bool ok;
-    if (cur == resyncPlainOff_) {
-        ok = true;
-    } else if (cur > resyncPlainOff_) {
-        ok = false;
-    } else {
-        return; // not there yet
-    }
-    resyncPending_ = false;
-    resyncPlainValid_ = false;
-    if (ok)
-        count(&NvmeHostStats::resyncConfirmed);
-    if (tlsRxEngine_ != nullptr) {
-        tlsRxEngine_->innerResyncResponse(resyncReqId_, ok, 0);
-    } else if (l5o_ != nullptr) {
-        // Confirm with software's PDU count: the NIC renumbers its
-        // messages from this index, and message identity across
-        // mid-message resumes rides on that numbering staying
-        // consistent with what the engine saw before the gap.
-        l5o_->resyncRxResp(resyncSeq_, ok, assembler_.pdusDelivered());
-    }
-}
-
-std::optional<core::L5pCallbacks::TxMsgState>
-NvmeHostQueue::getTxMsgState(uint32_t tcpsn)
-{
-    const core::TxMsgTracker::Entry *e = txMap_.find(tcpsn);
-    if (e == nullptr)
-        return std::nullopt;
-    TxMsgState st;
-    st.msgStartSeq = e->startSeq;
-    st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
-    return st;
-}
-
-void
-NvmeHostQueue::resyncRxReq(uint32_t tcpsn)
-{
-    ANIC_ASSERT(conn_ != nullptr);
-    count(&NvmeHostStats::resyncRequests);
-    resyncPending_ = true;
-    resyncSeq_ = tcpsn; // echoed in the response (stale-answer guard)
-    // Translate the sequence number into our stream-offset space.
-    uint64_t consumed = assembler_.streamConsumed();
-    int64_t delta = static_cast<int32_t>(
-        tcpsn - conn_->seqOfRcvStreamOff(consumed));
-    resyncPlainOff_ = consumed + delta;
-    resyncPlainValid_ = true;
-    checkPendingResync();
 }
 
 } // namespace anic::nvmetcp

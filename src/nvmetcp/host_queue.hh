@@ -12,8 +12,9 @@
  *  - tx CRC offload: send data PDUs with dummy digests for the NIC
  *    to fill, keeping per-capsule state for retransmit recovery;
  *  - resync: answers the NIC's PDU-header speculations, both for the
- *    plain-TCP transport (sequence-number anchors) and for the
- *    NVMe-TLS composition (record/offset anchors via the TLS layer).
+ *    plain-TCP transport (sequence-number anchors, in the shared
+ *    StorageEndpoint) and for the NVMe-TLS composition (record/offset
+ *    anchors via the TLS layer, here).
  *
  * The transport is any StreamSocket: a TcpConnection (plain NVMe-TCP)
  * or a TlsSocket (NVMe-TLS, §5.3).
@@ -24,10 +25,7 @@
 
 #include <unordered_map>
 
-#include "core/offload_device.hh"
-#include "core/tx_msg_tracker.hh"
-#include "host/storage.hh"
-#include "nvmetcp/nvme_engine.hh"
+#include "core/storage_endpoint.hh"
 #include "nvmetcp/pdu.hh"
 #include "tls/ktls.hh"
 
@@ -51,7 +49,7 @@ struct NvmeHostStats
     sim::Counter resyncConfirmed;
 };
 
-class NvmeHostQueue : private core::L5pCallbacks
+class NvmeHostQueue : public core::StorageEndpoint
 {
   public:
     /** @param aggregate optional owner-level stats (e.g. one per
@@ -59,13 +57,17 @@ class NvmeHostQueue : private core::L5pCallbacks
      *  lands in — that is what the registry publishes. */
     NvmeHostQueue(tcp::StreamSocket &sock, WireConfig wc,
                   NvmeOffloadConfig ocfg, NvmeHostStats *aggregate = nullptr);
-    ~NvmeHostQueue() override;
 
     /**
      * Installs NIC offload contexts when the transport is a plain
      * TcpConnection (l5o_create on the flow).
      */
-    void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn);
+    void
+    enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn)
+    {
+        ANIC_ASSERT(tlsSock_ == nullptr);
+        installOffload(dev, conn);
+    }
 
     /**
      * NVMe-TLS composition: installs the NVMe engines *inside* the
@@ -97,11 +99,6 @@ class NvmeHostQueue : private core::L5pCallbacks
     size_t outstanding() const { return requests_.size(); }
     uint64_t outstandingBytes() const { return outstandingBytes_; }
 
-    /** True once PDU framing was lost (corrupted common header): all
-     *  outstanding commands were failed and the queue is quiescent —
-     *  the initiator-side analogue of a fatal transport error. */
-    bool desynced() const { return dead_; }
-
     /** FSM stats of the rx offload (outer or inner), if any. */
     const nic::FsmStats *rxFsmStats() const;
 
@@ -123,18 +120,17 @@ class NvmeHostQueue : private core::L5pCallbacks
     void issueDataOutCmd(uint8_t opcode, uint64_t slba, uint32_t len,
                          uint64_t contentSeed, WriteDone done);
     void onR2t(const R2tHdr &r2t);
-    void enqueuePdu(Bytes pdu, bool trackForResync);
-    void flushSendQueue();
-    void failAllOutstanding();
-    void onReadable();
-    void onPdu(RxPdu &&pdu);
     void completeRequest(uint16_t cid, bool ok);
-    void checkPendingResync();
     void handleInnerAnchor(uint64_t recIdx, uint64_t plainOff);
 
-    // L5pCallbacks (plain-TCP transport).
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
+    // StorageEndpoint.
+    void onPdu(core::RxPdu &&pdu) override;
+    /** Fails every outstanding command: the initiator-side analogue
+     *  of a fatal transport error. */
+    void onTransportError() override;
+    void countResyncRequest() override;
+    void countResyncConfirmed() override;
+    void answerResync(bool ok) override;
 
     /** Counts into the queue stats and the owner aggregate. */
     void
@@ -145,44 +141,20 @@ class NvmeHostQueue : private core::L5pCallbacks
             (aggregate_->*m) += n;
     }
 
-    tcp::StreamSocket &sock_;
     WireConfig wc_;
-    NvmeOffloadConfig ocfg_;
 
-    // Offload plumbing (exactly one of these is active).
-    core::L5Offload *l5o_ = nullptr;            // plain TCP transport
-    tcp::TcpConnection *conn_ = nullptr;        // for seq translation
-    tls::TlsSocket *tlsSock_ = nullptr;         // TLS transport
-    tls::TlsRxEngine *tlsRxEngine_ = nullptr;   // hosts our inner engine
-    NvmeRxEngine *rxEngine_ = nullptr;          // whoever owns it
+    // NVMe-TLS composition: the TLS rx engine hosts our inner engine
+    // and resync anchors arrive as (record, offset) pairs.
+    tls::TlsSocket *tlsSock_ = nullptr;
+    tls::TlsRxEngine *tlsRxEngine_ = nullptr;
+    uint64_t resyncReqId_ = 0;
+    bool innerAnchorPending_ = false;
+    uint64_t innerAnchorRecIdx_ = 0;
+    uint32_t innerAnchorRecOff_ = 0;
 
     std::unordered_map<uint16_t, Request> requests_;
     uint16_t nextCid_ = 1;
     uint64_t outstandingBytes_ = 0;
-
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool track = false; ///< register in txMap_ when it enters TCP
-        bool added = false;
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    PduAssembler assembler_;
-    bool dead_ = false;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
-
-    // Pending resync speculation (one outstanding).
-    bool resyncPending_ = false;
-    uint64_t resyncReqId_ = 0;   // inner (TLS) path only
-    uint32_t resyncSeq_ = 0;     // plain path: TCP seq
-    uint64_t resyncPlainOff_ = 0;
-    bool resyncPlainValid_ = false;
-    bool innerAnchorPending_ = false;
-    uint64_t innerAnchorRecIdx_ = 0;
-    uint32_t innerAnchorRecOff_ = 0;
 
     NvmeHostStats stats_;
     NvmeHostStats *aggregate_ = nullptr;

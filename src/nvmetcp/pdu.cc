@@ -90,15 +90,14 @@ fillHdgst(const WireConfig &wc, Bytes &pdu, uint8_t hlen)
 } // namespace
 
 bool
-verifyHdgst(const WireConfig &wc, ByteView pdu, const CommonHdr &ch)
+verifyHdgst(const WireConfig &wc, ByteView pdu, size_t hlen)
 {
     if (!wc.headerDigest)
         return true;
-    if (pdu.size() < static_cast<size_t>(ch.hlen) + kDigestSize)
+    if (pdu.size() < hlen + kDigestSize)
         return false;
-    uint32_t wire =
-        static_cast<uint32_t>(getLe32(pdu.data() + ch.hlen));
-    return crypto::Crc32c::compute(ByteView(pdu.data(), ch.hlen)) == wire;
+    uint32_t wire = static_cast<uint32_t>(getLe32(pdu.data() + hlen));
+    return crypto::Crc32c::compute(ByteView(pdu.data(), hlen)) == wire;
 }
 
 Bytes
@@ -198,91 +197,40 @@ parseR2tHdr(ByteView pdu)
     return r;
 }
 
-uint64_t
-RxPdu::placedDataBytes() const
+// ------------------------------------------------------ wire traits
+
+namespace {
+
+std::optional<core::PduFrame>
+nvmeParsePrefix(const uint8_t *prefix, core::Digests)
 {
-    uint64_t total = 0;
-    for (const PduSlice &s : slices) {
-        for (const net::PlacedRange &r : s.placed)
-            total += r.len;
-    }
-    return total;
+    std::optional<CommonHdr> ch =
+        parseCommonHdr(ByteView(prefix, kCommonHdrSize));
+    if (!ch)
+        return std::nullopt;
+    core::PduFrame f;
+    f.type = ch->type;
+    f.wireLen = ch->plen;
+    f.dataOff = ch->pdo;
+    f.dataLen = ch->dataLen();
+    f.subHdrEnd = ch->hlen;
+    f.isData = ch->type == kPduC2HData || ch->type == kPduH2CData;
+    return f;
 }
 
-void
-PduAssembler::ingest(const tcp::RxSegment &seg,
-                     std::function<void(RxPdu &&)> sink)
+/** Data PDU sub-header (bytes from offset 8): cid u16, rsvd u16,
+ *  dataOffset u32. */
+core::PduTag
+nvmeParseTag(const uint8_t *sub)
 {
-    size_t off = 0;
-    const size_t n = seg.data.size();
-    while (off < n && !error_) {
-        if (!hdrComplete_) {
-            if (hdr8_.empty() && have_ == 0)
-                pduStartOff_ = seg.streamOff + off;
-            size_t need = kCommonHdrSize - hdr8_.size();
-            size_t take = std::min(need, n - off);
-            hdr8_.insert(hdr8_.end(), seg.data.begin() + off,
-                         seg.data.begin() + off + take);
-            off += take;
-            have_ += take;
-            consumed_ = seg.streamOff + off;
-            if (hdr8_.size() < kCommonHdrSize)
-                break;
-            std::optional<CommonHdr> ch = parseCommonHdr(hdr8_, maxPdu_);
-            if (!ch) {
-                error_ = true;
-                return;
-            }
-            cur_.ch = *ch;
-            cur_.bytes.resize(ch->plen);
-            std::memcpy(cur_.bytes.data(), hdr8_.data(), kCommonHdrSize);
-            cur_.slices.clear();
-            hdrComplete_ = true;
-            continue;
-        }
-
-        size_t want = cur_.ch.plen - have_;
-        size_t take = std::min(want, n - off);
-        std::memcpy(cur_.bytes.data() + have_, seg.data.data() + off, take);
-
-        PduSlice slice;
-        slice.pduOff = have_;
-        slice.len = take;
-        // A chunk's digest counts as NIC-checked when the packet went
-        // through the offload path and no digest that completed in it
-        // was left uncovered; it passed unless a completed check
-        // mismatched. Chunks with no completed digest are vacuously OK
-        // (the verdict rides on the chunk holding the trailer).
-        net::VerifyOutcome v = seg.meta.verifyOf(net::L5Kind::Nvme);
-        slice.digestChecked =
-            seg.meta.offloaded && v != net::VerifyOutcome::Incomplete;
-        slice.digestOk =
-            slice.digestChecked && v != net::VerifyOutcome::Failed;
-        for (const net::PlacedRange &r : seg.meta.placed) {
-            // Convert segment-relative placement to PDU-relative.
-            uint64_t s = std::max<uint64_t>(r.payloadOff, off);
-            uint64_t e = std::min<uint64_t>(r.payloadOff + r.len, off + take);
-            if (s < e) {
-                slice.placed.push_back(net::PlacedRange{
-                    static_cast<uint32_t>(have_ + (s - off)),
-                    static_cast<uint32_t>(e - s)});
-            }
-        }
-        cur_.slices.push_back(std::move(slice));
-
-        have_ += take;
-        off += take;
-        consumed_ = seg.streamOff + off;
-        if (have_ == cur_.ch.plen) {
-            RxPdu done = std::move(cur_);
-            cur_ = RxPdu{};
-            hdr8_.clear();
-            hdrComplete_ = false;
-            have_ = 0;
-            pduIdx_++;
-            sink(std::move(done));
-        }
-    }
+    return core::PduTag{getLe16(sub),
+                        static_cast<uint32_t>(getLe32(sub + 4))};
 }
+
+} // namespace
+
+const core::StorageWire kNvmeWire{net::L5Kind::Nvme,
+                                  /*nicHeaderDigest=*/false,
+                                  nvmeParsePrefix, nvmeParseTag};
 
 } // namespace anic::nvmetcp

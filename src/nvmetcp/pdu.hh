@@ -30,11 +30,10 @@
 #ifndef ANIC_NVMETCP_PDU_HH
 #define ANIC_NVMETCP_PDU_HH
 
-#include <functional>
 #include <optional>
 
+#include "core/storage_pdu.hh"
 #include "crypto/crc32c.hh"
-#include "tcp/socket.hh"
 #include "util/bytes.hh"
 
 namespace anic::nvmetcp {
@@ -67,7 +66,7 @@ constexpr size_t kCmdHdrSize = 32;
 constexpr size_t kRespHdrSize = 24;
 constexpr size_t kDataHdrSize = 24;
 constexpr size_t kR2tHdrSize = 24;
-constexpr size_t kDigestSize = 4;
+using core::kDigestSize;
 
 /** Wire-format options negotiated at queue setup (ICReq/ICResp). */
 struct WireConfig
@@ -81,7 +80,16 @@ struct WireConfig
 
     size_t digestLen() const { return headerDigest ? kDigestSize : 0; }
     size_t ddgstLen() const { return dataDigest ? kDigestSize : 0; }
+    core::Digests digests() const { return {headerDigest, dataDigest}; }
 };
+
+/** Which offloads a session requests from the NIC. */
+using NvmeOffloadConfig = core::StorageOffloadConfig;
+
+/** NVMe-TCP's plug-in to the shared storage-L5P layer: common-header
+ *  framing, CID + data offset from the data PDU sub-header, and no
+ *  NIC header digest (at most 32 bytes; not worth offloading). */
+extern const core::StorageWire kNvmeWire;
 
 /** Decoded common header. */
 struct CommonHdr
@@ -112,7 +120,8 @@ uint8_t hlenForType(uint8_t type);
  * consistent pdo and plen bounds. This is the offload's speculative
  * magic-pattern check.
  */
-std::optional<CommonHdr> parseCommonHdr(ByteView h, size_t maxPdu = 2 << 20);
+std::optional<CommonHdr> parseCommonHdr(ByteView h,
+                                       size_t maxPdu = core::kMaxStoragePdu);
 
 /** Fields of a command capsule. */
 struct CmdCapsule
@@ -177,96 +186,15 @@ DataPduHdr parseDataPduHdr(ByteView pdu);
 R2tHdr parseR2tHdr(ByteView pdu);
 
 /**
- * Verifies the header digest of a full wire PDU (trivially true when
- * HDGST is not negotiated). The common-header structure checks alone
- * cannot protect the specific header — a flipped cid or dataOffset
- * passes the data digest, so receivers must check this before
- * trusting any header field. A mismatch is a fatal transport error
- * (NVMe/TCP §7.4.7), like losing PDU framing.
+ * Verifies the header digest of a full wire PDU whose specific header
+ * ends at @p hlen (trivially true when HDGST is not negotiated). The
+ * common-header structure checks alone cannot protect the specific
+ * header: a flipped cid or dataOffset passes the data digest, so
+ * receivers must check this before trusting any header field. A
+ * mismatch is a fatal transport error (NVMe/TCP §7.4.7), like losing
+ * PDU framing.
  */
-bool verifyHdgst(const WireConfig &wc, ByteView pdu, const CommonHdr &ch);
-
-/** Offload flags of one contiguous chunk of an assembled PDU. */
-struct PduSlice
-{
-    size_t pduOff = 0;
-    size_t len = 0;
-    bool digestChecked = false;
-    bool digestOk = false;
-    /** Placed ranges, PDU-relative. */
-    std::vector<net::PlacedRange> placed;
-};
-
-/** A fully reassembled PDU with per-packet offload results. */
-struct RxPdu
-{
-    CommonHdr ch;
-    Bytes bytes; ///< full wire bytes [0, plen)
-    std::vector<PduSlice> slices;
-
-    /** True iff the NIC checked (and passed) the data digest on every
-     *  chunk — the "crc_ok bits of all SKBs" condition. */
-    bool
-    digestFullyOffloaded() const
-    {
-        if (slices.empty())
-            return false;
-        for (const PduSlice &s : slices) {
-            if (!s.digestChecked || !s.digestOk)
-                return false;
-        }
-        return true;
-    }
-
-    /** Total bytes of the data region already placed by the NIC. */
-    uint64_t placedDataBytes() const;
-};
-
-/**
- * Incremental PDU reassembler: feed in-order stream segments, get
- * complete PDUs. Mirrors what the in-kernel nvme-tcp receive path
- * does, including tracking which chunks the NIC already handled.
- */
-class PduAssembler
-{
-  public:
-    explicit PduAssembler(const WireConfig &wc, size_t maxPdu = 2 << 20)
-        : wc_(wc), maxPdu_(maxPdu)
-    {
-    }
-
-    /** Feeds a segment; invokes @p sink for each completed PDU. */
-    void ingest(const tcp::RxSegment &seg,
-                std::function<void(RxPdu &&)> sink);
-
-    bool error() const { return error_; }
-
-    /** Stream offset where the next (or current) PDU starts. */
-    uint64_t curPduStartOff() const { return pduStartOff_; }
-
-    /** Stream offset of the next unconsumed byte. */
-    uint64_t streamConsumed() const { return consumed_; }
-
-    /** True if mid-PDU (header or body partially collected). */
-    bool midPdu() const { return have_ > 0; }
-
-    /** Index of the next (or current) PDU: PDUs fully delivered so
-     *  far. Echoed on resync confirmation so the NIC renumbers its
-     *  messages consistently with software's count. */
-    uint64_t pdusDelivered() const { return pduIdx_; }
-
-  private:
-    WireConfig wc_;
-    size_t maxPdu_;
-    RxPdu cur_;
-    Bytes hdr8_;
-    bool hdrComplete_ = false;
-    size_t have_ = 0;
-    uint64_t pduStartOff_ = 0;
-    uint64_t consumed_ = 0;
-    uint64_t pduIdx_ = 0;
-    bool error_ = false;
-};
+bool verifyHdgst(const WireConfig &wc, ByteView pdu, size_t hlen);
 
 } // namespace anic::nvmetcp
 

@@ -10,87 +10,30 @@ namespace anic::nvmetcp {
 
 NvmeTarget::NvmeTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
                        WireConfig wc)
-    : sock_(sock), drive_(drive), wc_(wc), assembler_(wc)
+    : StorageEndpoint(sock, kNvmeWire, wc.digests(), {}), drive_(drive),
+      wc_(wc)
 {
-    sock_.setOnReadable([this] { onReadable(); });
-    sock_.setOnWritable([this] { flush(); });
-}
-
-NvmeTarget::~NvmeTarget()
-{
-    if (l5o_ != nullptr)
-        l5o_->destroy();
 }
 
 void
-NvmeTarget::enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
-                          NvmeOffloadConfig ocfg)
-{
-    ANIC_ASSERT(l5o_ == nullptr);
-    conn_ = &conn;
-    ocfg_ = ocfg;
-    if (!ocfg_.crcRx && !ocfg_.copyRx && !ocfg_.crcTx)
-        return;
-
-    NvmeStaticState st(wc_);
-    unsigned dirs = ((ocfg_.crcRx || ocfg_.copyRx) ? core::kL5Rx : 0u) |
-                    (ocfg_.crcTx ? core::kL5Tx : 0u);
-    if (ocfg_.crcTx)
-        conn.setOnAcked([this](uint32_t una) { txMap_.trimAcked(una); });
-    l5o_ = dev.l5oCreate(conn, st, dirs, this);
-    if (dirs & core::kL5Rx)
-        rxEngine_ = static_cast<NvmeRxEngine *>(l5o_->rxEngine());
-    if (ocfg_.crcTx)
-        conn.setTxOffloadCtx(l5o_->txCtxId());
-}
-
-const nic::FsmStats *
-NvmeTarget::rxFsmStats() const
-{
-    return l5o_ != nullptr ? l5o_->rxFsmStats() : nullptr;
-}
-
-void
-NvmeTarget::onReadable()
-{
-    while (sock_.readable()) {
-        tcp::RxSegment seg = sock_.pop();
-        if (dead_) {
-            (void)seg; // drain and discard; the session is over
-            continue;
-        }
-        assembler_.ingest(std::move(seg),
-                          [this](RxPdu &&pdu) { onPdu(std::move(pdu)); });
-        if (assembler_.error()) {
-            // A corrupted common header destroyed PDU framing; a real
-            // controller treats this as a fatal transport error and
-            // kills the connection. Stop serving instead of asserting
-            // so impairment fuzzing can exercise this path.
-            dead_ = true;
-        }
-    }
-    checkPendingResync();
-}
-
-void
-NvmeTarget::onPdu(RxPdu &&pdu)
+NvmeTarget::onPdu(core::RxPdu &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
     core.charge(m.nvmePduCost);
 
     if (wc_.headerDigest) {
-        core.charge(m.crcPerByte * pdu.ch.hlen);
-        if (!verifyHdgst(wc_, pdu.bytes, pdu.ch)) {
+        core.charge(m.crcPerByte * pdu.frame.subHdrEnd);
+        if (!verifyHdgst(wc_, pdu.bytes, pdu.frame.subHdrEnd)) {
             // Fatal transport error: a corrupted specific header
             // (cid, slba, data offset) must not reach the command
             // table.
-            dead_ = true;
+            transportError();
             return;
         }
     }
 
-    switch (pdu.ch.type) {
+    switch (pdu.frame.type) {
       case kPduCapsuleCmd: {
         CmdCapsule cmd = parseCmdCapsule(pdu.bytes);
         if (cmd.opcode == kOpRead) {
@@ -129,10 +72,10 @@ NvmeTarget::issueR2t(uint16_t cid)
     if (n == 0)
         return;
 
-    if (w.granted == 0 && ocfg_.copyRx && rxEngine_ != nullptr) {
+    if (w.granted == 0) {
         // l5o_add_rr_state before the credit leaves: H2CData can
         // arrive any time after, and the NIC places it directly.
-        rxEngine_->addRrState(cid, w.buffer);
+        addRrState(cid, w.buffer);
     }
 
     R2tHdr r2t;
@@ -147,7 +90,7 @@ NvmeTarget::issueR2t(uint16_t cid)
 }
 
 void
-NvmeTarget::onH2cData(RxPdu &pdu)
+NvmeTarget::onH2cData(core::RxPdu &pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
@@ -157,59 +100,23 @@ NvmeTarget::onH2cData(RxPdu &pdu)
     if (it == writes_.end())
         return; // stale / unknown capsule
     PendingWrite &w = it->second;
-
-    size_t pdo = pdu.ch.pdo;
+    const uint64_t pdo = pdu.frame.dataOff;
 
     // ---- copy (placement offload skips NIC-placed ranges)
-    std::vector<net::PlacedRange> placed;
-    for (const PduSlice &s : pdu.slices) {
-        for (const net::PlacedRange &r : s.placed)
-            placed.push_back(r); // already PDU-relative
-    }
-    std::sort(placed.begin(), placed.end(),
-              [](const net::PlacedRange &a, const net::PlacedRange &b) {
-                  return a.payloadOff < b.payloadOff;
-              });
-    uint64_t cursor = pdo;
-    uint64_t data_end = pdo + dh.dataLen;
-    uint64_t copied = 0;
-    uint64_t placed_bytes = 0;
-    auto copyRange = [&](uint64_t from, uint64_t to) {
-        if (from >= to)
-            return;
-        uint64_t dst = dh.dataOffset + (from - pdo);
-        if (dst + (to - from) <= w.buffer->data.size()) {
-            std::memcpy(w.buffer->data.data() + dst,
-                        pdu.bytes.data() + from, to - from);
-        }
-        copied += to - from;
-    };
-    for (const net::PlacedRange &r : placed) {
-        uint64_t ps = std::max<uint64_t>(r.payloadOff, pdo);
-        uint64_t pe = std::min<uint64_t>(r.payloadOff + r.len, data_end);
-        if (ps >= pe)
-            continue;
-        copyRange(cursor, ps);
-        placed_bytes += pe - ps;
-        cursor = std::max(cursor, pe);
-    }
-    copyRange(cursor, data_end);
-    core.charge(m.copyPerByte(w.len) * static_cast<double>(copied));
-    stats_.h2cBytesCopied += copied;
-    stats_.h2cBytesPlaced += placed_bytes;
+    core::CopyCounts c = core::copyUnplaced(pdu, pdo, dh.dataLen,
+                                            dh.dataOffset, w.buffer.get());
+    core.charge(m.copyPerByte(w.len) * static_cast<double>(c.copied));
+    stats_.h2cBytesCopied += c.copied;
+    stats_.h2cBytesPlaced += c.placed;
 
     // ---- data digest
     if (wc_.dataDigest && dh.dataLen > 0) {
-        bool skip = ocfg_.crcRx && pdu.digestFullyOffloaded();
-        if (skip) {
+        if (ocfg_.crcRx && pdu.digestFullyOffloaded()) {
             stats_.h2cDigestSkipped++;
         } else {
             stats_.h2cDigestSoftware++;
             core.charge(m.crcPerByte * dh.dataLen);
-            ByteView data = ByteView(pdu.bytes).subspan(pdo, dh.dataLen);
-            uint32_t wire = static_cast<uint32_t>(
-                getLe32(pdu.bytes.data() + data_end));
-            if (crypto::Crc32c::compute(data) != wire) {
+            if (!core::dataDigestOk(pdu, pdo, dh.dataLen)) {
                 w.digestOk = false;
                 stats_.digestFailures++;
             }
@@ -269,8 +176,7 @@ NvmeTarget::finishWrite(uint16_t cid)
     ANIC_ASSERT(it != writes_.end());
     PendingWrite w = std::move(it->second);
     writes_.erase(it);
-    if (rxEngine_ != nullptr)
-        rxEngine_->delRrState(cid); // l5o_del_rr_state
+    delRrState(cid); // l5o_del_rr_state
 
     if (w.opcode == kOpCompare) {
         // COMPARE: read the addressed range back and match it against
@@ -316,92 +222,6 @@ NvmeTarget::finishWrite(uint16_t cid)
             enqueue(buildRespCapsule(wc_, resp));
         });
     });
-}
-
-void
-NvmeTarget::enqueue(Bytes pdu)
-{
-    SendEntry e;
-    e.bytes = std::move(pdu);
-    sendq_.push_back(std::move(e));
-    flush();
-}
-
-void
-NvmeTarget::flush()
-{
-    while (!sendq_.empty()) {
-        SendEntry &e = sendq_.front();
-        if (!e.added && conn_ != nullptr && l5o_ != nullptr &&
-            l5o_->txCtxId() != 0) {
-            // All stream messages must be tracked when a tx context
-            // exists, so framing recovery can cross any message.
-            txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
-            e.added = true;
-        }
-        ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
-        size_t acc = sock_.send(rest);
-        sendqOff_ += acc;
-        if (sendqOff_ < e.bytes.size())
-            return;
-        sendq_.pop_front();
-        sendqOff_ = 0;
-    }
-}
-
-// ------------------------------------------------------------- resync
-
-void
-NvmeTarget::checkPendingResync()
-{
-    if (!resyncPending_)
-        return;
-    uint64_t cur = assembler_.midPdu() ? assembler_.curPduStartOff()
-                                       : assembler_.streamConsumed();
-    bool ok;
-    if (cur == resyncOff_) {
-        ok = true;
-    } else if (cur > resyncOff_) {
-        ok = false;
-    } else {
-        return; // not there yet
-    }
-    resyncPending_ = false;
-    if (ok)
-        stats_.resyncConfirmed++;
-    if (l5o_ != nullptr)
-        l5o_->resyncRxResp(resyncSeq_, ok, assembler_.pdusDelivered());
-}
-
-std::optional<core::L5pCallbacks::TxMsgState>
-NvmeTarget::getTxMsgState(uint32_t tcpsn)
-{
-    const core::TxMsgTracker::Entry *e = txMap_.find(tcpsn);
-    if (e == nullptr)
-        return std::nullopt;
-    TxMsgState st;
-    st.msgStartSeq = e->startSeq;
-    st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
-    return st;
-}
-
-void
-NvmeTarget::resyncRxReq(uint32_t tcpsn)
-{
-    ANIC_ASSERT(conn_ != nullptr);
-    stats_.resyncRequests++;
-    resyncPending_ = true;
-    resyncSeq_ = tcpsn;
-    // Translate the sequence number into our stream-offset space.
-    uint64_t consumed = assembler_.streamConsumed();
-    int64_t delta = static_cast<int32_t>(
-        tcpsn - conn_->seqOfRcvStreamOff(consumed));
-    resyncOff_ = consumed + delta;
-    checkPendingResync();
 }
 
 } // namespace anic::nvmetcp

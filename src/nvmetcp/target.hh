@@ -16,13 +16,9 @@
 #ifndef ANIC_NVMETCP_TARGET_HH
 #define ANIC_NVMETCP_TARGET_HH
 
-#include <deque>
 #include <unordered_map>
 
-#include "core/offload_device.hh"
-#include "core/tx_msg_tracker.hh"
-#include "host/storage.hh"
-#include "nvmetcp/nvme_engine.hh"
+#include "core/storage_endpoint.hh"
 #include "nvmetcp/pdu.hh"
 
 namespace anic::nvmetcp {
@@ -47,50 +43,41 @@ struct NvmeTargetStats
 };
 
 /** One connection's controller-side session. */
-class NvmeTarget : private core::L5pCallbacks
+class NvmeTarget : public core::StorageEndpoint
 {
   public:
     NvmeTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
                WireConfig wc);
-    ~NvmeTarget() override;
 
     /**
      * Installs NIC offload contexts on the target side (l5o_create on
      * the flow): rx digest verification + placement for inbound
      * H2CData, tx digest fill for outbound C2HData.
      */
-    void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
-                       NvmeOffloadConfig ocfg);
+    void
+    enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
+                  NvmeOffloadConfig ocfg)
+    {
+        ocfg_ = ocfg;
+        installOffload(dev, conn);
+    }
 
     const NvmeTargetStats &stats() const { return stats_; }
 
-    /** True once PDU framing was lost (corrupted common header): the
-     *  session stops serving — a real controller would reset the
-     *  connection (NVMe/TCP §7.4.7 fatal transport error). */
-    bool desynced() const { return dead_; }
-
-    /** FSM stats of the rx offload, if any. */
-    const nic::FsmStats *rxFsmStats() const;
-
   private:
-    void onReadable();
-    void onPdu(RxPdu &&pdu);
+    // StorageEndpoint. A lost framing or header digest stops serving
+    // (a real controller resets the connection, NVMe/TCP §7.4.7).
+    void onPdu(core::RxPdu &&pdu) override;
+    void countResyncRequest() override { stats_.resyncRequests++; }
+    void countResyncConfirmed() override { stats_.resyncConfirmed++; }
+
     void serveRead(const CmdCapsule &cmd);
-    void onH2cData(RxPdu &pdu);
+    void onH2cData(core::RxPdu &pdu);
     void issueR2t(uint16_t cid);
     void finishWrite(uint16_t cid);
-    void enqueue(Bytes pdu);
-    void flush();
-    void checkPendingResync();
 
-    // L5pCallbacks.
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
-
-    tcp::StreamSocket &sock_;
     host::NvmeDrive &drive_;
     WireConfig wc_;
-    PduAssembler assembler_;
 
     struct PendingWrite
     {
@@ -104,29 +91,7 @@ class NvmeTarget : private core::L5pCallbacks
     };
     std::unordered_map<uint16_t, PendingWrite> writes_;
 
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool added = false; ///< registered in txMap_
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    bool dead_ = false;
-
-    // Offload plumbing.
-    NvmeOffloadConfig ocfg_;
-    core::L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
-    NvmeRxEngine *rxEngine_ = nullptr;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
     uint16_t nextTtag_ = 1;
-
-    // Pending rx resync speculation (one outstanding).
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
     NvmeTargetStats stats_;
 };

@@ -594,6 +594,21 @@ TcpConnection::sendAck()
     sendFlagsPacket(kTcpAck, sndNxt_, true);
 }
 
+template <typename Fire>
+void
+TcpConnection::atTime(sim::Tick when, Fire fire)
+{
+    TcpStack *stack = &stack_;
+    host::Core *core = &core_;
+    util::SlabHandle self = self_;
+    stack_.sim().scheduleAt(when, [stack, core, self, fire] {
+        core->post([stack, self, fire] {
+            if (TcpConnection *c = stack->connection(self))
+                fire(*c);
+        });
+    });
+}
+
 void
 TcpConnection::scheduleDelayedAck()
 {
@@ -601,15 +616,14 @@ TcpConnection::scheduleDelayedAck()
         return;
     delayedAckScheduled_ = true;
     uint64_t gen = ++delAckGeneration_;
-    stack_.sim().schedule(cfg_.delayedAckTimeout, [this, gen] {
-        core_.post([this, gen] {
-            if (gen != delAckGeneration_)
-                return;
-            delayedAckScheduled_ = false;
-            if (unackedDataPkts_ > 0)
-                sendAck();
-        });
-    });
+    atTime(stack_.sim().now() + cfg_.delayedAckTimeout,
+           [gen](TcpConnection &c) {
+               if (gen != c.delAckGeneration_)
+                   return;
+               c.delayedAckScheduled_ = false;
+               if (c.unackedDataPkts_ > 0)
+                   c.sendAck();
+           });
 }
 
 void
@@ -626,9 +640,7 @@ TcpConnection::armRto()
         return;
     rtoArmed_ = true;
     uint64_t gen = ++rtoGeneration_;
-    stack_.sim().scheduleAt(rtoDeadline_, [this, gen] {
-        core_.post([this, gen] { onRtoFire(gen); });
-    });
+    atTime(rtoDeadline_, [gen](TcpConnection &c) { c.onRtoFire(gen); });
 }
 
 void
@@ -648,9 +660,7 @@ TcpConnection::onRtoFire(uint64_t generation)
         // The deadline moved (acks arrived): re-arm for the rest.
         rtoArmed_ = true;
         uint64_t gen = ++rtoGeneration_;
-        stack_.sim().scheduleAt(rtoDeadline_, [this, gen] {
-            core_.post([this, gen] { onRtoFire(gen); });
-        });
+        atTime(rtoDeadline_, [gen](TcpConnection &c) { c.onRtoFire(gen); });
         return;
     }
 

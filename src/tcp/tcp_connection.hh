@@ -27,6 +27,7 @@
 #include "tcp/congestion.hh"
 #include "tcp/seq.hh"
 #include "tcp/socket.hh"
+#include "util/slab.hh"
 
 namespace anic::tcp {
 
@@ -198,9 +199,18 @@ class TcpConnection : public StreamSocket
     void scheduleDelayedAck();
     void armRto();
     void cancelRto();
+    /**
+     * Runs @p fire(conn) on this connection's core at @p when, if the
+     * connection still exists by then. destroy() may run while timers
+     * are armed, so a timer closure must establish liveness (through
+     * the generation-checked slab handle) before touching any member;
+     * a generation check alone would read a dead object, or match a
+     * new connection recycling the slot.
+     */
+    template <typename Fire> void atTime(sim::Tick when, Fire fire);
+
     /** Invalidates every outstanding timer closure (RTO, delayed
-     *  ack) so none can act on this connection after the stack frees
-     *  its slot — destroy() may run while timers are armed. */
+     *  ack): an armed timer stops mattering when the flow stops. */
     void
     cancelTimers()
     {
@@ -239,6 +249,7 @@ class TcpConnection : public StreamSocket
 
     TcpStack &stack_;
     host::Core &core_;
+    util::SlabHandle self_; ///< this connection's slot (set by TcpStack)
     Config cfg_;
     net::FlowKey local_; // srcIp/Port = this endpoint
     State state_ = State::Closed;

@@ -91,7 +91,9 @@ TcpStack::createConnection(const net::FlowKey &local,
     util::SlabHandle h = connArena_.alloc(*this, c, cfg, local, iss);
     conns_.emplace(local, h);
     connections_.set(static_cast<double>(conns_.size()));
-    return connArena_.at(h);
+    TcpConnection &conn = connArena_.at(h);
+    conn.self_ = h;
+    return conn;
 }
 
 TcpConnection &

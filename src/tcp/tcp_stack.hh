@@ -89,6 +89,9 @@ class TcpStack
 
     size_t connectionCount() const { return conns_.size(); }
 
+    /** The connection in slot @p h, or null once it was destroyed. */
+    TcpConnection *connection(util::SlabHandle h) { return connArena_.get(h); }
+
     /** Host-wide dropped-input counter (no matching flow). */
     uint64_t droppedInputs() const { return droppedInputs_; }
 

@@ -21,6 +21,10 @@
  *
  * Not thread-safe by design: one arena per simulated world, like
  * net::PacketPool.
+ *
+ * Under AddressSanitizer a free slot's storage is poisoned, so a stale
+ * raw pointer that reads a destroyed object is reported like a heap
+ * use-after-free instead of silently reading the dead bytes.
  */
 
 #ifndef ANIC_UTIL_SLAB_HH
@@ -34,6 +38,15 @@
 #include <vector>
 
 #include "util/panic.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define ANIC_SLAB_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define ANIC_SLAB_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define ANIC_SLAB_POISON(p, n) ((void)(p), (void)(n))
+#define ANIC_SLAB_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace anic::util {
 
@@ -78,6 +91,7 @@ class SlabArena
         for (size_t i = 0; i < slots_.size(); i++) {
             if (slots_[i]->live)
                 destroySlot(*slots_[i]);
+            ANIC_SLAB_UNPOISON(slots_[i]->storage, sizeof(T));
         }
     }
 
@@ -95,6 +109,7 @@ class SlabArena
             grow();
         }
         Slot &s = *slots_[idx];
+        ANIC_SLAB_UNPOISON(s.storage, sizeof(T));
         new (s.storage) T(std::forward<Args>(args)...);
         s.live = true;
         live_++;
@@ -183,6 +198,7 @@ class SlabArena
     destroySlot(Slot &s)
     {
         std::launder(reinterpret_cast<T *>(s.storage))->~T();
+        ANIC_SLAB_POISON(s.storage, sizeof(T));
         s.live = false;
         s.gen++;
         live_--;
@@ -197,8 +213,10 @@ class SlabArena
         Slot *slab = slabs_.back().get();
         slots_.reserve(slots_.size() + kSlabObjects);
         size_t base = slots_.size();
-        for (size_t i = 0; i < kSlabObjects; i++)
+        for (size_t i = 0; i < kSlabObjects; i++) {
             slots_.push_back(&slab[i]);
+            ANIC_SLAB_POISON(slab[i].storage, sizeof(T));
+        }
         // Slot base+0 goes to the caller; the rest chain onto the
         // freelist so the next allocs pop in ascending slot order.
         for (size_t i = kSlabObjects - 1; i >= 1; i--) {

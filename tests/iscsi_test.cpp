@@ -1,10 +1,11 @@
 /**
  * @file
- * iSCSI tests: BHS codec and known-answer digest vectors, streaming
- * reassembly, end-to-end reads/writes over the simulated fabric, and
- * the three autonomous offloads (rx digest verification, ITT-keyed
- * zero-copy placement, tx digest computation) installed through the
- * protocol-agnostic l5o_create binding.
+ * iSCSI tests: BHS codec and known-answer digest vectors, end-to-end
+ * reads/writes over the simulated fabric, and the three autonomous
+ * offloads (rx digest verification, ITT-keyed zero-copy placement, tx
+ * digest computation) installed through the protocol-agnostic
+ * l5o_create binding. Reassembly and the NIC engine core are tested
+ * per wire traits in storage_l5p_test.
  */
 
 #include <gtest/gtest.h>
@@ -119,49 +120,6 @@ TEST(IscsiPdu, DigestsOptionalByConfig)
     ASSERT_TRUE(len.has_value());
     EXPECT_EQ(*len, pdu.size());
     EXPECT_TRUE(verifyHdgst(wc, pdu)); // vacuously true
-}
-
-TEST(IscsiPdu, AssemblerHandlesArbitrarySegmentation)
-{
-    IscsiWireConfig wc;
-    Bytes stream;
-    std::vector<size_t> lens;
-    Rng rng(5);
-    for (int i = 0; i < 20; i++) {
-        Bytes pdu;
-        if (i % 3 == 0) {
-            IscsiBhs bhs;
-            bhs.itt = static_cast<uint32_t>(i);
-            bhs.scsiOp = kScsiRead;
-            bhs.length = 4096;
-            pdu = buildScsiCmd(wc, bhs);
-        } else {
-            Bytes data(rng.range(1, 5000));
-            fillDeterministic(data, i, 0);
-            IscsiBhs dh;
-            dh.itt = static_cast<uint32_t>(i);
-            pdu = buildDataPdu(wc, kOpDataIn, dh, data, true);
-        }
-        lens.push_back(pdu.size());
-        stream.insert(stream.end(), pdu.begin(), pdu.end());
-    }
-
-    IscsiAssembler as(wc);
-    std::vector<IscsiRxPdu> out;
-    uint64_t off = 0;
-    while (off < stream.size()) {
-        size_t n = std::min<size_t>(rng.range(1, 1460), stream.size() - off);
-        tcp::RxSegment seg;
-        seg.streamOff = off;
-        seg.data.assign(stream.begin() + off, stream.begin() + off + n);
-        as.ingest(seg, [&](IscsiRxPdu &&p) { out.push_back(std::move(p)); });
-        off += n;
-    }
-    ASSERT_FALSE(as.error());
-    ASSERT_EQ(out.size(), 20u);
-    EXPECT_EQ(as.pdusDelivered(), 20u);
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(out[i].bytes.size(), lens[i]);
 }
 
 // ----------------------------------------------------- fabric fixture

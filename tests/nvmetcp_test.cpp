@@ -1,8 +1,9 @@
 /**
  * @file
- * NVMe-TCP tests: PDU codec, reassembly, end-to-end reads/writes over
- * the simulated fabric, CRC and copy (zero-copy placement) offloads,
- * loss resilience, and the NVMe-TLS composition.
+ * NVMe-TCP tests: PDU codec, end-to-end reads/writes over the
+ * simulated fabric, CRC and copy (zero-copy placement) offloads, loss
+ * resilience, and the NVMe-TLS composition. Reassembly and the NIC
+ * engine core are tested per wire traits in storage_l5p_test.
  */
 
 #include <gtest/gtest.h>
@@ -74,47 +75,6 @@ TEST(NvmePdu, DataPduCarriesDigest)
     Bytes pdu2 = buildDataPdu(wc, kPduC2HData, DataPduHdr{5, 100, 0}, data,
                               false);
     EXPECT_EQ(getLe32(pdu2.data() + ch->pdo + data.size()), 0u);
-}
-
-TEST(NvmePdu, AssemblerHandlesArbitrarySegmentation)
-{
-    WireConfig wc;
-    // Build a stream of mixed PDUs.
-    Bytes stream;
-    std::vector<size_t> lens;
-    Rng rng(5);
-    for (int i = 0; i < 20; i++) {
-        Bytes pdu;
-        if (i % 3 == 0) {
-            pdu = buildCmdCapsule(wc, CmdCapsule{static_cast<uint16_t>(i),
-                                                 kOpRead, 0, 4096});
-        } else {
-            Bytes data(rng.range(1, 5000));
-            fillDeterministic(data, i, 0);
-            pdu = buildDataPdu(wc, kPduC2HData,
-                               DataPduHdr{static_cast<uint16_t>(i), 0,
-                                          static_cast<uint32_t>(data.size())},
-                               data, true);
-        }
-        lens.push_back(pdu.size());
-        stream.insert(stream.end(), pdu.begin(), pdu.end());
-    }
-
-    PduAssembler as(wc);
-    std::vector<RxPdu> out;
-    uint64_t off = 0;
-    while (off < stream.size()) {
-        size_t n = std::min<size_t>(rng.range(1, 1460), stream.size() - off);
-        tcp::RxSegment seg;
-        seg.streamOff = off;
-        seg.data.assign(stream.begin() + off, stream.begin() + off + n);
-        as.ingest(seg, [&](RxPdu &&p) { out.push_back(std::move(p)); });
-        off += n;
-    }
-    ASSERT_FALSE(as.error());
-    ASSERT_EQ(out.size(), 20u);
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(out[i].bytes.size(), lens[i]);
 }
 
 // ----------------------------------------------------- fabric fixture

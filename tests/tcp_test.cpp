@@ -456,6 +456,44 @@ TEST(TcpBackpressure, DestroyWhileTxBlockedIsSafe)
     EXPECT_EQ(w.stackA->connectionCount(), 1u);
 }
 
+TEST(TcpLifetime, DestroyWithTimersArmedIsSafe)
+{
+    // Regression: the RTO, RTO re-arm and delayed-ACK closures read the
+    // connection (its core, its timer generation) before knowing it was
+    // alive, so a timer firing after destroy() read a dead object
+    // (UBSan: invalid vptr; ASan: the freed slab slot is poisoned).
+    // Destroy a connection with both timers armed and run past both
+    // deadlines before anything can reuse its slot.
+    TwoHostWorld w;
+    TcpConnection *peer = nullptr;
+    w.stackB->listen(80, {}, [&](TcpConnection &c) { peer = &c; });
+    TcpConnection &c =
+        w.stackA->connect(TwoHostWorld::kIpA, TwoHostWorld::kIpB, 80, {});
+    w.sim.runUntil(10 * sim::kMillisecond);
+    ASSERT_NE(peer, nullptr);
+    ASSERT_EQ(c.state(), TcpConnection::State::Established);
+
+    Bytes msg(100, 0x5a);
+    peer->send(msg); // one segment: the delayed ACK arms on arrival
+    w.sim.runFor(100 * sim::kMicrosecond);
+    c.send(msg); // unacked data: the RTO arms
+    w.stackA->destroy(c);
+    w.sim.runFor(sim::kSecond);
+    EXPECT_EQ(w.stackA->connectionCount(), 0u);
+
+    // The stack still works, including on the recycled slot.
+    BulkReceiver rx{41};
+    BulkSender tx{41, 256 << 10};
+    w.stackB->listen(81, {}, [&](TcpConnection &c2) { rx.attach(c2); });
+    TcpConnection &c2 =
+        w.stackA->connect(TwoHostWorld::kIpA, TwoHostWorld::kIpB, 81, {});
+    tx.attach(c2);
+    c2.setOnConnected([&] { tx.start(c2); });
+    w.sim.runFor(2 * sim::kSecond);
+    EXPECT_EQ(rx.received, tx.total);
+    EXPECT_FALSE(rx.corrupt);
+}
+
 TEST(TcpBackpressure, TinyRingsBothSidesEchoCompletes)
 {
     // Tiny rings on BOTH hosts: data and the acks flowing back both
