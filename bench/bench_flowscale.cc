@@ -3,9 +3,9 @@
  * Flow-scale macrobenchmark: 10^5+ concurrent TLS-offloaded flows —
  * five times the NIC's context cache (4 MiB / 208 B ~ 20K contexts) —
  * under Zipf-distributed request popularity and connection churn,
- * sweeping eviction policy (lru / clock / pinhot) x cache capacity
- * and reporting the offload hit rate, eviction and resync pressure,
- * and sustained response rate per point.
+ * sweeping the LRU cache's capacity and reporting the offload hit
+ * rate, eviction and resync pressure, and sustained response rate per
+ * point.
  *
  * The workload is request/response: a server wraps every accepted
  * connection in an offloaded-tx TlsSocket (one NIC context per flow),
@@ -22,23 +22,16 @@
  * state layer (DESIGN.md §15) is accountable for. The probe runs
  * identically for any --jobs value, so stdout stays byte-identical.
  *
- * When ANIC_SIMSPEED_TRAJECTORY names a file, one summary line with
- * schema "anic.flowscale.v1" (hit rates + heap_bytes_per_flow) is
- * appended next to the simspeed records.
- *
  * Knobs: --flows N (ANIC_FLOWS, default 100000), --churn R (fraction
  * of flows cycled per second, default 0.2), --zipf S (default 0.99),
- * plus the shared sweep options. ANIC_CTX_POLICY is deliberately NOT
- * consulted here: the sweep sets the policy per point.
+ * plus the shared sweep options.
  */
 
 #include <atomic>
 #include <cstdlib>
-#include <ctime>
 #include <new>
 
 #include "bench_common.hh"
-#include "nic/cache_policy.hh"
 #include "util/rand.hh"
 
 // ------------------------------------------------ counting allocator
@@ -128,7 +121,6 @@ struct FlowScaleParams
     int flows = 100000;
     double churnPerSec = 0.2; ///< fraction of flows cycled per second
     double zipfSkew = 0.99;
-    nic::CtxPolicy policy = nic::CtxPolicy::Lru;
     size_t cacheCapacity = 20000;
 };
 
@@ -452,7 +444,6 @@ runPoint(sim::RunContext *ctx, const FlowScaleParams &p,
     wc.serverCores = 4;
     wc.generatorCores = 8;
     wc.remoteStorage = false;
-    wc.nicCfg.ctxPolicy = p.policy;
     wc.nicCfg.ctxCacheCapacity = p.cacheCapacity;
     // Mild loss toward the generator: server retransmissions hit
     // evicted contexts and show up as tx resyncs (dir 0 = toward the
@@ -501,7 +492,7 @@ runPoint(sim::RunContext *ctx, const FlowScaleParams &p,
     r.txResyncs = n1.txResyncs - n0.txResyncs;
     r.churns = fs.churnsCompleted();
     r.flowsUp = fs.established();
-    r.resident = w.server.nicDev().ctxCache().size();
+    r.resident = w.server.nicDev().ctxResident();
 
     // Steady-state heap, after the window so rings/pools are touched.
     if (heapBytesPerFlow != nullptr) {
@@ -517,61 +508,15 @@ runPoint(sim::RunContext *ctx, const FlowScaleParams &p,
 
     if (ctx != nullptr) {
         emitRegistrySnapshot(*ctx, "flowscale",
-                             {{"policy", nic::ctxPolicyName(p.policy)},
-                              {"cache", tagNum(static_cast<double>(
+                             {{"cache", tagNum(static_cast<double>(
                                             p.cacheCapacity))},
                               {"flows", tagNum(p.flows)}});
     }
     return r;
 }
 
-constexpr nic::CtxPolicy kPolicies[] = {
-    nic::CtxPolicy::Lru, nic::CtxPolicy::Clock, nic::CtxPolicy::PinHot};
 constexpr size_t kCaps[] = {4096, 20000};
-constexpr int kPolicyCount = static_cast<int>(std::size(kPolicies));
 constexpr int kCapCount = static_cast<int>(std::size(kCaps));
-
-void
-appendTrajectory(const PointResult (&res)[kPolicyCount][kCapCount],
-                 int flows, double heapPerFlow, double ctxPerFlow,
-                 bool quick)
-{
-    const char *path = std::getenv("ANIC_SIMSPEED_TRAJECTORY");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::FILE *f = std::fopen(path, "a");
-    if (f == nullptr) {
-        std::fprintf(stderr, "flowscale: cannot append to %s\n", path);
-        return;
-    }
-    char date[32] = "unknown";
-    std::time_t now = std::time(nullptr);
-    std::tm tm{};
-    if (gmtime_r(&now, &tm) != nullptr)
-        std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm);
-    const char *rev = std::getenv("ANIC_BENCH_REV");
-    std::fprintf(f,
-                 "{\"schema\":\"anic.flowscale.v1\",\"date\":\"%s\","
-                 "\"rev\":\"%s\",\"quick\":%s,\"flows\":%d,"
-                 "\"heap_bytes_per_flow\":%.0f,"
-                 "\"ctx_table_bytes_per_flow\":%.0f,\"points\":{",
-                 date, rev != nullptr ? rev : "unknown",
-                 quick ? "true" : "false", flows, heapPerFlow, ctxPerFlow);
-    bool first = true;
-    for (int pi = 0; pi < kPolicyCount; pi++) {
-        for (int ci = 0; ci < kCapCount; ci++) {
-            std::fprintf(f,
-                         "%s\"%s/c%zu\":{\"hit_rate\":%.4f,"
-                         "\"resp_per_sec\":%.0f}",
-                         first ? "" : ",",
-                         nic::ctxPolicyName(kPolicies[pi]), kCaps[ci],
-                         res[pi][ci].hitRate, res[pi][ci].respPerSec);
-            first = false;
-        }
-    }
-    std::fprintf(f, "}}\n");
-    std::fclose(f);
-}
 
 } // namespace
 
@@ -582,13 +527,13 @@ main(int argc, char **argv)
     const int flows = opt.flows > 0 ? opt.flows : 100000;
     const double churn = opt.churn >= 0 ? opt.churn : 0.2;
     const double zipf = opt.zipf >= 0 ? opt.zipf : 0.99;
-    printHeader("flow scale: eviction policy x context-cache capacity "
-                "under Zipf load + churn");
+    printHeader("flow scale: context-cache capacity under Zipf load + "
+                "churn");
     std::printf("flows=%d churn=%.2f/s zipf=%.2f (20K-context cache "
                 "default; --flows/--churn/--zipf to change)\n\n",
                 flows, churn, zipf);
 
-    // Heap probe: one serial world, default policy, measured with the
+    // Heap probe: one serial world, default capacity, measured with the
     // counting allocator. Runs before the sweep and independent of
     // --jobs, so its two stdout lines are byte-identical for any N.
     double heapPerFlow = 0, ctxPerFlow = 0;
@@ -598,7 +543,7 @@ main(int argc, char **argv)
         pp.churnPerSec = churn;
         pp.zipfSkew = zipf;
         PointResult probe = runPoint(nullptr, pp, &heapPerFlow, &ctxPerFlow);
-        std::printf("heap probe (lru/c20000): %.0f bytes/flow steady "
+        std::printf("heap probe (c20000): %.0f bytes/flow steady "
                     "state, %.0f of them NIC context tables\n",
                     heapPerFlow, ctxPerFlow);
         std::printf("heap probe: %d flows up, %llu churn cycles, "
@@ -608,65 +553,50 @@ main(int argc, char **argv)
                     100.0 * probe.hitRate);
     }
 
-    PointResult res[kPolicyCount][kCapCount];
+    PointResult res[kCapCount];
     {
         Sweep sweep("flowscale", opt);
-        for (int pi = 0; pi < kPolicyCount; pi++) {
-            for (int ci = 0; ci < kCapCount; ci++) {
-                std::string label =
-                    strprintf("%s/c%zu", nic::ctxPolicyName(kPolicies[pi]),
-                              kCaps[ci]);
-                sweep.add(label, [&res, pi, ci, flows, churn,
-                                  zipf](sim::RunContext &ctx) {
-                    FlowScaleParams p;
-                    p.flows = flows;
-                    p.churnPerSec = churn;
-                    p.zipfSkew = zipf;
-                    p.policy = kPolicies[pi];
-                    p.cacheCapacity = kCaps[ci];
-                    PointResult r = runPoint(&ctx, p, nullptr, nullptr);
-                    res[pi][ci] = r;
-                    JsonExtra tags = {
-                        {"policy", nic::ctxPolicyName(p.policy)},
-                        {"cache",
-                         tagNum(static_cast<double>(p.cacheCapacity))},
-                        {"flows", tagNum(flows)},
-                        {"churn", tagNum(churn)},
-                        {"zipf", tagNum(zipf)}};
-                    jsonRecord(ctx, "flowscale", "hit_rate", r.hitRate,
-                               tags);
-                    jsonRecord(ctx, "flowscale", "resp_per_sec",
-                               r.respPerSec, tags);
-                    jsonRecord(ctx, "flowscale", "evict_per_resp",
-                               r.evictPerResp, tags);
-                    jsonRecord(ctx, "flowscale", "tx_resyncs",
-                               static_cast<double>(r.txResyncs), tags);
-                });
-            }
+        for (int ci = 0; ci < kCapCount; ci++) {
+            std::string label = strprintf("c%zu", kCaps[ci]);
+            sweep.add(label, [&res, ci, flows, churn,
+                              zipf](sim::RunContext &ctx) {
+                FlowScaleParams p;
+                p.flows = flows;
+                p.churnPerSec = churn;
+                p.zipfSkew = zipf;
+                p.cacheCapacity = kCaps[ci];
+                PointResult r = runPoint(&ctx, p, nullptr, nullptr);
+                res[ci] = r;
+                JsonExtra tags = {
+                    {"cache", tagNum(static_cast<double>(p.cacheCapacity))},
+                    {"flows", tagNum(flows)},
+                    {"churn", tagNum(churn)},
+                    {"zipf", tagNum(zipf)}};
+                jsonRecord(ctx, "flowscale", "hit_rate", r.hitRate, tags);
+                jsonRecord(ctx, "flowscale", "resp_per_sec", r.respPerSec,
+                           tags);
+                jsonRecord(ctx, "flowscale", "evict_per_resp",
+                           r.evictPerResp, tags);
+                jsonRecord(ctx, "flowscale", "tx_resyncs",
+                           static_cast<double>(r.txResyncs), tags);
+            });
         }
         sweep.drain();
     }
 
-    std::printf("%-8s %-8s %7s %10s %11s %9s %10s %9s %9s\n", "policy",
-                "cache", "hit%", "fetch/resp", "evict/resp", "resyncs",
-                "resp/s", "churns", "flows");
-    for (int pi = 0; pi < kPolicyCount; pi++) {
-        for (int ci = 0; ci < kCapCount; ci++) {
-            const PointResult &r = res[pi][ci];
-            std::printf("%-8s %-8zu %6.1f%% %10.3f %11.3f %9llu %10.0f "
-                        "%9llu %9d\n",
-                        nic::ctxPolicyName(kPolicies[pi]), kCaps[ci],
-                        100.0 * r.hitRate, r.missPerResp, r.evictPerResp,
-                        static_cast<unsigned long long>(r.txResyncs),
-                        r.respPerSec,
-                        static_cast<unsigned long long>(r.churns),
-                        r.flowsUp);
-        }
+    std::printf("%-8s %7s %10s %11s %9s %10s %9s %9s\n", "cache", "hit%",
+                "fetch/resp", "evict/resp", "resyncs", "resp/s", "churns",
+                "flows");
+    for (int ci = 0; ci < kCapCount; ci++) {
+        const PointResult &r = res[ci];
+        std::printf("%-8zu %6.1f%% %10.3f %11.3f %9llu %10.0f %9llu %9d\n",
+                    kCaps[ci], 100.0 * r.hitRate, r.missPerResp,
+                    r.evictPerResp,
+                    static_cast<unsigned long long>(r.txResyncs),
+                    r.respPerSec, static_cast<unsigned long long>(r.churns),
+                    r.flowsUp);
     }
-    std::printf("\npaper tension (Fig 19): flows >> cache; the policy "
-                "decides which contexts stay resident\n");
-
-    appendTrajectory(res, flows, heapPerFlow, ctxPerFlow,
-                     opt.quick || util::Env::quick());
+    std::printf("\npaper tension (Fig 19): flows >> cache; the capacity "
+                "decides how many contexts stay resident\n");
     return 0;
 }

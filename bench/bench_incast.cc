@@ -15,14 +15,8 @@
  * marker (ecnMarkThresholdBytes) its control law expects, so the
  * cwnd trajectory differs by algorithm while the offload oracle stays
  * the same: every plaintext byte delivered, regardless.
- *
- * When ANIC_SIMSPEED_TRAJECTORY names a file, one summary line with
- * schema "anic.incast.v1" (per-point hit rate + resync counts for the
- * offloaded points) is appended next to the simspeed records.
  */
 
-#include <cstdlib>
-#include <ctime>
 #include <memory>
 
 #include "bench_common.hh"
@@ -278,49 +272,6 @@ constexpr tcp::CcAlgo kAlgos[] = {tcp::CcAlgo::Reno, tcp::CcAlgo::Cubic,
 constexpr int kMaxFanIns = static_cast<int>(std::size(kFanInsFull));
 constexpr int kAlgoCount = static_cast<int>(std::size(kAlgos));
 
-void
-appendTrajectory(const PointResult (&res)[kAlgoCount][kMaxFanIns][2],
-                 const int *fanIns, int fanInCount, bool quick)
-{
-    const char *path = std::getenv("ANIC_SIMSPEED_TRAJECTORY");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::FILE *f = std::fopen(path, "a");
-    if (f == nullptr) {
-        std::fprintf(stderr, "incast: cannot append to %s\n", path);
-        return;
-    }
-    char date[32] = "unknown";
-    std::time_t now = std::time(nullptr);
-    std::tm tm{};
-    if (gmtime_r(&now, &tm) != nullptr)
-        std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm);
-    const char *rev = std::getenv("ANIC_BENCH_REV");
-    std::fprintf(f,
-                 "{\"schema\":\"anic.incast.v1\",\"date\":\"%s\","
-                 "\"rev\":\"%s\",\"quick\":%s,\"points\":{",
-                 date, rev != nullptr ? rev : "unknown",
-                 quick ? "true" : "false");
-    bool first = true;
-    for (int ai = 0; ai < kAlgoCount; ai++) {
-        for (int fi = 0; fi < fanInCount; fi++) {
-            const PointResult &r = res[ai][fi][1]; // offload points
-            std::fprintf(f,
-                         "%s\"%s/f%d\":{\"hit_rate\":%.4f,"
-                         "\"resync_req\":%llu,\"resync_conf\":%llu,"
-                         "\"completion_ms\":%.2f}",
-                         first ? "" : ",", tcp::ccAlgoName(kAlgos[ai]),
-                         fanIns[fi], r.hitRate,
-                         static_cast<unsigned long long>(r.resyncReq),
-                         static_cast<unsigned long long>(r.resyncConf),
-                         r.completionMs);
-            first = false;
-        }
-    }
-    std::fprintf(f, "}}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -401,7 +352,5 @@ main(int argc, char **argv)
     }
     std::printf("\npaper claim (§4.3): the rx offload is opportunistic — "
                 "incast loss costs resyncs, never correctness\n");
-
-    appendTrajectory(res, fanIns, fanInCount, quick);
     return 0;
 }

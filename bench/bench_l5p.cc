@@ -12,14 +12,8 @@
  *
  * The exit code gates CI: on the clean wire every protocol must
  * complete with a >= 90% hit rate and zero digest/IO failures.
- *
- * When ANIC_SIMSPEED_TRAJECTORY names a file, one summary line with
- * schema "anic.l5p.v1" (hit rate + placement + resyncs per
- * protocol/wire point) is appended next to the simspeed records.
  */
 
-#include <cstdlib>
-#include <ctime>
 #include <memory>
 
 #include "bench_common.hh"
@@ -299,48 +293,6 @@ runIscsi(sim::RunContext &ctx, bool lossy, int ops)
 constexpr int kProtoCount = 3;
 const char *kProtoNames[kProtoCount] = {"tls", "nvme", "iscsi"};
 
-void
-appendTrajectory(const Point (&pts)[kProtoCount][2], bool quick)
-{
-    const char *path = std::getenv("ANIC_SIMSPEED_TRAJECTORY");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::FILE *f = std::fopen(path, "a");
-    if (f == nullptr) {
-        std::fprintf(stderr, "l5p: cannot append to %s\n", path);
-        return;
-    }
-    char date[32] = "unknown";
-    std::time_t now = std::time(nullptr);
-    std::tm tm{};
-    if (gmtime_r(&now, &tm) != nullptr)
-        std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm);
-    const char *rev = std::getenv("ANIC_BENCH_REV");
-    std::fprintf(f,
-                 "{\"schema\":\"anic.l5p.v1\",\"date\":\"%s\","
-                 "\"rev\":\"%s\",\"quick\":%s,\"points\":{",
-                 date, rev != nullptr ? rev : "unknown",
-                 quick ? "true" : "false");
-    bool first = true;
-    for (int pi = 0; pi < kProtoCount; pi++) {
-        for (int li = 0; li < 2; li++) {
-            const Point &p = pts[pi][li];
-            std::fprintf(f,
-                         "%s\"%s/%s\":{\"hit_rate\":%.4f,"
-                         "\"placed_bytes\":%llu,\"resync_req\":%llu,"
-                         "\"completed\":%s}",
-                         first ? "" : ",", kProtoNames[pi],
-                         li == 0 ? "clean" : "lossy", p.hitRate,
-                         static_cast<unsigned long long>(p.placedBytes),
-                         static_cast<unsigned long long>(p.resyncReq),
-                         p.completed ? "true" : "false");
-            first = false;
-        }
-    }
-    std::fprintf(f, "}}\n");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
@@ -403,11 +355,10 @@ main(int argc, char **argv)
                         p.completed ? "yes" : "NO");
         }
     }
-    appendTrajectory(pts, quick);
 
     // The smoke gate: on the clean wire every protocol must be nearly
-    // fully offloaded and failure-free. Lossy points are recorded for
-    // the trajectory but only gated on completion (resync pressure
+    // fully offloaded and failure-free. Lossy points are reported but
+    // only gated on completion (resync pressure
     // varies with the loss draw; correctness never does).
     bool ok = true;
     for (int pi = 0; pi < kProtoCount; pi++) {

@@ -12,14 +12,9 @@
  * plus a registry snapshot whose sim.alloc.* counters substantiate
  * the zero-allocation claim (poolMisses plateaus after warm-up while
  * poolHits keeps growing).
- *
- * When ANIC_SIMSPEED_TRAJECTORY names a file, one summary JSON line
- * per invocation is appended there; BENCH_simspeed.json at the repo
- * root is the committed trajectory CI extends on every run.
  */
 
 #include <chrono>
-#include <ctime>
 
 #include "bench_common.hh"
 
@@ -114,42 +109,11 @@ measure(sim::RunContext &ctx, const Case &c, int defaultCores)
         p.eventsPerSec = static_cast<double>(ev) / wall.count();
     }
     p.gbps = window > 0 ? static_cast<double>(by) * 8.0 /
-                              static_cast<double>(window)
+                              sim::ticksToSeconds(window) / 1e9
                         : 0.0;
 
     emitRegistrySnapshot(ctx, "simspeed", {{"case", c.label}});
     return p;
-}
-
-void
-appendTrajectory(const Point (&pts)[kCaseCount], bool quick)
-{
-    const char *path = std::getenv("ANIC_SIMSPEED_TRAJECTORY");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::FILE *f = std::fopen(path, "a");
-    if (f == nullptr) {
-        std::fprintf(stderr, "simspeed: cannot append to %s\n", path);
-        return;
-    }
-    char date[32] = "unknown";
-    std::time_t now = std::time(nullptr);
-    std::tm tm{};
-    if (gmtime_r(&now, &tm) != nullptr)
-        std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm);
-    const char *rev = std::getenv("ANIC_BENCH_REV");
-    std::fprintf(f, "{\"schema\":\"anic.simspeed.v1\",\"date\":\"%s\","
-                    "\"rev\":\"%s\",\"quick\":%s,\"points\":{",
-                 date, rev != nullptr ? rev : "unknown",
-                 quick ? "true" : "false");
-    for (int i = 0; i < kCaseCount; i++) {
-        std::fprintf(f, "%s\"%s\":{\"pkts_per_sec\":%.0f,"
-                        "\"events_per_sec\":%.0f}",
-                     i > 0 ? "," : "", kCases[i].label, pts[i].pktsPerSec,
-                     pts[i].eventsPerSec);
-    }
-    std::fprintf(f, "}}\n");
-    std::fclose(f);
 }
 
 } // namespace
@@ -191,9 +155,5 @@ main(int argc, char **argv)
                     pts[i].pktsPerSec, pts[i].eventsPerSec, pts[i].simPkts,
                     pts[i].gbps);
     }
-    std::printf("\ntrajectory: BENCH_simspeed.json (set "
-                "ANIC_SIMSPEED_TRAJECTORY to append)\n");
-
-    appendTrajectory(pts, opt.quick || util::Env::quick());
     return 0;
 }

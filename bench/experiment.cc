@@ -46,54 +46,9 @@ ExperimentBuilder::generatorCores(int n)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::nicQueues(int n)
-{
-    cfg_.nicCfg.numQueues = n;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::nicCoalescing(uint32_t pkts, sim::Tick delay)
-{
-    cfg_.nicCfg.coalescePkts = pkts;
-    cfg_.nicCfg.coalesceDelay = delay;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::nicCtxPolicy(nic::CtxPolicy p)
-{
-    cfg_.nicCfg.ctxPolicy = p;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::nicCtxCacheCapacity(size_t contexts)
-{
-    cfg_.nicCfg.ctxCacheCapacity = contexts;
-    return *this;
-}
-
-ExperimentBuilder &
 ExperimentBuilder::link(const net::Link::Config &lc)
 {
     cfg_.link = lc;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::tcpCc(tcp::CcAlgo algo)
-{
-    cfg_.serverTcp.cc = algo;
-    cfg_.generatorTcp.cc = algo;
-    return *this;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::tcpEcn(bool on)
-{
-    cfg_.serverTcp.ecn = on;
-    cfg_.generatorTcp.ecn = on;
     return *this;
 }
 

@@ -63,20 +63,7 @@ class ExperimentBuilder
     // ------------------------------------------------- topology
     ExperimentBuilder &serverCores(int n);
     ExperimentBuilder &generatorCores(int n);
-    /** NIC TX/RX queue pairs per node (0 = one pair per core). */
-    ExperimentBuilder &nicQueues(int n);
-    /** Interrupt coalescing: fire after @p pkts completions or
-     *  @p delay after the first, whichever comes first. */
-    ExperimentBuilder &nicCoalescing(uint32_t pkts, sim::Tick delay);
-    /** NIC context-cache eviction policy (flow-scale studies). */
-    ExperimentBuilder &nicCtxPolicy(nic::CtxPolicy p);
-    /** NIC context-cache capacity in contexts (default 20000). */
-    ExperimentBuilder &nicCtxCacheCapacity(size_t contexts);
     ExperimentBuilder &link(const net::Link::Config &lc);
-    /** Congestion control for both endpoints (dctcp implies ECN). */
-    ExperimentBuilder &tcpCc(tcp::CcAlgo algo);
-    /** Requests ECN on both endpoints' handshakes. */
-    ExperimentBuilder &tcpEcn(bool on);
     ExperimentBuilder &serverSndBuf(size_t bytes);
     ExperimentBuilder &serverRcvBuf(size_t bytes);
     ExperimentBuilder &generatorSndBuf(size_t bytes);

@@ -52,7 +52,12 @@ runAcceleratedSpeedTest(sim::Simulator &sim, host::Core &core,
         pool.back()->loop();
     }
     sim.runUntil(deadline);
-    return static_cast<double>(bytes) / sim::ticksToSeconds(duration) / 1e6;
+    double mbps =
+        static_cast<double>(bytes) / sim::ticksToSeconds(duration) / 1e6;
+    // Completions still in flight point at `pool` and `bytes`: let them
+    // run out (loop() stops at the deadline) before both go away.
+    sim.run();
+    return mbps;
 }
 
 double

@@ -77,7 +77,8 @@ struct CipherCosts
 /**
  * OpenSSL-speed-style driver: @p threads cooperating user threads
  * share ONE core; each loops submit -> wait -> reap. Returns MB/s
- * over the simulated window.
+ * over the simulated window, after running @p sim until it is idle
+ * so no completion outlives the call.
  */
 double runAcceleratedSpeedTest(sim::Simulator &sim, host::Core &core,
                                OffCpuAccelerator &dev, int threads,

@@ -69,9 +69,8 @@ Nic::Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg)
         cfg_.coalescePkts = 1;
     if (cfg_.rssTableSize == 0)
         cfg_.rssTableSize = 1;
-    cfg_.ctxPolicy = resolveCtxPolicy(cfg_.ctxPolicy);
-    cache_ = CachePolicy::make(cfg_.ctxPolicy, cfg_.ctxCacheCapacity,
-                               [this](uint64_t id) { onCtxEvict(id); });
+    ANIC_ASSERT(cfg_.ctxCacheCapacity > 0,
+                "context cache capacity must be >= 1");
     rss_ = &net::Toeplitz::standard();
     queues_.reserve(static_cast<size_t>(cfg_.numQueues));
     for (int i = 0; i < cfg_.numQueues; i++) {
@@ -311,7 +310,7 @@ Nic::processTxOffload(net::Packet &pkt, QueueStats &qstats)
     if (tc == nullptr)
         return; // context destroyed; send as-is
     FlowContext &ctx = ctxArena_.at(tc->ctx);
-    touchContext(pkt.txCtx, &qstats);
+    touchContext(ctx, &qstats);
 
     const net::TcpHeader th = pkt.tcp();
     size_t payload = pkt.payloadSize();
@@ -372,7 +371,7 @@ Nic::onWire(net::PacketPtr pkt)
     util::SlabHandle *h = rxByFlow_.find(pkt->flow());
     if (h != nullptr && pkt->payloadSize() > 0) {
         FlowContext &ctx = ctxArena_.at(*h);
-        extra = touchContext(ctx.id(), &qs.stats);
+        extra = touchContext(ctx, &qs.stats);
         processRxOffload(*pkt, ctx);
     }
 
@@ -506,37 +505,84 @@ Nic::processRxOffload(net::Packet &pkt, FlowContext &ctx)
 // -------------------------------------------------------- context cache
 
 sim::Tick
-Nic::touchContext(uint64_t ctxId, QueueStats *qs)
+Nic::touchContext(FlowContext &ctx, QueueStats *qs)
 {
-    if (cache_->touch(ctxId)) {
+    if (ctx.resident_) {
         stats_.ctxCacheHits++;
         if (qs != nullptr)
             qs->ctxHits++;
+        if (lruHead_ != &ctx) {
+            lruUnlink(ctx);
+            lruPushFront(ctx);
+        }
         return 0;
     }
     stats_.ctxCacheMisses++;
     if (qs != nullptr)
         qs->ctxMisses++;
     pcie_.ctxFetchBytes += cfg_.ctxBytes;
-    trace_->record(sim_.now(), sim::TraceKind::CtxFetch, name_, ctxId,
+    trace_->record(sim_.now(), sim::TraceKind::CtxFetch, name_, ctx.id(),
                    cfg_.ctxBytes);
-    // insert() evicts through onCtxEvict(); charge those writebacks
-    // to the queue whose miss forced them.
-    evictQs_ = qs;
-    cache_->insert(ctxId);
-    evictQs_ = nullptr;
+    // Write back from the cold end until the fetched context fits;
+    // the queue whose miss forced the evictions is charged for them.
+    while (ctxResident_ >= cfg_.ctxCacheCapacity) {
+        FlowContext &victim = *lruTail_;
+        lruUnlink(victim);
+        onCtxEvict(victim.id(), qs);
+    }
+    lruPushFront(ctx);
     return cfg_.ctxFetchLatency;
 }
 
 void
-Nic::onCtxEvict(uint64_t ctxId)
+Nic::onCtxEvict(uint64_t ctxId, QueueStats *qs)
 {
     stats_.ctxCacheEvictions++;
-    if (evictQs_ != nullptr)
-        evictQs_->evictions++;
+    if (qs != nullptr)
+        qs->evictions++;
     pcie_.ctxWritebackBytes += cfg_.ctxBytes;
     trace_->record(sim_.now(), sim::TraceKind::CtxEvict, name_, ctxId,
                    cfg_.ctxBytes);
+}
+
+void
+Nic::lruPushFront(FlowContext &ctx)
+{
+    ctx.lruPrev_ = nullptr;
+    ctx.lruNext_ = lruHead_;
+    if (lruHead_ != nullptr)
+        lruHead_->lruPrev_ = &ctx;
+    else
+        lruTail_ = &ctx;
+    lruHead_ = &ctx;
+    ctx.resident_ = true;
+    ctxResident_++;
+}
+
+void
+Nic::lruUnlink(FlowContext &ctx)
+{
+    if (ctx.lruPrev_ != nullptr)
+        ctx.lruPrev_->lruNext_ = ctx.lruNext_;
+    else
+        lruHead_ = ctx.lruNext_;
+    if (ctx.lruNext_ != nullptr)
+        ctx.lruNext_->lruPrev_ = ctx.lruPrev_;
+    else
+        lruTail_ = ctx.lruPrev_;
+    ctx.resident_ = false;
+    ctxResident_--;
+}
+
+void
+Nic::freeContext(util::SlabHandle h)
+{
+    // Destruction drops a resident context without a writeback: not
+    // an eviction.
+    FlowContext &ctx = ctxArena_.at(h);
+    if (ctx.resident_)
+        lruUnlink(ctx);
+    ctxArena_.free(h);
 }
 
 // ------------------------------------------------------ context mgmt
@@ -562,7 +608,7 @@ Nic::createRxContext(const net::FlowKey &flow,
     rxByFlow_.emplace(flow, h);
     rxById_.emplace(id, RxRef{h, flow});
     pcie_.descriptorBytes += cfg_.ctxBytes; // initial state download
-    touchContext(id);
+    touchContext(ctx);
     return id;
 }
 
@@ -579,7 +625,7 @@ Nic::createTxContext(std::unique_ptr<L5Engine> engine, uint32_t tcpsn,
     tc.expectedSeq = tcpsn;
     txById_.emplace(id, tc);
     pcie_.descriptorBytes += cfg_.ctxBytes;
-    touchContext(id);
+    touchContext(ctx);
     return id;
 }
 
@@ -592,8 +638,7 @@ Nic::destroyRxContext(uint64_t id)
     RxRef ref = *r; // copy out: erase invalidates the pointer
     rxById_.erase(id);
     rxByFlow_.erase(ref.flow);
-    ctxArena_.free(ref.ctx);
-    cache_->remove(id);
+    freeContext(ref.ctx);
 }
 
 void
@@ -602,9 +647,8 @@ Nic::destroyTxContext(uint64_t id)
     TxCtx *tc = txById_.find(id);
     if (tc == nullptr)
         return;
-    ctxArena_.free(tc->ctx);
+    freeContext(tc->ctx);
     txById_.erase(id);
-    cache_->remove(id);
 }
 
 void
@@ -627,7 +671,7 @@ Nic::applyTxResync(const TxResyncCmd &cmd)
     stats_.txResyncs++;
     trace_->record(sim_.now(), sim::TraceKind::TxResync, name_, cmd.ctxId,
                    cmd.tcpsn, cmd.rebuild.size());
-    touchContext(cmd.ctxId);
+    touchContext(ctx);
 
     // The NIC re-reads the message bytes preceding the retransmitted
     // packet from host memory to rebuild the engine state (the PCIe

@@ -6,9 +6,8 @@
  *  - line-rate serialization (100 Gbps ConnectX6-Dx class),
  *  - a bounded transmit ring with BQL-style backpressure,
  *  - per-flow offload contexts living in a finite on-NIC cache
- *    (~4 MiB / 208 B per flow => ~20K flows) with a pluggable
- *    eviction policy (LRU default; see nic/cache_policy.hh) and
- *    PCIe fetch/writeback costs on miss (Figure 19),
+ *    (~4 MiB / 208 B per flow => ~20K flows) with exact LRU
+ *    eviction and PCIe fetch/writeback costs on miss (Figure 19),
  *  - PCIe bandwidth accounting, including the context-recovery reads
  *    for transmit-side resynchronization (Figure 16b),
  *  - the receive-side autonomous offload pipeline (StreamFsm +
@@ -29,7 +28,6 @@
 
 #include "net/link.hh"
 #include "net/toeplitz.hh"
-#include "nic/cache_policy.hh"
 #include "nic/stream_fsm.hh"
 #include "sim/registry.hh"
 #include "sim/simulator.hh"
@@ -116,12 +114,19 @@ class FlowContext
     void advanceTo(uint32_t seq);
 
   private:
+    friend class Nic; // threads the context-cache LRU list
+
     uint64_t id_;
     std::unique_ptr<L5Engine> engine_;
     std::function<void(uint64_t, uint32_t)> resyncReq_;
     StreamFsm fsm_;
-    uint32_t baseSeq_ = 0;
     uint64_t basePos_ = 0;
+    uint32_t baseSeq_ = 0;
+    // Context-cache residency: the Nic's LRU list runs through the
+    // contexts themselves (slab addresses are stable).
+    bool resident_ = false;
+    FlowContext *lruPrev_ = nullptr;
+    FlowContext *lruNext_ = nullptr;
 };
 
 /**
@@ -162,10 +167,6 @@ class Nic
         size_t ctxCacheCapacity = 20000;
         size_t ctxBytes = 208;
         sim::Tick ctxFetchLatency = 600 * sim::kNanosecond;
-        /** Context-cache eviction policy; Auto resolves against
-         *  ANIC_CTX_POLICY and defaults to exact LRU (the original
-         *  model — byte-identical to the pre-policy NIC). */
-        CtxPolicy ctxPolicy = CtxPolicy::Auto;
 
         /** PCIe gen3 x16 usable bandwidth (~126 Gbps). */
         double pcieGbps = 126.0;
@@ -302,8 +303,8 @@ class Nic
     const PcieStats &pcie() const { return pcie_; }
     const Config &config() const { return cfg_; }
 
-    /** The live replacement policy (resolved from Config/env). */
-    const CachePolicy &ctxCache() const { return *cache_; }
+    /** Contexts resident in the context cache (rx and tx). */
+    size_t ctxResident() const { return ctxResident_; }
 
     /** Host heap behind the flow tables: context slab + the three
      *  flat indexes (feeds bytes/flow in bench_flowscale). */
@@ -392,8 +393,11 @@ class Nic
     void fireIrq(int queue);
     void onIrqTimer(int queue, uint64_t gen);
     RxBatch takeFreeVec();
-    sim::Tick touchContext(uint64_t ctxId, QueueStats *qs = nullptr);
-    void onCtxEvict(uint64_t ctxId);
+    sim::Tick touchContext(FlowContext &ctx, QueueStats *qs = nullptr);
+    void onCtxEvict(uint64_t ctxId, QueueStats *qs);
+    void lruPushFront(FlowContext &ctx);
+    void lruUnlink(FlowContext &ctx);
+    void freeContext(util::SlabHandle h);
     void processTxOffload(net::Packet &pkt, QueueStats &qs);
     void processRxOffload(net::Packet &pkt, FlowContext &ctx);
     void installFsmHooks(FlowContext &ctx);
@@ -440,9 +444,11 @@ class Nic
     util::FlatMap<uint64_t, RxRef> rxById_;
     util::FlatMap<uint64_t, TxCtx> txById_;
 
-    // Replacement policy over resident context ids (rx and tx both).
-    std::unique_ptr<CachePolicy> cache_;
-    QueueStats *evictQs_ = nullptr; ///< queue charged during insert()
+    // Context cache: exact LRU over the resident contexts (rx and tx
+    // both), linked through FlowContext; the head is most recent.
+    FlowContext *lruHead_ = nullptr;
+    FlowContext *lruTail_ = nullptr;
+    size_t ctxResident_ = 0;
 
     NicStats stats_;
     PcieStats pcie_;

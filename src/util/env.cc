@@ -9,7 +9,6 @@ struct Env::Values
     bool quick = false;
     int cores = 0;
     int flows = 0;
-    std::string ctxPolicy;
     bool traceEnabled = false;
     size_t traceCap = 0;
     std::string traceFile;
@@ -58,7 +57,6 @@ Env::values()
         r.quick = envFlag("ANIC_QUICK");
         r.cores = static_cast<int>(envSize("ANIC_CORES"));
         r.flows = static_cast<int>(envSize("ANIC_FLOWS"));
-        r.ctxPolicy = envString("ANIC_CTX_POLICY");
         r.traceEnabled = envFlag("ANIC_TRACE");
         r.traceCap = envSize("ANIC_TRACE_CAP");
         r.traceFile = envString("ANIC_TRACE_FILE");
@@ -77,7 +75,6 @@ Env::values()
 bool Env::quick() { return values().quick; }
 int Env::cores() { return values().cores; }
 int Env::flows() { return values().flows; }
-const std::string &Env::ctxPolicy() { return values().ctxPolicy; }
 bool Env::traceEnabled() { return values().traceEnabled; }
 size_t Env::traceCap() { return values().traceCap; }
 const std::string &Env::traceFile() { return values().traceFile; }

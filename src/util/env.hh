@@ -12,8 +12,6 @@
  *                              in benches (0/unset = bench default)
  *   ANIC_FLOWS         int     override concurrent flow count in
  *                              flow-scale benches (0/unset = default)
- *   ANIC_CTX_POLICY    enum    lru | clock | pinhot — default NIC
- *                              context-cache eviction policy
  *   ANIC_TRACE         bool    enable the fallback global trace ring
  *   ANIC_TRACE_CAP     size    capacity of that ring (events)
  *   ANIC_TRACE_FILE    path    dump the trace ring as JSONL
@@ -52,10 +50,6 @@ class Env
     /** ANIC_FLOWS: concurrent flow count override for flow-scale
      *  benches; 0 means "use the bench's default". */
     static int flows();
-
-    /** ANIC_CTX_POLICY: raw value ("" when unset; nic/cache_policy.cc
-     *  parses lru|clock|pinhot). */
-    static const std::string &ctxPolicy();
 
     /** ANIC_TRACE: enable the fallback global TraceRing. */
     static bool traceEnabled();

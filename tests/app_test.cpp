@@ -273,5 +273,19 @@ TEST(AccelModel, Table1CrossoverShape)
     EXPECT_GT(qat128, qat1 * 5);
 }
 
+TEST(AccelModel, SpeedTestLeavesNoCompletionQueued)
+{
+    // Completions in flight at the deadline point at the call's own
+    // threads and byte counter; none may outlive the call.
+    sim::Simulator sim;
+    host::CycleModel model;
+    host::Core core(sim, model, 0);
+    accel::OffCpuAccelerator dev(sim, {});
+    double mbps = accel::runAcceleratedSpeedTest(sim, core, dev, 8, 16384,
+                                                 1 * sim::kMillisecond);
+    EXPECT_GT(mbps, 0.0);
+    EXPECT_TRUE(sim.idle());
+}
+
 } // namespace
 } // namespace anic

@@ -11,7 +11,6 @@
 #include <algorithm>
 
 #include "net/packet_pool.hh"
-#include "nic/cache_policy.hh"
 #include "nic/nic.hh"
 #include "tls/tls_engine.hh"
 
@@ -534,137 +533,115 @@ TEST(NicDevice, DestroyedContextStopsOffloading)
     EXPECT_EQ(w.nicA.stats().txOffloadedPkts, 0u);
 }
 
-// ------------------------------------------------- cache policy units
+// ------------------------------------------------ context cache (LRU)
 
-/** Touch-or-insert, the data path's access pattern; returns hit. */
-bool
-access(CachePolicy &c, uint64_t id)
+/** A capacity-2 NIC whose contexts are touched through the tx-resync
+ *  path, so each touch is one hit or one miss and nothing else. */
+struct CtxCacheWorld : NicWorld
 {
-    if (c.touch(id))
-        return true;
-    c.insert(id);
-    return false;
-}
+    CtxCacheWorld() : NicWorld(config()) {}
 
-TEST(CachePolicy, LruEvictsLeastRecentlyTouched)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::Lru, 2,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    access(*c, 1);
-    access(*c, 2);
-    EXPECT_TRUE(access(*c, 1)); // 1 is now MRU
-    access(*c, 3);              // must evict 2, not 1
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{2}));
-    EXPECT_TRUE(c->resident(1));
-    EXPECT_FALSE(c->resident(2));
-    EXPECT_TRUE(c->resident(3));
-    EXPECT_EQ(c->size(), 2u);
-}
-
-TEST(CachePolicy, ClockSecondChance)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::Clock, 2,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    access(*c, 1);
-    access(*c, 2);
-    // Both reference bits set: the hand clears them in one sweep and
-    // evicts the first slot on the second pass (1, the oldest).
-    access(*c, 3);
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{1}));
-    EXPECT_TRUE(c->resident(2));
-    EXPECT_TRUE(c->resident(3));
-    // 3's bit is set from its insert, 2's was cleared by that sweep:
-    // the next insert takes 2 even though 3 arrived later.
-    access(*c, 4);
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{1, 2}));
-    EXPECT_TRUE(c->resident(3));
-    EXPECT_TRUE(c->resident(4));
-}
-
-TEST(CachePolicy, PinHotSurvivesOneShotFlood)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::PinHot, 8,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    // Two flows touched twice: promoted into the protected segment.
-    access(*c, 1);
-    access(*c, 2);
-    EXPECT_TRUE(access(*c, 1));
-    EXPECT_TRUE(access(*c, 2));
-    // A churn burst of one-shot flows washes through probation...
-    for (uint64_t id = 100; id < 130; id++)
-        EXPECT_FALSE(access(*c, id));
-    // ...without flushing the hot set.
-    EXPECT_TRUE(c->resident(1));
-    EXPECT_TRUE(c->resident(2));
-    for (uint64_t id : evicted)
-        EXPECT_GE(id, 100u);
-    // An LRU of the same capacity would have evicted 1 and 2 long ago.
-}
-
-TEST(CachePolicy, PoliciesAgreeAtCapacityOne)
-{
-    // Degenerate capacity: the resident set is exactly the last
-    // accessed id, so every policy must produce the same hit/miss and
-    // eviction sequence.
-    const uint64_t seq[] = {5, 6, 5, 5, 7, 7, 6, 5};
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        std::vector<uint64_t> evicted;
-        auto c = CachePolicy::make(
-            p, 1, [&](uint64_t id) { evicted.push_back(id); });
-        std::vector<bool> hits;
-        for (uint64_t id : seq) {
-            hits.push_back(access(*c, id));
-            EXPECT_TRUE(c->resident(id)) << ctxPolicyName(p);
-            EXPECT_EQ(c->size(), 1u) << ctxPolicyName(p);
-        }
-        EXPECT_EQ(hits, (std::vector<bool>{false, false, false, true,
-                                           false, true, false, false}))
-            << ctxPolicyName(p);
-        EXPECT_EQ(evicted, (std::vector<uint64_t>{5, 6, 5, 7, 6}))
-            << ctxPolicyName(p);
+    static Nic::Config
+    config()
+    {
+        Nic::Config cfg;
+        cfg.ctxCacheCapacity = 2;
+        return cfg;
     }
+
+    uint64_t
+    create()
+    {
+        tls::DirectionKeys keys;
+        keys.key.assign(16, 1);
+        keys.staticIv.assign(12, 2);
+        return nicA.createTxContext(
+            std::make_unique<tls::TlsTxEngine>(keys), 0, 0);
+    }
+
+    void
+    touch(uint64_t ctx)
+    {
+        nicA.postTxResync(ctx, 0, 0, {});
+        sim.run();
+    }
+
+    uint64_t hits() const { return nicA.stats().ctxCacheHits; }
+    uint64_t misses() const { return nicA.stats().ctxCacheMisses; }
+    uint64_t evictions() const { return nicA.stats().ctxCacheEvictions; }
+    uint64_t writebacks() const
+    {
+        return nicA.pcie().ctxWritebackBytes / nicA.config().ctxBytes;
+    }
+};
+
+TEST(NicCtxCache, HitMakesTheOtherContextTheVictim)
+{
+    CtxCacheWorld w;
+    uint64_t c1 = w.create();
+    uint64_t c2 = w.create();
+    w.touch(c1); // c1 is now the most recent
+    EXPECT_EQ(w.hits(), 1u);
+    uint64_t c3 = w.create(); // must evict c2, not c1
+    EXPECT_EQ(w.misses(), 3u);
+    EXPECT_EQ(w.evictions(), 1u);
+    EXPECT_EQ(w.writebacks(), 1u);
+    EXPECT_EQ(w.nicA.ctxResident(), 2u);
+
+    w.touch(c1);
+    w.touch(c3);
+    EXPECT_EQ(w.hits(), 3u);
+    EXPECT_EQ(w.misses(), 3u);
+    w.touch(c2); // refetch evicts c1, the least recent
+    EXPECT_EQ(w.misses(), 4u);
+    EXPECT_EQ(w.evictions(), 2u);
+    w.touch(c3);
+    EXPECT_EQ(w.hits(), 4u);
+    w.touch(c1);
+    EXPECT_EQ(w.misses(), 5u);
+    EXPECT_EQ(w.evictions(), 3u);
+    EXPECT_EQ(w.writebacks(), 3u);
 }
 
-TEST(CachePolicy, PoliciesAgreeAtInfiniteCapacity)
+TEST(NicCtxCache, DestroyOfResidentContextFreesItsSlotWithoutEviction)
 {
-    // Capacity >= flow count: nothing ever evicts and every re-access
-    // hits, for every policy.
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        int evictions = 0;
-        auto c = CachePolicy::make(p, 64,
-                                   [&](uint64_t) { evictions++; });
-        for (uint64_t id = 0; id < 64; id++)
-            EXPECT_FALSE(access(*c, id)) << ctxPolicyName(p);
-        for (int round = 0; round < 3; round++) {
-            for (uint64_t id = 0; id < 64; id++)
-                EXPECT_TRUE(access(*c, id)) << ctxPolicyName(p);
-        }
-        EXPECT_EQ(evictions, 0) << ctxPolicyName(p);
-        EXPECT_EQ(c->size(), 64u) << ctxPolicyName(p);
-    }
+    CtxCacheWorld w;
+    uint64_t c1 = w.create();
+    uint64_t c2 = w.create();
+    w.nicA.destroyTxContext(c1); // no writeback for a dead context
+    EXPECT_EQ(w.nicA.ctxResident(), 1u);
+    EXPECT_EQ(w.evictions(), 0u);
+    EXPECT_EQ(w.writebacks(), 0u);
+
+    uint64_t c3 = w.create(); // fills the freed slot
+    EXPECT_EQ(w.misses(), 3u);
+    EXPECT_EQ(w.evictions(), 0u);
+    EXPECT_EQ(w.nicA.ctxResident(), 2u);
+    w.touch(c2);
+    w.touch(c3);
+    EXPECT_EQ(w.hits(), 2u);
+    EXPECT_EQ(w.misses(), 3u);
 }
 
-TEST(CachePolicy, RemoveIsNoEvictAndNonResidentIsNoop)
+TEST(NicCtxCache, DestroyOfEvictedContextChangesNothing)
 {
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        int evictions = 0;
-        auto c = CachePolicy::make(p, 2, [&](uint64_t) { evictions++; });
-        access(*c, 1);
-        access(*c, 2);
-        c->remove(1);           // destroyed context: no writeback
-        c->remove(99);          // never resident: no-op
-        EXPECT_EQ(c->size(), 1u) << ctxPolicyName(p);
-        access(*c, 3);          // fills the freed slot, no eviction
-        EXPECT_EQ(evictions, 0) << ctxPolicyName(p);
-        EXPECT_TRUE(c->resident(2)) << ctxPolicyName(p);
-        EXPECT_TRUE(c->resident(3)) << ctxPolicyName(p);
-    }
+    CtxCacheWorld w;
+    uint64_t c1 = w.create();
+    uint64_t c2 = w.create();
+    uint64_t c3 = w.create(); // evicts c1
+    ASSERT_EQ(w.evictions(), 1u);
+    w.nicA.destroyTxContext(c1);
+    EXPECT_EQ(w.nicA.ctxResident(), 2u);
+    EXPECT_EQ(w.hits(), 0u);
+    EXPECT_EQ(w.misses(), 3u);
+    EXPECT_EQ(w.evictions(), 1u);
+    EXPECT_EQ(w.writebacks(), 1u);
+
+    w.touch(c2);
+    w.touch(c3);
+    EXPECT_EQ(w.hits(), 2u);
+    EXPECT_EQ(w.misses(), 3u);
+    EXPECT_EQ(w.evictions(), 1u);
 }
 
 // -------------------------------------------- eviction edge cases (NIC)
