@@ -25,14 +25,9 @@ usage()
     std::fprintf(stderr,
                  "shared bench options:\n"
                  "  --jobs N         worker threads (default 1)\n"
-                 "  --cores N        simulated server core count "
-                 "(ANIC_CORES)\n"
+                 "  --cores N        simulated server core count\n"
                  "  --flows N        concurrent flow count for "
-                 "flow-scale benches (ANIC_FLOWS)\n"
-                 "  --churn R        flow churn rate: fraction of "
-                 "flows cycled per second\n"
-                 "  --zipf S         flow popularity skew "
-                 "(0 = uniform, ~1 = web-like)\n"
+                 "flow-scale benches\n"
                  "  --filter STR     run only points whose label "
                  "contains STR\n"
                  "  --json PATH      append JSON records to PATH\n"
@@ -48,8 +43,6 @@ parseBenchCli(int argc, char **argv)
 {
     BenchOptions opt;
     opt.quick = util::Env::quick();
-    opt.cores = util::Env::cores();
-    opt.flows = util::Env::flows();
     for (int i = 1; i < argc; i++) {
         std::string a = argv[i];
         auto need = [&](const char *flag) -> const char * {
@@ -71,10 +64,6 @@ parseBenchCli(int argc, char **argv)
             opt.flows = std::atoi(need("--flows"));
             if (opt.flows < 0)
                 opt.flows = 0;
-        } else if (a == "--churn") {
-            opt.churn = std::atof(need("--churn"));
-        } else if (a == "--zipf") {
-            opt.zipf = std::atof(need("--zipf"));
         } else if (a == "--filter") {
             opt.filter = need("--filter");
         } else if (a == "--json") {

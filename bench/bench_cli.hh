@@ -6,7 +6,8 @@
  *   --jobs N          worker threads (default 1; output is
  *                     byte-identical for any N)
  *   --cores N         simulated server core count (default: the
- *                     bench's own choice; same as ANIC_CORES)
+ *                     bench's own choice)
+ *   --flows N         concurrent flow count for flow-scale benches
  *   --filter STR      run only sweep points whose label contains STR
  *   --json PATH       append machine-readable JSON lines to PATH
  *                     (overrides ANIC_BENCH_JSON)
@@ -35,10 +36,8 @@ namespace anic::bench {
 struct BenchOptions
 {
     int jobs = 1;
-    int cores = 0; ///< --cores / ANIC_CORES; 0 = bench default
-    int flows = 0; ///< --flows / ANIC_FLOWS; 0 = bench default
-    double churn = -1.0; ///< --churn: conn churn rate; <0 = default
-    double zipf = -1.0;  ///< --zipf: popularity skew s; <0 = default
+    int cores = 0; ///< --cores; 0 = bench default
+    int flows = 0; ///< --flows; 0 = bench default
     std::string filter;
     std::string jsonPath;   ///< --json override of ANIC_BENCH_JSON
     std::string timingJson; ///< --timing-json output path

@@ -22,10 +22,9 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt = parseBenchCli(argc, argv);
-    // --cores/ANIC_CORES sets the server core count (and, via the
-    // node's auto queue config, its NIC TX/RX queue pair count): the
-    // multi-core contention axis the executor TSan gate and the
-    // perf-smoke scaling point sweep.
+    // --cores sets the server core count (and, via the node's auto
+    // queue config, its NIC TX/RX queue pair count): the multi-core
+    // contention axis the CI TSan job sweeps.
     const int serverCores = opt.cores > 0 ? opt.cores : 8;
     printHeader("Figure 19: connection scalability vs NIC context cache "
                 "(20K flows)");

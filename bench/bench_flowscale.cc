@@ -22,9 +22,8 @@
  * state layer (DESIGN.md §15) is accountable for. The probe runs
  * identically for any --jobs value, so stdout stays byte-identical.
  *
- * Knobs: --flows N (ANIC_FLOWS, default 100000), --churn R (fraction
- * of flows cycled per second, default 0.2), --zipf S (default 0.99),
- * plus the shared sweep options.
+ * Knobs: --flows N (default 100000) plus the shared sweep options.
+ * Churn (0.2 of the flows per second) and Zipf skew (0.99) are fixed.
  */
 
 #include <atomic>
@@ -115,12 +114,12 @@ constexpr sim::Tick kStagger = 200 * sim::kNanosecond;
 constexpr sim::Tick kDriverTick = 10 * sim::kMicrosecond;
 constexpr int kReqPerTick = 5; ///< 500K requests/s offered load
 constexpr sim::Tick kReaperTick = 2 * sim::kMillisecond;
+constexpr double kChurnPerSec = 0.2; ///< fraction of flows cycled per second
+constexpr double kZipfSkew = 0.99;
 
 struct FlowScaleParams
 {
     int flows = 100000;
-    double churnPerSec = 0.2; ///< fraction of flows cycled per second
-    double zipfSkew = 0.99;
     size_t cacheCapacity = 20000;
 };
 
@@ -134,7 +133,7 @@ class FlowScale
   public:
     FlowScale(app::MacroWorld &w, const FlowScaleParams &p)
         : w_(w), p_(p),
-          zipf_(static_cast<uint32_t>(p.flows), p.zipfSkew, 0xf1005),
+          zipf_(static_cast<uint32_t>(p.flows), kZipfSkew, 0xf1005),
           churnRng_(0xc4c4), reqBuf_(kReqBytes, 0), respBuf_(kRespBytes, 0)
     {
         srvTlsCfg_.txOffload = true;
@@ -278,7 +277,7 @@ class FlowScale
             ANIC_ASSERT(acc == kReqBytes, "request did not fit");
         }
 
-        churnCredit_ += static_cast<double>(p_.flows) * p_.churnPerSec *
+        churnCredit_ += static_cast<double>(p_.flows) * kChurnPerSec *
                         sim::ticksToSeconds(kDriverTick);
         while (churnCredit_ >= 1.0) {
             churnCredit_ -= 1.0;
@@ -525,13 +524,11 @@ main(int argc, char **argv)
 {
     BenchOptions opt = parseBenchCli(argc, argv);
     const int flows = opt.flows > 0 ? opt.flows : 100000;
-    const double churn = opt.churn >= 0 ? opt.churn : 0.2;
-    const double zipf = opt.zipf >= 0 ? opt.zipf : 0.99;
     printHeader("flow scale: context-cache capacity under Zipf load + "
                 "churn");
     std::printf("flows=%d churn=%.2f/s zipf=%.2f (20K-context cache "
-                "default; --flows/--churn/--zipf to change)\n\n",
-                flows, churn, zipf);
+                "default; --flows to change)\n\n",
+                flows, kChurnPerSec, kZipfSkew);
 
     // Heap probe: one serial world, default capacity, measured with the
     // counting allocator. Runs before the sweep and independent of
@@ -540,8 +537,6 @@ main(int argc, char **argv)
     {
         FlowScaleParams pp;
         pp.flows = flows;
-        pp.churnPerSec = churn;
-        pp.zipfSkew = zipf;
         PointResult probe = runPoint(nullptr, pp, &heapPerFlow, &ctxPerFlow);
         std::printf("heap probe (c20000): %.0f bytes/flow steady "
                     "state, %.0f of them NIC context tables\n",
@@ -558,20 +553,17 @@ main(int argc, char **argv)
         Sweep sweep("flowscale", opt);
         for (int ci = 0; ci < kCapCount; ci++) {
             std::string label = strprintf("c%zu", kCaps[ci]);
-            sweep.add(label, [&res, ci, flows, churn,
-                              zipf](sim::RunContext &ctx) {
+            sweep.add(label, [&res, ci, flows](sim::RunContext &ctx) {
                 FlowScaleParams p;
                 p.flows = flows;
-                p.churnPerSec = churn;
-                p.zipfSkew = zipf;
                 p.cacheCapacity = kCaps[ci];
                 PointResult r = runPoint(&ctx, p, nullptr, nullptr);
                 res[ci] = r;
                 JsonExtra tags = {
                     {"cache", tagNum(static_cast<double>(p.cacheCapacity))},
                     {"flows", tagNum(flows)},
-                    {"churn", tagNum(churn)},
-                    {"zipf", tagNum(zipf)}};
+                    {"churn", tagNum(kChurnPerSec)},
+                    {"zipf", tagNum(kZipfSkew)}};
                 jsonRecord(ctx, "flowscale", "hit_rate", r.hitRate, tags);
                 jsonRecord(ctx, "flowscale", "resp_per_sec", r.respPerSec,
                            tags);

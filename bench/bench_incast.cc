@@ -278,7 +278,7 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt = parseBenchCli(argc, argv);
-    bool quick = opt.quick || util::Env::quick();
+    bool quick = opt.quick;
     const int *fanIns = quick ? kFanInsQuick : kFanInsFull;
     const int fanInCount =
         quick ? static_cast<int>(std::size(kFanInsQuick)) : kMaxFanIns;

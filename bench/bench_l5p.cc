@@ -299,7 +299,7 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt = parseBenchCli(argc, argv);
-    bool quick = opt.quick || util::Env::quick();
+    bool quick = opt.quick;
     uint64_t tlsBytes = quick ? (512 << 10) : (4 << 20);
     int ops = quick ? 8 : 24;
 

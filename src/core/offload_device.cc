@@ -62,8 +62,8 @@ OffloadDevice::OffloadDevice(sim::Simulator &sim, nic::Nic &nic,
                              net::IpAddr ip)
     : sim_(sim), nic_(nic), ip_(ip)
 {
-    nic_.setOnRxInterrupt([this](int queue, nic::Nic::RxBatch pkts) {
-        onNicRxInterrupt(queue, std::move(pkts));
+    nic_.setOnRxInterrupt([this](int queue, net::PacketPtr pkt) {
+        onNicRxInterrupt(queue, std::move(pkt));
     });
     nic_.setOnResyncRequest(
         [this](uint64_t ctxId, uint64_t reqId, uint32_t seq) {
@@ -129,24 +129,21 @@ OffloadDevice::setOnTxSpace(std::function<void()> cb)
 }
 
 void
-OffloadDevice::onNicRxInterrupt(int queue, nic::Nic::RxBatch pkts)
+OffloadDevice::onNicRxInterrupt(int queue, net::PacketPtr pkt)
 {
-    if (stack_ == nullptr) {
-        nic_.recycleRxBatch(std::move(pkts));
+    if (stack_ == nullptr)
         return;
-    }
     // MSI-X affinity: queue N interrupts core N mod cores. RSS pinned
-    // every flow in this batch to this queue, so the stack work runs
-    // on the flow's steered core without a cross-core handoff.
+    // the packet's flow to this queue, so the stack work runs on the
+    // flow's steered core without a cross-core handoff.
     host::Core &core = stack_->coreForQueue(queue);
-    core.post([this, pkts = std::move(pkts), &core]() mutable {
+    core.post([this, pkt = std::move(pkt), &core]() mutable {
+        // Two charges in this order, not one summed constant: the
+        // core accumulates cycles in floating point.
         core.charge(core.model().interruptCost);
-        for (net::PacketPtr &p : pkts) {
-            core.charge(core.model().driverRxPerPacket);
-            stack_->input(p);
-            p.reset();
-        }
-        nic_.recycleRxBatch(std::move(pkts));
+        core.charge(core.model().driverRxPerPacket);
+        stack_->input(pkt);
+        pkt.reset();
     });
 }
 
@@ -169,58 +166,47 @@ OffloadDevice::onNicResyncRequest(uint64_t ctxId, uint64_t reqId,
 }
 
 L5Offload *
-OffloadDevice::l5oCreate(L5oParams params)
+OffloadDevice::l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
+                         unsigned dirs, L5pCallbacks *cb, uint64_t rxMsgIdx,
+                         uint64_t txMsgIdx)
 {
-    ANIC_ASSERT(params.callbacks != nullptr && params.core != nullptr);
+    ANIC_ASSERT(dirs != 0 && cb != nullptr);
+    const L5ProtocolOps &ops = l5ProtocolOps(st.kind());
+    std::unique_ptr<nic::L5Engine> rxEngine;
+    std::unique_ptr<nic::L5Engine> txEngine;
+    if (dirs & kL5Rx) {
+        ANIC_ASSERT(ops.makeRx != nullptr,
+                    "protocol registered no rx engine factory");
+        rxEngine = ops.makeRx(st);
+    }
+    if (dirs & kL5Tx) {
+        ANIC_ASSERT(ops.makeTx != nullptr,
+                    "protocol registered no tx engine factory");
+        txEngine = ops.makeTx(st);
+    }
+
     uint64_t id = nextOffloadId_++;
     auto off = std::make_unique<OffloadImpl>(*this, id);
-    off->callbacks_ = params.callbacks;
-    off->core_ = params.core;
-
-    if (params.rxEngine) {
-        off->rxCtx_ = nic_.createRxContext(params.rxFlow,
-                                           std::move(params.rxEngine),
-                                           params.rxTcpsn, params.rxMsgIdx);
+    off->callbacks_ = cb;
+    off->core_ = &conn.core();
+    if (rxEngine) {
+        // Arriving packets carry the reversed flow (src = remote peer).
+        off->rxCtx_ = nic_.createRxContext(conn.localFlow().reversed(),
+                                           std::move(rxEngine),
+                                           conn.rcvNxt(), rxMsgIdx);
         byRxCtx_[off->rxCtx_] = off.get();
     }
-    if (params.txEngine) {
-        off->txCtx_ = nic_.createTxContext(std::move(params.txEngine),
-                                           params.txTcpsn, params.txMsgIdx);
+    if (txEngine) {
+        uint32_t txTcpsn = conn.sndNextByteSeq();
+        off->txCtx_ = nic_.createTxContext(std::move(txEngine), txTcpsn,
+                                           txMsgIdx);
         byTxCtx_[off->txCtx_] = id;
-        txShadow_[off->txCtx_] = params.txTcpsn;
+        txShadow_[off->txCtx_] = txTcpsn;
     }
 
     L5Offload *handle = off.get();
     offloads_.emplace(id, std::move(off));
     return handle;
-}
-
-L5Offload *
-OffloadDevice::l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
-                         unsigned dirs, L5pCallbacks *cb, uint64_t rxMsgIdx,
-                         uint64_t txMsgIdx)
-{
-    ANIC_ASSERT(dirs != 0);
-    const L5ProtocolOps &ops = l5ProtocolOps(st.kind());
-    L5oParams params;
-    params.callbacks = cb;
-    params.core = &conn.core();
-    if (dirs & kL5Rx) {
-        ANIC_ASSERT(ops.makeRx != nullptr,
-                    "protocol registered no rx engine factory");
-        params.rxEngine = ops.makeRx(st);
-        params.rxFlow = conn.localFlow().reversed();
-        params.rxTcpsn = conn.rcvNxt();
-        params.rxMsgIdx = rxMsgIdx;
-    }
-    if (dirs & kL5Tx) {
-        ANIC_ASSERT(ops.makeTx != nullptr,
-                    "protocol registered no tx engine factory");
-        params.txEngine = ops.makeTx(st);
-        params.txTcpsn = conn.sndNextByteSeq();
-        params.txMsgIdx = txMsgIdx;
-    }
-    return l5oCreate(std::move(params));
 }
 
 void

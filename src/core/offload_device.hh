@@ -19,29 +19,6 @@
 
 namespace anic::core {
 
-/** Parameters for l5o_create. */
-struct L5oParams
-{
-    /** Flow key of *arriving* packets (src = remote peer); required
-     *  when rxEngine is set. */
-    net::FlowKey rxFlow;
-
-    /** Engines (either may be null for one-directional offloads). */
-    std::unique_ptr<nic::L5Engine> rxEngine;
-    std::unique_ptr<nic::L5Engine> txEngine;
-
-    uint32_t rxTcpsn = 0; ///< seq of the next incoming message start
-    uint64_t rxMsgIdx = 0;
-    uint32_t txTcpsn = 0; ///< seq of the next outgoing message start
-    uint64_t txMsgIdx = 0;
-
-    /** L5P upcall sink (must outlive the offload). */
-    L5pCallbacks *callbacks = nullptr;
-
-    /** Core the L5P runs this connection on (for upcall posting). */
-    host::Core *core = nullptr;
-};
-
 /** One NIC port's driver instance. */
 class OffloadDevice : public tcp::NetDevice
 {
@@ -64,14 +41,12 @@ class OffloadDevice : public tcp::NetDevice
     }
 
     // ------------------------------------------------------- l5o
-    /** l5o_create: installs NIC contexts and returns the handle. */
-    L5Offload *l5oCreate(L5oParams params);
-
     /**
-     * Unified l5o_create binding: builds the engines for the static
-     * state's protocol kind (via the registered factories) and
-     * derives flow key and sequence anchors from the connection's
-     * current state. All protocols install through this entrypoint.
+     * l5o_create: builds the engines for the static state's protocol
+     * kind (via the registered factories), installs the NIC contexts
+     * with flow key and sequence anchors taken from the connection's
+     * current state, and returns the handle. All protocols install
+     * through this entrypoint.
      * @p dirs is a kL5Rx/kL5Tx mask; @p rxMsgIdx / @p txMsgIdx seed
      * the per-direction message counters (0 for a fresh stream).
      */
@@ -88,7 +63,7 @@ class OffloadDevice : public tcp::NetDevice
     class OffloadImpl;
     friend class OffloadImpl;
 
-    void onNicRxInterrupt(int queue, nic::Nic::RxBatch pkts);
+    void onNicRxInterrupt(int queue, net::PacketPtr pkt);
     void onNicResyncRequest(uint64_t ctxId, uint64_t reqId, uint32_t tcpSeq);
     void destroyOffload(uint64_t id);
 

@@ -63,10 +63,9 @@ struct CycleModel
      *  once per completion-queue entry). */
     double driverRxPerPacket = 130.0;
     /** MSI-X interrupt entry/exit + NAPI poll setup, charged once per
-     *  interrupt fired. With per-packet interrupts (the default, no
-     *  coalescing) interruptCost + driverRxPerPacket equals the 250
-     *  cycles/pkt the pre-multi-queue model charged, so calibration
-     *  is unchanged; coalescing amortizes this term. */
+     *  interrupt fired (one per received packet). interruptCost +
+     *  driverRxPerPacket equals the 250 cycles/pkt the pre-multi-queue
+     *  model charged, so calibration is unchanged. */
     double interruptCost = 120.0;
 
     // ------------------------------------------------- per operation

@@ -65,8 +65,6 @@ Nic::Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg)
     // construction (Node::attachPort), bare construction gets 1.
     if (cfg_.numQueues <= 0)
         cfg_.numQueues = 1;
-    if (cfg_.coalescePkts == 0)
-        cfg_.coalescePkts = 1;
     if (cfg_.rssTableSize == 0)
         cfg_.rssTableSize = 1;
     ANIC_ASSERT(cfg_.ctxCacheCapacity > 0,
@@ -79,7 +77,6 @@ Nic::Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg)
         q->scope.link("txPkts", q->stats.txPkts);
         q->scope.link("rxPkts", q->stats.rxPkts);
         q->scope.link("compIrqs", q->stats.compIrqs);
-        q->scope.link("coalescedPkts", q->stats.coalescedPkts);
         q->scope.link("ctxHits", q->stats.ctxHits);
         q->scope.link("ctxMisses", q->stats.ctxMisses);
         // q.evictions is exposed via queueStats() only: linking it
@@ -119,7 +116,6 @@ Nic::linkInstruments()
     scope_.link("txOffloadedPkts", stats_.txOffloadedPkts);
     scope_.link("txResyncs", stats_.txResyncs);
     scope_.link("irqsFired", stats_.irqsFired);
-    scope_.link("coalescedPkts", stats_.coalescedPkts);
 
     scope_.link("pcie.rxDataBytes", pcie_.rxDataBytes);
     scope_.link("pcie.txDataBytes", pcie_.txDataBytes);
@@ -420,63 +416,15 @@ Nic::flushRx(sim::Tick due)
 void
 Nic::deliverToQueue(int queue, net::PacketPtr pkt)
 {
+    // One completion interrupt per packet.
     QueueState &q = *queues_[static_cast<size_t>(queue)];
-    q.comp.push_back(std::move(pkt));
-    if (q.comp.size() >= cfg_.coalescePkts) {
-        fireIrq(queue);
-        return;
-    }
-    if (trace_->enabled())
-        trace_->record(sim_.now(), sim::TraceKind::IrqCoalesce, name_,
-                       static_cast<uint64_t>(queue), q.comp.size());
-    if (!q.timerArmed) {
-        q.timerArmed = true;
-        uint64_t gen = q.irqGen;
-        sim_.scheduleAt(sim_.now() + cfg_.coalesceDelay,
-                        [this, queue, gen] { onIrqTimer(queue, gen); });
-    }
-}
-
-void
-Nic::fireIrq(int queue)
-{
-    QueueState &q = *queues_[static_cast<size_t>(queue)];
-    q.irqGen++; // invalidates any armed coalesce timer
-    q.timerArmed = false;
-    RxBatch pkts = std::move(q.comp);
-    q.comp = takeFreeVec();
-
-    uint64_t n = pkts.size();
     q.stats.compIrqs++;
     stats_.irqsFired++;
-    q.stats.coalescedPkts += n - 1;
-    stats_.coalescedPkts += n - 1;
     if (trace_->enabled())
         trace_->record(sim_.now(), sim::TraceKind::IrqFire, name_,
-                       static_cast<uint64_t>(queue), n);
+                       static_cast<uint64_t>(queue), 1);
     if (onRxInterrupt_)
-        onRxInterrupt_(queue, std::move(pkts));
-    else
-        recycleRxBatch(std::move(pkts));
-}
-
-void
-Nic::onIrqTimer(int queue, uint64_t gen)
-{
-    QueueState &q = *queues_[static_cast<size_t>(queue)];
-    if (gen != q.irqGen || q.comp.empty())
-        return; // a threshold fire beat the timer
-    fireIrq(queue);
-}
-
-Nic::RxBatch
-Nic::takeFreeVec()
-{
-    if (rxVecFree_.empty())
-        return {};
-    RxBatch v = std::move(rxVecFree_.back());
-    rxVecFree_.pop_back();
-    return v;
+        onRxInterrupt_(queue, std::move(pkt));
 }
 
 void

@@ -68,21 +68,19 @@ struct NicStats
     sim::Counter rxOffloadedPkts;
     sim::Counter txOffloadedPkts;
     sim::Counter txResyncs;
-    sim::Counter irqsFired;     ///< completion interrupts delivered
-    sim::Counter coalescedPkts; ///< completions that rode an earlier irq
+    sim::Counter irqsFired; ///< completion interrupts delivered
 };
 
 /** Per-queue counters, published as nic.qN.* with the NicStats
  *  aggregate as the roll-up. */
 struct QueueStats
 {
-    sim::Counter txPkts;        ///< packets sent from this tx ring
-    sim::Counter rxPkts;        ///< packets steered to this rx queue
-    sim::Counter compIrqs;      ///< completion interrupts fired
-    sim::Counter coalescedPkts; ///< completions beyond the first per irq
-    sim::Counter ctxHits;       ///< context-cache hits on this queue
-    sim::Counter ctxMisses;     ///< context-cache misses on this queue
-    sim::Counter evictions;     ///< contexts this queue's misses pushed out
+    sim::Counter txPkts;    ///< packets sent from this tx ring
+    sim::Counter rxPkts;    ///< packets steered to this rx queue
+    sim::Counter compIrqs;  ///< completion interrupts fired
+    sim::Counter ctxHits;   ///< context-cache hits on this queue
+    sim::Counter ctxMisses; ///< context-cache misses on this queue
+    sim::Counter evictions; ///< contexts this queue's misses pushed out
 };
 
 /**
@@ -152,16 +150,6 @@ class Nic
         int numQueues = 0;
         /** RSS indirection table entries (filled round-robin). */
         size_t rssTableSize = 128;
-        /**
-         * Interrupt coalescing: fire the completion interrupt once
-         * @p coalescePkts completions are pending, or @p coalesceDelay
-         * after the first pending completion, whichever comes first.
-         * The default (1 pkt, no delay) interrupts per packet, which
-         * keeps the cycle-model calibration of the pre-coalescing
-         * driver path (see CycleModel::interruptCost).
-         */
-        uint32_t coalescePkts = 1;
-        sim::Tick coalesceDelay = 0;
 
         /** Flow-context cache: 4 MiB at 208 B/flow ~ 20K flows. */
         size_t ctxCacheCapacity = 20000;
@@ -189,9 +177,6 @@ class Nic
     Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg);
 
     // ------------------------------------------------ driver: data
-    /** One interrupt's worth of rx completions. */
-    using RxBatch = std::vector<net::PacketPtr>;
-
     /**
      * Queues a packet on the tx ring its flow hashes to (XPS-style:
      * the same Toeplitz hash as rx steering, so a flow's tx queue
@@ -206,22 +191,13 @@ class Nic
     void setOnTxSpace(std::function<void()> cb) { onTxSpace_ = std::move(cb); }
 
     /**
-     * Driver receive entry: one call per completion interrupt, with
-     * every packet the interrupt covers (already includes NIC rx
-     * processing). The driver should hand the emptied vector back via
-     * recycleRxBatch() to keep the steady state allocation-free.
+     * Driver receive entry: one completion interrupt per received
+     * packet (NIC rx processing already applied).
      */
-    void setOnRxInterrupt(std::function<void(int queue, RxBatch pkts)> cb)
+    void
+    setOnRxInterrupt(std::function<void(int queue, net::PacketPtr pkt)> cb)
     {
         onRxInterrupt_ = std::move(cb);
-    }
-
-    /** Returns an emptied completion vector to the NIC's free list. */
-    void
-    recycleRxBatch(RxBatch &&v)
-    {
-        v.clear();
-        rxVecFree_.push_back(std::move(v));
     }
 
     /** Number of TX/RX queue pairs (resolved, >= 1). */
@@ -373,13 +349,10 @@ class Nic
         std::vector<int> queues;
     };
 
-    /** One TX/RX queue pair with its MSI-X completion state. */
+    /** One TX/RX queue pair. */
     struct QueueState
     {
         std::deque<TxEntry> txRing;
-        RxBatch comp;            ///< completions pending interrupt
-        uint64_t irqGen = 0;     ///< invalidates stale coalesce timers
-        bool timerArmed = false;
         QueueStats stats;
         sim::StatsScope scope;
     };
@@ -390,9 +363,6 @@ class Nic
     void onWire(net::PacketPtr pkt);
     void flushRx(sim::Tick due);
     void deliverToQueue(int queue, net::PacketPtr pkt);
-    void fireIrq(int queue);
-    void onIrqTimer(int queue, uint64_t gen);
-    RxBatch takeFreeVec();
     sim::Tick touchContext(FlowContext &ctx, QueueStats *qs = nullptr);
     void onCtxEvict(uint64_t ctxId, QueueStats *qs);
     void lruPushFront(FlowContext &ctx);
@@ -420,10 +390,9 @@ class Nic
 
     std::vector<RxPending> rxPending_;
     std::vector<RxPending> rxPendingFree_;
-    std::vector<RxBatch> rxVecFree_;
 
     std::function<void()> onTxSpace_;
-    std::function<void(int, RxBatch)> onRxInterrupt_;
+    std::function<void(int, net::PacketPtr)> onRxInterrupt_;
     std::function<void(uint64_t, uint64_t, uint32_t)> onResyncRequest_;
 
     uint64_t nextCtxId_ = 1;

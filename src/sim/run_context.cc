@@ -13,12 +13,10 @@ RunConfig::fromEnv()
     RunConfig c;
     c.windowScale = util::Env::quick() ? 0.25 : 1.0;
     c.traceEnabled = util::Env::traceEnabled();
-    if (util::Env::traceCap() > 0)
-        c.traceCap = util::Env::traceCap();
     return c;
 }
 
-RunContext::RunContext(RunConfig cfg) : cfg_(cfg), trace_(cfg.traceCap)
+RunContext::RunContext(RunConfig cfg) : cfg_(cfg)
 {
     if (cfg_.traceEnabled)
         trace_.enable();

@@ -46,11 +46,8 @@ struct RunConfig
     /** Arm this run's TraceRing (events are recorded). */
     bool traceEnabled = false;
 
-    /** Capacity of this run's TraceRing. */
-    size_t traceCap = TraceRing::kDefaultCapacity;
-
     /** Historical env-driven defaults: ANIC_QUICK -> windowScale
-     *  0.25, ANIC_TRACE / ANIC_TRACE_CAP -> trace knobs. */
+     *  0.25, ANIC_TRACE -> traceEnabled. */
     static RunConfig fromEnv();
 };
 

@@ -1,15 +1,6 @@
 #include "sim/simulator.hh"
 
-#include <cstdlib>
-#include <string_view>
-
 namespace anic::sim {
-
-Simulator::Simulator()
-{
-    const char *q = std::getenv("ANIC_SIM_QUEUE");
-    calendar_ = !(q != nullptr && std::string_view(q) == "heap");
-}
 
 void
 Simulator::scheduleAt(Tick when, Callback cb)
@@ -24,10 +15,6 @@ void
 Simulator::insert(Event ev)
 {
     size_++;
-    if (!calendar_) {
-        heap_.push(std::move(ev));
-        return;
-    }
     if (ev.when < wheelBase_ + kBucketWidth)
         near_.push(std::move(ev));
     else if (ev.when < windowEnd()) {
@@ -92,11 +79,6 @@ Simulator::execute(Event ev)
 void
 Simulator::run()
 {
-    if (!calendar_) {
-        while (!heap_.empty())
-            execute(heap_.pop());
-        return;
-    }
     while (settle())
         execute(near_.pop());
 }
@@ -104,13 +86,8 @@ Simulator::run()
 void
 Simulator::runUntil(Tick until)
 {
-    if (!calendar_) {
-        while (!heap_.empty() && heap_.top().when <= until)
-            execute(heap_.pop());
-    } else {
-        while (settle() && near_.top().when <= until)
-            execute(near_.pop());
-    }
+    while (settle() && near_.top().when <= until)
+        execute(near_.pop());
     if (now_ < until)
         now_ = until;
 }

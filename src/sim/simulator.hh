@@ -48,27 +48,19 @@ ticksToSeconds(Tick t)
  *
  * Events scheduled for the same tick run in scheduling order (a
  * monotonic sequence number breaks ties), which keeps runs
- * deterministic. The (when, seq) total order is identical in both
- * queue implementations below, so every run is byte-identical no
- * matter which one executes it.
+ * deterministic: execution follows the (when, seq) total order.
  *
- * Two queue implementations are compiled in:
- *
- *  - calendar (default): a two-tier calendar queue. A wheel of
- *    kBucketCount unsorted buckets, each kBucketWidth ticks wide,
- *    covers the near future (~67 us at the default geometry: enough
- *    for propagation delays, serialization times, NIC latencies and
- *    core work); events beyond the wheel horizon (RTOs, delayed acks,
- *    measurement windows) sit in a small min-heap and migrate into
- *    buckets as the window advances. Events inside the current bucket
- *    are kept in a min-heap ("near") so extraction stays exactly
- *    ordered. Insert and extract are O(1) amortized instead of the
- *    O(log n) of one big heap whose n is dominated by far-future
- *    timers.
- *
- *  - heap: the seed implementation, one binary heap ordered by
- *    (when, seq). Selected with ANIC_SIM_QUEUE=heap; kept as the
- *    reference oracle for byte-identity tests.
+ * The queue is a two-tier calendar queue. A wheel of kBucketCount
+ * unsorted buckets, each kBucketWidth ticks wide, covers the near
+ * future (~67 us at the default geometry: enough for propagation
+ * delays, serialization times, NIC latencies and core work); events
+ * beyond the wheel horizon (RTOs, delayed acks, measurement windows)
+ * sit in a small min-heap and migrate into buckets as the window
+ * advances. Events inside the current bucket are kept in a min-heap
+ * ("near") so extraction stays exactly ordered. Insert and extract
+ * are O(1) amortized instead of the O(log n) of one big heap whose n
+ * is dominated by far-future timers. tests/sim_test.cpp checks the
+ * order against a plain (when, seq) priority queue.
  *
  * Callbacks are InlineFunction<kCallbackBytes>: captures never heap
  * allocate, and capture sets that would are rejected at compile time.
@@ -83,7 +75,7 @@ class Simulator
 
     using Callback = InlineFunction<kCallbackBytes>;
 
-    Simulator();
+    Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -110,9 +102,6 @@ class Simulator
 
     /** True if no events remain. */
     bool idle() const { return size_ == 0; }
-
-    /** True when the calendar queue is active (vs the legacy heap). */
-    bool usingCalendarQueue() const { return calendar_; }
 
   private:
     struct Event
@@ -182,21 +171,16 @@ class Simulator
 
     void execute(Event ev);
 
-    bool calendar_;
     Tick now_ = 0;
     uint64_t nextSeq_ = 0;
     uint64_t executed_ = 0;
     size_t size_ = 0;
 
-    // --- calendar queue state
     Tick wheelBase_ = 0; ///< multiple of kBucketWidth
     size_t bucketed_ = 0; ///< events currently in buckets_
     EventHeap near_;      ///< events with when < wheelBase_ + kBucketWidth
     EventHeap far_;       ///< events with when >= windowEnd()
     std::array<std::vector<Event>, kBucketCount> buckets_;
-
-    // --- legacy single-heap state (ANIC_SIM_QUEUE=heap)
-    EventHeap heap_;
 };
 
 } // namespace anic::sim

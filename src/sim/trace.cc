@@ -29,8 +29,6 @@ traceKindName(TraceKind k)
         return "rx_queue_select";
       case TraceKind::IrqFire:
         return "irq_fire";
-      case TraceKind::IrqCoalesce:
-        return "irq_coalesce";
       case TraceKind::Custom:
         return "custom";
     }
@@ -41,10 +39,7 @@ TraceRing &
 TraceRing::global()
 {
     static thread_local TraceRing *ring = [] {
-        size_t cap = kDefaultCapacity;
-        if (util::Env::traceCap() > 0)
-            cap = util::Env::traceCap();
-        auto *r = new TraceRing(cap);
+        auto *r = new TraceRing;
         if (util::Env::traceEnabled())
             r->enable();
         return r;

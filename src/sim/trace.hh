@@ -7,7 +7,7 @@
  * dropped), so tracing is safe to leave compiled in.
  *
  * The global ring is disabled by default; set ANIC_TRACE=1 to enable
- * it (ANIC_TRACE_CAP overrides the default capacity). Benches dump it
+ * it (kDefaultCapacity events). Benches dump it
  * as JSONL or chrome://tracing format when ANIC_TRACE_FILE is set.
  */
 
@@ -34,8 +34,7 @@ enum class TraceKind : uint8_t
     Retransmit,      ///< a: seq, b: bytes
     TxResync,        ///< a: flow id
     RxQueueSelect,   ///< id: rx queue, a: rss hash
-    IrqFire,         ///< id: queue, a: packets in the batch
-    IrqCoalesce,     ///< id: queue, a: completions now pending
+    IrqFire,         ///< id: queue, a: packets covered (always 1)
     Custom,          ///< component-defined
 };
 
@@ -65,8 +64,8 @@ class TraceRing
      * Fallback ring used by components that have no injected ring.
      * Thread-local: parallel JobRunner workers that fall through to
      * it never share a ring (runs should inject their RunContext's
-     * ring instead — see DESIGN.md §12). Enabled (and sized) from
-     * ANIC_TRACE / ANIC_TRACE_CAP on first use per thread; stays
+     * ring instead — see DESIGN.md §12). Enabled from ANIC_TRACE on
+     * first use per thread; stays
      * disabled otherwise so record() is a cheap no-op.
      */
     static TraceRing &global();

@@ -16,7 +16,6 @@
 #include "testing/invariants.hh"
 #include "testing/traffic.hh"
 #include "tls/ktls.hh"
-#include "util/env.hh"
 
 namespace anic::testing {
 
@@ -353,159 +352,63 @@ class TlsFlowDriver
     bool corrupt_ = false;
 };
 
-/**
- * Drives the NVMe-TCP workload: target + drive on node a, host queue
- * on node b, a pre-generated command list (identical in both runs)
- * issued through a fixed-depth window. Reads verify content against
- * the drive's deterministic generator; writes carry the same content
- * seed so they never perturb what later reads expect.
- */
-class NvmeDriver
+/** NVMe-TCP's storage workload: only the host queue is offloaded. */
+struct NvmeWorkload
 {
-  public:
-    NvmeDriver(FuzzWorld &w, const Scenario &s, bool offload)
-        : w_(w), spec_(s.nvme), drive_(w.sim, {})
-    {
-        Rng r(s.seed ^ 0x5eedb10cull);
-        ops_.resize(spec_.ops);
-        for (Op &op : ops_) {
-            op.write = r.uniform() < spec_.writeRatio;
-            op.len = static_cast<uint32_t>(r.range(512, spec_.maxLen));
-            op.slba = r.range(0, 1u << 20);
-        }
-        w_.a.stack().listen(kNvmePort, w_.a.tcpConfig(),
-                            [this](tcp::TcpConnection &c) {
-                                target_ = std::make_unique<
-                                    nvmetcp::NvmeTarget>(c, drive_, wc_);
-                            });
-        w_.sim.schedule(spec_.startAt, [this, offload] {
-            tcp::TcpConnection &c = w_.b.stack().connect(
-                kIpB, kIpA, kNvmePort, w_.b.tcpConfig());
-            c.setOnConnected([this, &c, offload] {
-                nvmetcp::NvmeOffloadConfig ocfg;
-                ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = offload;
-                hostq_ = std::make_unique<nvmetcp::NvmeHostQueue>(c, wc_,
-                                                                  ocfg);
-                connB_ = &c;
-                if (offload)
-                    hostq_->enableOffload(w_.b.device(0), c);
-                issueMore();
-            });
-        });
-    }
+    using Spec = NvmeFlowSpec;
+    using Wire = nvmetcp::WireConfig;
+    using Target = nvmetcp::NvmeTarget;
+    using Host = nvmetcp::NvmeHostQueue;
+    static constexpr uint16_t kPort = kNvmePort;
+    static constexpr uint64_t kSeedSalt = 0x5eedb10cull;
+    static constexpr bool kOffloadTarget = false;
+    static const Spec &spec(const Scenario &s) { return s.nvme; }
+};
 
-    bool
-    done() const
-    {
-        if (completed_ == ops_.size())
-            return true;
-        return hostq_ != nullptr && hostq_->desynced() && inFlight_ == 0;
-    }
-
-    bool desynced() const { return hostq_ != nullptr && hostq_->desynced(); }
-    uint64_t readsOk() const { return readsOk_; }
-    uint64_t writesOk() const { return writesOk_; }
-    uint64_t failures() const { return failures_; }
-    bool contentMismatch() const { return contentMismatch_; }
-
-    uint64_t
-    tcpDelivered() const
-    {
-        return connB_ != nullptr ? connB_->stats().bytesDelivered.value()
-                                 : 0;
-    }
-
-  private:
-    struct Op
-    {
-        bool write = false;
-        uint64_t slba = 0;
-        uint32_t len = 0;
-    };
-
-    void
-    issueMore()
-    {
-        while (next_ < ops_.size() && inFlight_ < spec_.qdepth &&
-               !hostq_->desynced()) {
-            const Op &op = ops_[next_++];
-            inFlight_++;
-            if (op.write) {
-                hostq_->write(op.slba, op.len,
-                              drive_.config().contentSeed,
-                              [this](bool ok) { onDone(ok, true); });
-            } else {
-                uint64_t slba = op.slba;
-                hostq_->read(
-                    op.slba, op.len,
-                    [this, slba](bool ok, host::BlockBufferPtr buf) {
-                        if (ok &&
-                            !checkDeterministic(
-                                buf->data, drive_.config().contentSeed,
-                                slba))
-                            contentMismatch_ = true;
-                        onDone(ok, false);
-                    });
-            }
-        }
-    }
-
-    void
-    onDone(bool ok, bool write)
-    {
-        inFlight_--;
-        completed_++;
-        if (ok)
-            (write ? writesOk_ : readsOk_)++;
-        else
-            failures_++;
-        issueMore();
-    }
-
-    FuzzWorld &w_;
-    NvmeFlowSpec spec_;
-    host::NvmeDrive drive_;
-    nvmetcp::WireConfig wc_;
-    std::unique_ptr<nvmetcp::NvmeTarget> target_;
-    std::unique_ptr<nvmetcp::NvmeHostQueue> hostq_;
-    tcp::TcpConnection *connB_ = nullptr;
-
-    std::vector<Op> ops_;
-    size_t next_ = 0;
-    uint32_t inFlight_ = 0;
-    size_t completed_ = 0;
-    uint64_t readsOk_ = 0;
-    uint64_t writesOk_ = 0;
-    uint64_t failures_ = 0;
-    bool contentMismatch_ = false;
+/** iSCSI's storage workload: the offload run offloads BOTH endpoints,
+ *  so reads exercise the initiator's digest/placement engines and
+ *  writes the target's Data-Out placement path. */
+struct IscsiWorkload
+{
+    using Spec = IscsiFlowSpec;
+    using Wire = iscsi::IscsiWireConfig;
+    using Target = iscsi::IscsiTarget;
+    using Host = iscsi::IscsiInitiator;
+    static constexpr uint16_t kPort = kIscsiPort;
+    static constexpr uint64_t kSeedSalt = 0x15c51f10ull;
+    static constexpr bool kOffloadTarget = true;
+    static const Spec &spec(const Scenario &s) { return s.iscsi; }
 };
 
 /**
- * Drives the iSCSI workload: target + drive on node a, initiator on
- * node b, a pre-generated command list issued through a fixed-depth
- * window, mirroring NvmeDriver. Unlike the NVMe workload (host-side
- * offload only), the offload run offloads BOTH endpoints, so reads
- * exercise the initiator's digest/placement engines and writes the
- * target's Data-Out placement path under the same impairments.
+ * Drives one storage workload (NvmeWorkload or IscsiWorkload): target
+ * + drive on node a, host endpoint on node b, a pre-generated command
+ * list (identical in both runs) issued through a fixed-depth window.
+ * Reads verify content against the drive's deterministic generator;
+ * writes carry the same content seed so they never perturb what later
+ * reads expect.
  */
-class IscsiDriver
+template <typename W>
+class StorageDriver
 {
   public:
-    IscsiDriver(FuzzWorld &w, const Scenario &s, bool offload)
-        : w_(w), spec_(s.iscsi), drive_(w.sim, {})
+    StorageDriver(FuzzWorld &w, const Scenario &s, bool offload)
+        : w_(w), spec_(W::spec(s)), drive_(w.sim, {})
     {
-        Rng r(s.seed ^ 0x15c51f10ull);
+        Rng r(s.seed ^ W::kSeedSalt);
         ops_.resize(spec_.ops);
         for (Op &op : ops_) {
             op.write = r.uniform() < spec_.writeRatio;
             op.len = static_cast<uint32_t>(r.range(512, spec_.maxLen));
             op.slba = r.range(0, 1u << 20);
         }
-        w_.a.stack().listen(kIscsiPort, w_.a.tcpConfig(),
+        w_.a.stack().listen(W::kPort, w_.a.tcpConfig(),
                             [this, offload](tcp::TcpConnection &c) {
                                 target_ = std::make_unique<
-                                    iscsi::IscsiTarget>(c, drive_, wc_);
-                                iscsi::IscsiOffloadConfig tcfg;
+                                    typename W::Target>(c, drive_, wc_);
+                                if (!W::kOffloadTarget)
+                                    return;
+                                core::StorageOffloadConfig tcfg;
                                 tcfg.crcRx = tcfg.copyRx = tcfg.crcTx =
                                     offload;
                                 target_->enableOffload(w_.a.device(0), c,
@@ -513,15 +416,14 @@ class IscsiDriver
                             });
         w_.sim.schedule(spec_.startAt, [this, offload] {
             tcp::TcpConnection &c = w_.b.stack().connect(
-                kIpB, kIpA, kIscsiPort, w_.b.tcpConfig());
+                kIpB, kIpA, W::kPort, w_.b.tcpConfig());
             c.setOnConnected([this, &c, offload] {
-                iscsi::IscsiOffloadConfig ocfg;
+                core::StorageOffloadConfig ocfg;
                 ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = offload;
-                init_ = std::make_unique<iscsi::IscsiInitiator>(c, wc_,
-                                                                ocfg);
+                host_ = std::make_unique<typename W::Host>(c, wc_, ocfg);
                 connB_ = &c;
                 if (offload)
-                    init_->enableOffload(w_.b.device(0), c);
+                    host_->enableOffload(w_.b.device(0), c);
                 issueMore();
             });
         });
@@ -532,10 +434,10 @@ class IscsiDriver
     {
         if (completed_ == ops_.size())
             return true;
-        return init_ != nullptr && init_->desynced() && inFlight_ == 0;
+        return host_ != nullptr && host_->desynced() && inFlight_ == 0;
     }
 
-    bool desynced() const { return init_ != nullptr && init_->desynced(); }
+    bool desynced() const { return host_ != nullptr && host_->desynced(); }
     uint64_t readsOk() const { return readsOk_; }
     uint64_t writesOk() const { return writesOk_; }
     uint64_t failures() const { return failures_; }
@@ -560,15 +462,15 @@ class IscsiDriver
     issueMore()
     {
         while (next_ < ops_.size() && inFlight_ < spec_.qdepth &&
-               !init_->desynced()) {
+               !host_->desynced()) {
             const Op &op = ops_[next_++];
             inFlight_++;
             if (op.write) {
-                init_->write(op.slba, op.len, drive_.config().contentSeed,
+                host_->write(op.slba, op.len, drive_.config().contentSeed,
                              [this](bool ok) { onDone(ok, true); });
             } else {
                 uint64_t slba = op.slba;
-                init_->read(
+                host_->read(
                     op.slba, op.len,
                     [this, slba](bool ok, host::BlockBufferPtr buf) {
                         if (ok &&
@@ -595,11 +497,11 @@ class IscsiDriver
     }
 
     FuzzWorld &w_;
-    IscsiFlowSpec spec_;
+    typename W::Spec spec_;
     host::NvmeDrive drive_;
-    iscsi::IscsiWireConfig wc_;
-    std::unique_ptr<iscsi::IscsiTarget> target_;
-    std::unique_ptr<iscsi::IscsiInitiator> init_;
+    typename W::Wire wc_;
+    std::unique_ptr<typename W::Target> target_;
+    std::unique_ptr<typename W::Host> host_;
     tcp::TcpConnection *connB_ = nullptr;
 
     std::vector<Op> ops_;
@@ -810,12 +712,12 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
     for (size_t i = 0; i < s.tls.size(); i++)
         tls.push_back(std::make_unique<TlsFlowDriver>(
             w, s.tls[i], static_cast<int>(i), offload));
-    std::unique_ptr<NvmeDriver> nvme;
+    std::unique_ptr<StorageDriver<NvmeWorkload>> nvme;
     if (s.nvme.enabled)
-        nvme = std::make_unique<NvmeDriver>(w, s, offload);
-    std::unique_ptr<IscsiDriver> iscsi;
+        nvme = std::make_unique<StorageDriver<NvmeWorkload>>(w, s, offload);
+    std::unique_ptr<StorageDriver<IscsiWorkload>> iscsi;
     if (s.iscsi.enabled)
-        iscsi = std::make_unique<IscsiDriver>(w, s, offload);
+        iscsi = std::make_unique<StorageDriver<IscsiWorkload>>(w, s, offload);
     std::unique_ptr<IncastDriver> incast;
     if (s.incast.senders > 0)
         incast = std::make_unique<IncastDriver>(w, s);
@@ -889,11 +791,10 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
         r.errors.push_back(v);
     r.traceHash = traceHash(w.trace);
     r.fsmEvents = probeA.eventsSeen() + probeB.eventsSeen();
-    if (util::Env::fuzzDebug())
+    if (!r.errors.empty())
         for (size_t i = 0; i < tls.size(); i++)
-            std::fprintf(stderr, "[%s] tls %zu: %s\n",
-                         offload ? "offload" : "software", i,
-                         tls[i]->debugState().c_str());
+            r.errors.push_back(fmtMsg("tls flow %zu state: %s", i,
+                                      tls[i]->debugState().c_str()));
     return r;
 }
 

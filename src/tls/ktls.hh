@@ -10,7 +10,8 @@
  *  - tx: records are framed with dummy ICVs and passed down in
  *    plaintext; the NIC encrypts in place. A seq->record map answers
  *    l5o_get_tx_msgstate for retransmissions, sourcing rebuild bytes
- *    from TCP's own retained send buffer.
+ *    from the plaintext records TxMsgTracker keeps until fully acked
+ *    (TCP frees acked bytes mid-record, so it cannot serve them).
  *  - rx: a record whose packets all carry the NIC's `decrypted` bit
  *    skips software crypto entirely; a partially-offloaded record is
  *    recovered by re-encrypting the NIC-decrypted ranges (CTR) and

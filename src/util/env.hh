@@ -8,12 +8,7 @@
  * Knob table (documented in README "Environment knobs"):
  *
  *   ANIC_QUICK         bool    shrink bench measurement windows (CI)
- *   ANIC_CORES         int     override simulated server core count
- *                              in benches (0/unset = bench default)
- *   ANIC_FLOWS         int     override concurrent flow count in
- *                              flow-scale benches (0/unset = default)
  *   ANIC_TRACE         bool    enable the fallback global trace ring
- *   ANIC_TRACE_CAP     size    capacity of that ring (events)
  *   ANIC_TRACE_FILE    path    dump the trace ring as JSONL
  *   ANIC_SNAPSHOT_DIR  path    write one registry snapshot file/run
  *   ANIC_BENCH_JSON    path    append bench JSON lines to this file
@@ -21,7 +16,6 @@
  *   ANIC_TCP_CC        enum    reno | cubic | dctcp — congestion
  *                              control for configs left on Auto
  *   ANIC_FSM_BUG       enum    fault injection for the mutation smoke
- *   ANIC_FUZZ_DEBUG    bool    verbose differential-runner logging
  *   ANIC_FUZZ_STORAGE  bool    pin fuzz scenarios to a write-heavy
  *                              storage mix (NVMe writes + iSCSI)
  *
@@ -32,7 +26,6 @@
 #ifndef ANIC_UTIL_ENV_HH
 #define ANIC_UTIL_ENV_HH
 
-#include <cstddef>
 #include <string>
 
 namespace anic::util {
@@ -43,19 +36,8 @@ class Env
     /** ANIC_QUICK: set (and not "0") -> shrink measurement windows. */
     static bool quick();
 
-    /** ANIC_CORES: simulated server core count override for benches;
-     *  0 means "use the bench's default". */
-    static int cores();
-
-    /** ANIC_FLOWS: concurrent flow count override for flow-scale
-     *  benches; 0 means "use the bench's default". */
-    static int flows();
-
     /** ANIC_TRACE: enable the fallback global TraceRing. */
     static bool traceEnabled();
-
-    /** ANIC_TRACE_CAP: trace ring capacity; 0 means "use default". */
-    static size_t traceCap();
 
     /** ANIC_TRACE_FILE: JSONL dump path ("" when unset). */
     static const std::string &traceFile();
@@ -75,9 +57,6 @@ class Env
 
     /** ANIC_FSM_BUG: raw value ("" when unset; stream_fsm.cc parses). */
     static const std::string &fsmBug();
-
-    /** ANIC_FUZZ_DEBUG: verbose differential-runner logging. */
-    static bool fuzzDebug();
 
     /** ANIC_FUZZ_STORAGE: every fuzz scenario carries a write-heavy
      *  NVMe workload plus an iSCSI workload (the storage CI arm). */

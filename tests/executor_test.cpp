@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -280,52 +279,6 @@ TEST(JobRunnerDeterminism, IncastScenarioBatch)
     std::string parallel = capture(8, submit);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
-}
-
-/** The calendar queue must be invisible to results: a fig19-style
- *  sweep plus a fuzz batch produce byte-identical sink output whether
- *  events run through the calendar (default) or the legacy heap
- *  (ANIC_SIM_QUEUE=heap). */
-TEST(QueueDeterminism, CalendarMatchesHeapByteForByte)
-{
-    auto submit = [](sim::JobRunner &r) {
-        for (int conns : {2, 4}) {
-            std::string label = "conns=" + std::to_string(conns);
-            r.submit(label, [conns, label](sim::RunContext &ctx) {
-                bench::NginxParams p;
-                p.serverCores = 1;
-                p.generatorCores = 2;
-                p.connections = conns;
-                p.fileCount = 4;
-                p.fileSize = 32 << 10;
-                p.variant = bench::HttpVariant::OffloadZc;
-                p.warmup = 5 * sim::kMillisecond;
-                p.window = 4 * sim::kMillisecond;
-                bench::NginxResult res = bench::runNginx(ctx, p);
-                ctx.print("%s gbps=%.4f err=%llu\n", label.c_str(), res.gbps,
-                          (unsigned long long)res.errors);
-            });
-        }
-        for (uint64_t seed = 1; seed <= 16; seed++) {
-            r.submit("seed=" + std::to_string(seed),
-                     [seed](sim::RunContext &ctx) {
-                         anic::testing::ScenarioGen gen;
-                         anic::testing::Scenario s = gen.generate(seed);
-                         anic::testing::DifferentialRunner dr;
-                         ctx.print("seed %llu hash %016llx\n",
-                                   (unsigned long long)seed,
-                                   (unsigned long long)
-                                       dr.runOne(s, true).traceHash);
-                     });
-        }
-    };
-    unsetenv("ANIC_SIM_QUEUE");
-    std::string calendar = capture(1, submit);
-    setenv("ANIC_SIM_QUEUE", "heap", 1);
-    std::string heap = capture(1, submit);
-    unsetenv("ANIC_SIM_QUEUE");
-    EXPECT_FALSE(calendar.empty());
-    EXPECT_EQ(calendar, heap);
 }
 
 } // namespace

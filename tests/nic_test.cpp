@@ -325,10 +325,8 @@ TEST(NicMultiQueue, RssSteersFlowsToStableQueues)
     ASSERT_EQ(nicB.queueCount(), 4);
 
     std::vector<std::pair<int, net::FlowKey>> delivered;
-    nicB.setOnRxInterrupt([&](int queue, Nic::RxBatch pkts) {
-        for (const auto &p : pkts)
-            delivered.emplace_back(queue, p->flow());
-        nicB.recycleRxBatch(std::move(pkts));
+    nicB.setOnRxInterrupt([&](int queue, net::PacketPtr pkt) {
+        delivered.emplace_back(queue, pkt->flow());
     });
 
     constexpr int kFlows = 16;
@@ -400,61 +398,6 @@ TEST(NicMultiQueue, RoundRobinDrainsEveryTxRing)
     EXPECT_EQ(firstFour, (std::vector<uint16_t>{100, 101, 102, 103}));
 }
 
-TEST(NicMultiQueue, CoalescingThresholdBatchesInterrupts)
-{
-    NicWorld w;
-    Nic::Config cfgB;
-    cfgB.coalescePkts = 4;
-    cfgB.coalesceDelay = 1 * sim::kMillisecond; // timer never wins here
-    Nic nicB(w.sim, w.link, 1, cfgB);
-
-    std::vector<size_t> batchSizes;
-    nicB.setOnRxInterrupt([&](int, Nic::RxBatch pkts) {
-        batchSizes.push_back(pkts.size());
-        nicB.recycleRxBatch(std::move(pkts));
-    });
-
-    net::FlowKey f = flowKey(9000);
-    for (int i = 0; i < 8; i++)
-        w.nicA.transmit(mkFlowPkt(f, i * 100, 100));
-    w.sim.run();
-
-    // 8 completions at threshold 4 => exactly 2 interrupts.
-    ASSERT_EQ(batchSizes.size(), 2u);
-    EXPECT_EQ(batchSizes[0], 4u);
-    EXPECT_EQ(batchSizes[1], 4u);
-    EXPECT_EQ(nicB.stats().irqsFired, 2u);
-    EXPECT_EQ(nicB.stats().coalescedPkts, 6u);
-    EXPECT_EQ(nicB.queueStats(0).compIrqs, 2u);
-    EXPECT_EQ(nicB.queueStats(0).coalescedPkts, 6u);
-}
-
-TEST(NicMultiQueue, CoalescingTimerFlushesPartialBatch)
-{
-    NicWorld w;
-    Nic::Config cfgB;
-    cfgB.coalescePkts = 64; // threshold unreachable
-    cfgB.coalesceDelay = 20 * sim::kMicrosecond;
-    Nic nicB(w.sim, w.link, 1, cfgB);
-
-    std::vector<std::pair<sim::Tick, size_t>> irqs;
-    nicB.setOnRxInterrupt([&](int, Nic::RxBatch pkts) {
-        irqs.emplace_back(w.sim.now(), pkts.size());
-        nicB.recycleRxBatch(std::move(pkts));
-    });
-
-    net::FlowKey f = flowKey(9001);
-    for (int i = 0; i < 3; i++)
-        w.nicA.transmit(mkFlowPkt(f, i * 100, 100));
-    w.sim.run();
-
-    // The delay timer (armed by the first pending completion) flushes
-    // all three in one interrupt.
-    ASSERT_EQ(irqs.size(), 1u);
-    EXPECT_EQ(irqs[0].second, 3u);
-    EXPECT_EQ(nicB.stats().coalescedPkts, 2u);
-}
-
 TEST(NicMultiQueue, PerQueueStatsPublishedInRegistry)
 {
     sim::StatsRegistry reg;
@@ -464,9 +407,7 @@ TEST(NicMultiQueue, PerQueueStatsPublishedInRegistry)
     cfgB.name = "dut";
     cfgB.registry = &reg;
     Nic nicB(w.sim, w.link, 1, cfgB);
-    nicB.setOnRxInterrupt([&](int, Nic::RxBatch pkts) {
-        nicB.recycleRxBatch(std::move(pkts));
-    });
+    nicB.setOnRxInterrupt([](int, net::PacketPtr) {});
 
     for (int f = 0; f < 8; f++)
         w.nicA.transmit(mkFlowPkt(flowKey(static_cast<uint16_t>(6000 + f)),
@@ -490,27 +431,25 @@ TEST(NicMultiQueue, PerQueueStatsPublishedInRegistry)
 
 TEST(NicMultiQueue, SingleQueueMatchesLegacyPerPacketDelivery)
 {
-    // Defaults (1 queue, per-packet interrupts): every packet is its
-    // own interrupt, nothing is coalesced, and everything lands on
-    // queue 0 — the exact pre-multi-queue schedule.
+    // Defaults (1 queue): every packet is its own interrupt and lands
+    // on queue 0 — the exact pre-multi-queue schedule.
     NicWorld w;
     Nic nicB(w.sim, w.link, 1, {});
     ASSERT_EQ(nicB.queueCount(), 1);
 
-    std::vector<size_t> batchSizes;
-    nicB.setOnRxInterrupt([&](int queue, Nic::RxBatch pkts) {
+    std::vector<uint32_t> seqs;
+    nicB.setOnRxInterrupt([&](int queue, net::PacketPtr pkt) {
         EXPECT_EQ(queue, 0);
-        batchSizes.push_back(pkts.size());
-        nicB.recycleRxBatch(std::move(pkts));
+        seqs.push_back(pkt->tcp().seq);
     });
     for (int i = 0; i < 5; i++)
         w.nicA.transmit(mkFlowPkt(flowKey(9002), i * 100, 100));
     w.sim.run();
 
-    ASSERT_EQ(batchSizes.size(), 5u);
-    for (size_t n : batchSizes)
-        EXPECT_EQ(n, 1u);
-    EXPECT_EQ(nicB.stats().coalescedPkts, 0u);
+    EXPECT_EQ(seqs, (std::vector<uint32_t>{0, 100, 200, 300, 400}));
+    EXPECT_EQ(nicB.stats().irqsFired, 5u);
+    EXPECT_EQ(nicB.stats().irqsFired, nicB.stats().pktsRx);
+    EXPECT_EQ(nicB.queueStats(0).compIrqs, 5u);
 }
 
 TEST(NicDevice, DestroyedContextStopsOffloading)

@@ -1,15 +1,16 @@
 /**
  * @file
  * Unit tests for the discrete-event simulator and statistics:
- * ordering semantics (shared by the calendar queue and the legacy
- * heap selected via ANIC_SIM_QUEUE=heap), the InlineFunction inline
- * callback, and a randomized calendar-vs-heap differential.
+ * ordering semantics, the InlineFunction inline callback, and a
+ * randomized differential of the calendar queue against a plain
+ * (when, seq) priority queue.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <functional>
 #include <memory>
+#include <queue>
 
 #include "sim/simulator.hh"
 #include "sim/registry.hh"
@@ -107,39 +108,85 @@ TEST(Simulator, FarEventsBeyondCalendarHorizonStayOrdered)
     EXPECT_EQ(sim.now(), 5 * kSecond);
 }
 
+/** Reference order for the differential below: one binary heap of
+ *  (when, seq), ties broken by scheduling order. */
+class ReferenceQueue
+{
+  public:
+    Tick now() const { return now_; }
+
+    void
+    schedule(Tick delay, std::function<void()> cb)
+    {
+        q_.push(Ev{now_ + delay, seq_++, std::move(cb)});
+    }
+
+    void
+    run()
+    {
+        while (!q_.empty()) {
+            Ev ev = q_.top();
+            q_.pop();
+            now_ = ev.when;
+            ev.cb();
+        }
+    }
+
+  private:
+    struct Ev
+    {
+        Tick when;
+        uint64_t seq;
+        std::function<void()> cb;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Ev, std::vector<Ev>, Later> q_;
+    Tick now_ = 0;
+    uint64_t seq_ = 0;
+};
+
+/** Runs the randomized workload on @p sim and logs (tick, id) per
+ *  executed event. */
+template <typename Queue>
+std::vector<std::pair<Tick, int>>
+randomizedTrace(Queue &sim)
+{
+    std::vector<std::pair<Tick, int>> log;
+    anic::Rng rng(0x5eed);
+    std::function<void(int)> spawn = [&](int id) {
+        log.emplace_back(sim.now(), id);
+        if (id < 4000) {
+            uint64_t r = rng.next();
+            Tick d = r % 7 == 0 ? (r % 3) * kMillisecond // far timer
+                                : r % 50000;             // near burst
+            sim.schedule(d, [&spawn, id] { spawn(id + 3); });
+        }
+    };
+    for (int i = 0; i < 3; i++)
+        sim.schedule(i * 17, [&spawn, i] { spawn(i); });
+    sim.run();
+    return log;
+}
+
 TEST(Simulator, CalendarMatchesHeapOnRandomizedSchedule)
 {
     // Differential: the same randomized workload (dense near ticks,
     // sparse far timers, same-tick bursts, events scheduling events)
-    // must execute in the identical order under both queues.
-    auto trace = [](bool heap) {
-        if (heap)
-            setenv("ANIC_SIM_QUEUE", "heap", 1);
-        else
-            unsetenv("ANIC_SIM_QUEUE");
-        Simulator sim;
-        EXPECT_EQ(sim.usingCalendarQueue(), !heap);
-        std::vector<std::pair<Tick, int>> log;
-        anic::Rng rng(0x5eed);
-        std::function<void(int)> spawn = [&](int id) {
-            log.emplace_back(sim.now(), id);
-            if (id < 4000) {
-                uint64_t r = rng.next();
-                Tick d = r % 7 == 0 ? (r % 3) * kMillisecond // far timer
-                                    : r % 50000;             // near burst
-                sim.schedule(d, [&spawn, id] { spawn(id + 3); });
-            }
-        };
-        for (int i = 0; i < 3; i++)
-            sim.schedule(i * 17, [&spawn, i] { spawn(i); });
-        sim.run();
-        unsetenv("ANIC_SIM_QUEUE");
-        return log;
-    };
-    auto calendar = trace(false);
-    auto heap = trace(true);
+    // must execute in the (when, seq) order of the reference queue.
+    Simulator sim;
+    ReferenceQueue ref;
+    auto calendar = randomizedTrace(sim);
+    auto reference = randomizedTrace(ref);
     EXPECT_FALSE(calendar.empty());
-    EXPECT_EQ(calendar, heap);
+    EXPECT_EQ(calendar, reference);
 }
 
 TEST(InlineFunction, InvokesAndMovesCaptures)

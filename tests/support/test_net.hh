@@ -86,7 +86,7 @@ class SimpleDevice : public tcp::NetDevice
         host::Core &core = stack_->steer(pkt->flow().reversed());
         core.post([this, pkt, &core] {
             // Per-packet interrupts: entry/exit plus descriptor
-            // handling, matching the un-coalesced OffloadDevice path.
+            // handling, as on the OffloadDevice path.
             core.charge(core.model().interruptCost +
                         core.model().driverRxPerPacket);
             stack_->input(pkt);
