@@ -8,7 +8,10 @@
  * Every kernel variant compiled into the binary is registered (scalar
  * always; hw when the CPU supports AES-NI/PCLMUL/SSE4.2), and a
  * summary at the end reports hw-over-scalar speedups plus JSON
- * records, so the dispatch layer's win is visible in one run.
+ * records, so the dispatch layer's win is visible in one run. The
+ * payload generator's word kernels (util/bytes.hh), which every
+ * experiment runs over every delivered byte, are measured the same
+ * way: wide over portable.
  */
 
 #include <benchmark/benchmark.h>
@@ -121,6 +124,33 @@ BM_AesCtrAtOffset(benchmark::State &state, CryptoImpl impl)
 }
 
 void
+BM_PayloadFill(benchmark::State &state, const util::PayloadKernel *k)
+{
+    Bytes data(static_cast<size_t>(state.range(0)));
+    uint64_t block = 0;
+    for (auto _ : state) {
+        k->fillWords(data.data(), data.size() / 8, 5, block++);
+        benchmark::DoNotOptimize(data.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+}
+
+void
+BM_PayloadCheck(benchmark::State &state, const util::PayloadKernel *k)
+{
+    Bytes data(static_cast<size_t>(state.range(0)));
+    fillDeterministic(data, 5, 0);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            k->diffWords(data.data(), data.size() / 8, 5, 0));
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+}
+
+void
 BM_Sha1(benchmark::State &state)
 {
     Bytes data(16384);
@@ -150,6 +180,17 @@ registerAll()
         benchmark::RegisterBenchmark(name, BM_AesGcmStreamDecrypt, impl);
         std::snprintf(name, sizeof name, "BM_AesCtrAtOffset/%s", nm);
         benchmark::RegisterBenchmark(name, BM_AesCtrAtOffset, impl);
+    }
+    for (const util::PayloadKernel &k : util::payloadKernels()) {
+        char name[64];
+        std::snprintf(name, sizeof name, "BM_PayloadFill/%s", k.name);
+        benchmark::RegisterBenchmark(name, BM_PayloadFill, &k)
+            ->Arg(1448)
+            ->Arg(65536);
+        std::snprintf(name, sizeof name, "BM_PayloadCheck/%s", k.name);
+        benchmark::RegisterBenchmark(name, BM_PayloadCheck, &k)
+            ->Arg(1448)
+            ->Arg(65536);
     }
     benchmark::RegisterBenchmark("BM_Sha1", BM_Sha1);
 }
@@ -240,6 +281,61 @@ speedupSummary()
     }
 }
 
+void
+payloadSummary()
+{
+    auto kernels = util::payloadKernels();
+    const util::PayloadKernel &portable = kernels.front();
+    const util::PayloadKernel &wide = kernels.back();
+    if (kernels.size() < 2) {
+        std::printf("\npayload kernels: portable only\n");
+        return;
+    }
+    std::printf("\n-- payload %s vs %s --\n", wide.name, portable.name);
+
+    auto fill = [](const util::PayloadKernel &k, size_t len) {
+        Bytes data(len);
+        return throughput(len, [&k, &data] {
+            k.fillWords(data.data(), data.size() / 8, 5, 0);
+            benchmark::DoNotOptimize(data.data());
+            benchmark::ClobberMemory();
+        });
+    };
+    auto check = [](const util::PayloadKernel &k, size_t len) {
+        Bytes data(len);
+        fillDeterministic(data, 5, 0);
+        return throughput(len, [&k, &data] {
+            benchmark::DoNotOptimize(
+                k.diffWords(data.data(), data.size() / 8, 5, 0));
+        });
+    };
+
+    struct Row
+    {
+        const char *name;
+        const char *tag;
+        size_t len;
+        bool fill;
+    };
+    static const Row rows[] = {
+        {"fill 1448B", "payload_fill1448", 1448, true},
+        {"fill 64KiB", "payload_fill64k", 65536, true},
+        {"check 1448B", "payload_check1448", 1448, false},
+        {"check 64KiB", "payload_check64k", 65536, false},
+    };
+    for (const Row &r : rows) {
+        double base = r.fill ? fill(portable, r.len) : check(portable, r.len);
+        double fast = r.fill ? fill(wide, r.len) : check(wide, r.len);
+        double speedup = base > 0 ? fast / base : 0;
+        std::printf("%-20s %s %5.3f ns/B   %s %5.3f ns/B   %5.1fx\n", r.name,
+                    portable.name, 1e9 / base, wide.name, 1e9 / fast,
+                    speedup);
+        anic::bench::jsonRecord("crypto_micro",
+                                (std::string(r.tag) + "_speedup").c_str(),
+                                speedup);
+    }
+}
+
 } // namespace
 
 int
@@ -250,6 +346,7 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     speedupSummary();
+    payloadSummary();
     anic::bench::emitRegistrySnapshot("crypto_micro");
     return 0;
 }

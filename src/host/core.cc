@@ -4,8 +4,6 @@
 
 namespace anic::host {
 
-thread_local Core *Core::sCurrent_ = nullptr;
-
 void
 Core::post(Work w)
 {

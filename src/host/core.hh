@@ -127,8 +127,11 @@ class Core
     sim::Tick freeAt_ = 0;
 
     // thread_local: each JobRunner worker simulates its own world, so
-    // "the currently executing core" is a per-thread notion.
-    static thread_local Core *sCurrent_;
+    // "the currently executing core" is a per-thread notion. Defined
+    // inline with a constant initializer, so other translation units
+    // read it directly instead of through a TLS init wrapper (GCC 12's
+    // UBSan null check misreads the wrapper's weak-symbol test).
+    static inline thread_local Core *sCurrent_ = nullptr;
 
     double pendingCycles_ = 0.0; // charged by the current item
     sim::Gauge busyCycles_;

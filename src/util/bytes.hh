@@ -77,11 +77,45 @@ Bytes fromHex(const std::string &hex);
  * Deterministic content generator. Fills @p out with bytes that are a
  * pure function of (seed, absolute offset), so any sub-range of an
  * object's content can be generated or verified independently.
+ *
+ * Byte o of an object is byte o % 8 (little-endian) of the word
+ * mix64(seed ^ mix64(o / 8)), mix64 being the splitmix64 finalizer.
+ * That function is a contract: TLS keys, drive contents, the fuzz
+ * trace hashes and every simulated result derive from these bytes, so
+ * every kernel below produces them bit for bit, and tests/util_test
+ * pins them with known answers.
  */
 void fillDeterministic(ByteSpan out, uint64_t seed, uint64_t offset);
 
 /** Verifies that @p data matches fillDeterministic(seed, offset). */
 bool checkDeterministic(ByteView data, uint64_t seed, uint64_t offset);
+
+namespace util {
+
+/**
+ * One build of the generator's whole-word loop. Word j of a span is
+ * the content word of block (block + j), stored little-endian.
+ */
+struct PayloadKernel
+{
+    const char *name;
+    /** Stores @p nWords words at @p out (any alignment). */
+    void (*fillWords)(uint8_t *out, size_t nWords, uint64_t seed,
+                      uint64_t block);
+    /** ORs (got ^ want) over @p nWords words at @p in: 0 iff all match. */
+    uint64_t (*diffWords)(const uint8_t *in, size_t nWords, uint64_t seed,
+                          uint64_t block);
+};
+
+/**
+ * The kernels compiled in that this CPU runs, narrowest first:
+ * "portable" always, then "avx512" on x86-64 GCC/Clang builds when
+ * CPUID reports AVX-512F and AVX-512DQ. CPUID is read once per
+ * process; fillDeterministic/checkDeterministic use the last (widest).
+ */
+std::span<const PayloadKernel> payloadKernels();
+
+} // namespace util
 
 } // namespace anic
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for util: byte codecs, hex, deterministic fill, RNG,
+ * Unit tests for util: byte codecs, hex, deterministic fill (known
+ * answers, flipped bytes, wide kernel against portable), RNG,
  * slab arena handles, and the flat hash map (including a differential
  * check against std::unordered_map and a regression for sequential-id
  * clustering).
@@ -84,6 +85,102 @@ TEST(Bytes, DeterministicFillDiffersAcrossSeeds)
     fillDeterministic(a, 1, 0);
     fillDeterministic(b, 2, 0);
     EXPECT_NE(a, b);
+}
+
+/** FNV-1a over fillDeterministic(seed, offset) at every length of the
+ *  known-answer grid, each length folded in before its bytes. */
+uint64_t
+fillDigest(uint64_t seed, uint64_t offset)
+{
+    static const size_t kLens[] = {0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 1448,
+                                   4099};
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t len : kLens) {
+        Bytes b(len);
+        fillDeterministic(b, seed, offset);
+        EXPECT_TRUE(checkDeterministic(b, seed, offset))
+            << "seed " << seed << " offset " << offset << " len " << len;
+        h = (h ^ len) * 0x100000001b3ull;
+        for (uint8_t c : b)
+            h = (h ^ c) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Bytes, DeterministicFillKnownAnswers)
+{
+    // Generated from the byte-at-a-time reference generator. Every
+    // simulated result depends on these bytes, so a kernel change must
+    // reproduce them exactly.
+    static const uint64_t kSeeds[] = {0, 1, 42, (1ull << 63) + 5};
+    static const uint64_t kOffsets[] = {0, 1, 7, 8, 9, 1000, (1ull << 40) + 3};
+    static const uint64_t kDigest[4][7] = {
+        {0x057e5d5d8887daaeull, 0x0a1fd85e314c5f8eull, 0x688ef30d6c3ad605ull,
+         0x15d1a9c9ea8a6edaull, 0xfe71bca087e1e1d4ull, 0x13d599be5f355f13ull,
+         0x8345c4b8267ab066ull},
+        {0x2adf8098004830b2ull, 0x0c87f0602727b1d9ull, 0xcca5eeb7e3b4b9abull,
+         0x51de96f75f37fd16ull, 0x40d8db7c3564077full, 0x805b0bde4b57211cull,
+         0x6d49b19bb242541cull},
+        {0xd131594a81d9a7e7ull, 0x25bd70afae95a3fdull, 0x2b589c5247fa4400ull,
+         0x263736f48b02c33eull, 0x691f9bf07fd7195dull, 0x2abb7a36800d89d9ull,
+         0x3d92af7be990df70ull},
+        {0x3a9a5885a8acc191ull, 0xcb250b534cff39b2ull, 0xc032da8429b9d1c3ull,
+         0xd61cfd813ce65f5aull, 0x9d3d1eace26270e3ull, 0x2aa1032eb712c08aull,
+         0xd5c87f727af5aeefull},
+    };
+    for (size_t s = 0; s < 4; s++) {
+        for (size_t o = 0; o < 7; o++) {
+            EXPECT_EQ(fillDigest(kSeeds[s], kOffsets[o]), kDigest[s][o])
+                << "seed " << kSeeds[s] << " offset " << kOffsets[o];
+        }
+    }
+}
+
+TEST(Bytes, DeterministicCheckRejectsEveryFlippedByte)
+{
+    // An odd offset gives the span a head, whole words and a tail.
+    const uint64_t offset = 1001;
+    Bytes data(200);
+    fillDeterministic(data, 9, offset);
+    ASSERT_TRUE(checkDeterministic(data, 9, offset));
+    for (size_t i = 0; i < data.size(); i++) {
+        data[i] ^= 0x10;
+        EXPECT_FALSE(checkDeterministic(data, 9, offset)) << "byte " << i;
+        data[i] ^= 0x10;
+    }
+    EXPECT_TRUE(checkDeterministic(data, 9, offset));
+}
+
+TEST(Bytes, WideKernelMatchesPortable)
+{
+    auto kernels = util::payloadKernels();
+    if (kernels.size() < 2)
+        GTEST_SKIP() << "no wide payload kernel for this build and CPU";
+    ASSERT_STREQ(kernels.front().name, "portable");
+    Rng r(77);
+    for (int iter = 0; iter < 200; iter++) {
+        uint64_t seed = r.next();
+        uint64_t block = r.next();
+        size_t n = r.below(300);
+        // One byte of offset keeps the word stores unaligned.
+        Bytes want(8 * n + 1);
+        kernels.front().fillWords(want.data() + 1, n, seed, block);
+        for (const util::PayloadKernel &k : kernels.subspan(1)) {
+            Bytes got(8 * n + 1);
+            k.fillWords(got.data() + 1, n, seed, block);
+            EXPECT_EQ(got, want) << k.name << " n " << n;
+            EXPECT_EQ(k.diffWords(want.data() + 1, n, seed, block), 0u)
+                << k.name;
+            if (n == 0)
+                continue;
+            size_t at = 1 + r.below(8 * n);
+            got[at] ^= 0x01;
+            EXPECT_EQ(k.diffWords(got.data() + 1, n, seed, block),
+                      kernels.front().diffWords(got.data() + 1, n, seed,
+                                                block))
+                << k.name << " flipped byte " << at;
+        }
+    }
 }
 
 TEST(Rng, DeterministicAcrossReseeds)
