@@ -50,8 +50,8 @@ run(sim::RunContext &ctx, double loss, double reorder, size_t recordSize)
     icfg.serverTls.rxOffload = true;
     icfg.clientTls.recordSize = recordSize;
     icfg.serverTls.recordSize = recordSize;
-    app::IperfRun runr(w.generator, app::MacroWorld::kGenIp, w.server,
-                       app::MacroWorld::kSrvIp, icfg);
+    app::IperfRun runr(w.a, core::Testbed::kIpA, w.b,
+                       core::Testbed::kIpB, icfg);
     runr.start();
     ex->warm(15 * sim::kMillisecond);
     sim::Tick window = ex->scaledWindow(40 * sim::kMillisecond);

@@ -26,8 +26,6 @@ usage()
                  "shared bench options:\n"
                  "  --jobs N         worker threads (default 1)\n"
                  "  --cores N        simulated server core count\n"
-                 "  --flows N        concurrent flow count for "
-                 "flow-scale benches\n"
                  "  --filter STR     run only points whose label "
                  "contains STR\n"
                  "  --json PATH      append JSON records to PATH\n"
@@ -60,10 +58,6 @@ parseBenchCli(int argc, char **argv)
             opt.cores = std::atoi(need("--cores"));
             if (opt.cores < 0)
                 opt.cores = 0;
-        } else if (a == "--flows") {
-            opt.flows = std::atoi(need("--flows"));
-            if (opt.flows < 0)
-                opt.flows = 0;
         } else if (a == "--filter") {
             opt.filter = need("--filter");
         } else if (a == "--json") {

@@ -7,7 +7,6 @@
  *                     byte-identical for any N)
  *   --cores N         simulated server core count (default: the
  *                     bench's own choice)
- *   --flows N         concurrent flow count for flow-scale benches
  *   --filter STR      run only sweep points whose label contains STR
  *   --json PATH       append machine-readable JSON lines to PATH
  *                     (overrides ANIC_BENCH_JSON)
@@ -37,7 +36,6 @@ struct BenchOptions
 {
     int jobs = 1;
     int cores = 0; ///< --cores; 0 = bench default
-    int flows = 0; ///< --flows; 0 = bench default
     std::string filter;
     std::string jsonPath;   ///< --json override of ANIC_BENCH_JSON
     std::string timingJson; ///< --timing-json output path

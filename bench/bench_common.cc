@@ -25,9 +25,9 @@ runNginx(sim::RunContext &ctx, const NginxParams &p)
     ccfg.verifyContent = false; // benches measure, tests verify
 
     app::MacroWorld &w = ex->world();
-    app::HttpServer server(w.server, 443, *w.storage, ex->httpServerCfg());
-    app::HttpClient client(w.generator, app::MacroWorld::kGenIp,
-                           app::MacroWorld::kSrvIp, 443, w.files, ccfg);
+    app::HttpServer server(w.b, 443, *w.storage, ex->httpServerCfg());
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 443, w.files, ccfg);
     client.start();
 
     // Ramp + warm-up: wait for (nearly) all connections before
@@ -41,11 +41,11 @@ runNginx(sim::RunContext &ctx, const NginxParams &p)
         ex->warm(5 * sim::kMillisecond);
     }
     sim::Tick window = ex->scaledWindow(p.window);
-    nic::NicStats nic0 = w.server.nicDev().stats();
+    nic::NicStats nic0 = w.b.nicDev().stats();
     double busyCores = ex->measure(
         window, [&] { client.measureStart(); },
         [&] { client.measureStop(); });
-    nic::NicStats nic1 = w.server.nicDev().stats();
+    nic::NicStats nic1 = w.b.nicDev().stats();
 
     NginxResult r;
     r.gbps = client.bodyMeter().gbps();

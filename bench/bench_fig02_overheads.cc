@@ -42,14 +42,14 @@ nvmeRow(sim::RunContext &ctx, bool writes)
     fcfg.ioDepth = 16;
     fcfg.writes = writes;
     app::FioJob job(w.sim, *w.storage->queue(0), fcfg);
-    w.server.core(0).post([&job] { job.start(); });
+    w.b.core(0).post([&job] { job.start(); });
     ex->warm(10 * sim::kMillisecond);
 
     sim::Tick window = ex->scaledWindow(40 * sim::kMillisecond);
-    std::vector<double> cyc = w.server.cycleSnapshot();
+    std::vector<double> cyc = w.b.cycleSnapshot();
     uint64_t done0 = job.completions();
     ex->warm(window);
-    double cycles = w.server.busyCyclesSince(cyc);
+    double cycles = w.b.busyCyclesSince(cyc);
     double reqs = static_cast<double>(job.completions() - done0);
 
     host::CycleModel m;
@@ -80,13 +80,13 @@ tlsRow(sim::RunContext &ctx, bool rxSide)
 
     app::IperfConfig icfg;
     icfg.streams = rxSide ? 4 : 1;
-    app::IperfRun run(w.generator, app::MacroWorld::kGenIp, w.server,
-                      app::MacroWorld::kSrvIp, icfg);
+    app::IperfRun run(w.a, core::Testbed::kIpA, w.b,
+                      core::Testbed::kIpB, icfg);
     run.start();
     ex->warm(10 * sim::kMillisecond);
 
     sim::Tick window = ex->scaledWindow(30 * sim::kMillisecond);
-    core::Node &dut = rxSide ? w.server : w.generator;
+    core::Node &dut = rxSide ? w.b : w.a;
     std::vector<double> cyc = dut.cycleSnapshot();
     tls::TlsStats s0 = rxSide ? run.receiverTlsStats()
                               : run.senderTlsStats();

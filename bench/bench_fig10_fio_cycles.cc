@@ -40,15 +40,15 @@ measure(sim::RunContext &ctx, uint32_t blockSize, int depth)
     fcfg.blockSize = blockSize;
     fcfg.ioDepth = depth;
     app::FioJob job(w.sim, *w.storage->queue(0), fcfg);
-    w.server.core(0).post([&job] { job.start(); });
+    w.b.core(0).post([&job] { job.start(); });
 
     ex->warm(10 * sim::kMillisecond);
     sim::Tick window = ex->scaledWindow(40 * sim::kMillisecond);
-    std::vector<double> cyc = w.server.cycleSnapshot();
-    std::vector<sim::Tick> busy = w.server.busySnapshot();
+    std::vector<double> cyc = w.b.cycleSnapshot();
+    std::vector<sim::Tick> busy = w.b.busySnapshot();
     uint64_t done0 = job.completions();
     ex->warm(window);
-    double cycles = w.server.busyCyclesSince(cyc);
+    double cycles = w.b.busyCyclesSince(cyc);
     double reqs = static_cast<double>(job.completions() - done0);
 
     host::CycleModel m;
@@ -61,7 +61,7 @@ measure(sim::RunContext &ctx, uint32_t blockSize, int depth)
     Point p;
     p.cyclesPerReq = reqs > 0 ? cycles / reqs : 0;
     p.copyCrcPct = p.cyclesPerReq > 0 ? 100.0 * copy_crc / p.cyclesPerReq : 0;
-    p.idlePct = 100.0 * (1.0 - w.server.busyCores(busy, window));
+    p.idlePct = 100.0 * (1.0 - w.b.busyCores(busy, window));
 
     emitRegistrySnapshot(ctx, "fig10",
                          {{"block_kib", tagNum(blockSize >> 10)},

@@ -35,10 +35,10 @@ measure(sim::RunContext &ctx, size_t recordSize, bool rxSide)
     icfg.clientTls.recordSize = recordSize;
     icfg.serverTls.recordSize = recordSize;
 
-    core::Node &sender = w.generator;
-    core::Node &receiver = w.server;
-    app::IperfRun run(sender, app::MacroWorld::kGenIp, receiver,
-                      app::MacroWorld::kSrvIp, icfg);
+    core::Node &sender = w.a;
+    core::Node &receiver = w.b;
+    app::IperfRun run(sender, core::Testbed::kIpA, receiver,
+                      core::Testbed::kIpB, icfg);
     run.start();
     ex->warm(10 * sim::kMillisecond);
 

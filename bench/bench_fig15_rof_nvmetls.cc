@@ -39,11 +39,11 @@ runKv(sim::RunContext &ctx, int serverCores, uint64_t valueSize, bool offload)
                   .build();
     app::MacroWorld &w = ex->world();
 
-    app::KvServer server(w.server, 6379, *w.storage, ex->kvServerCfg());
+    app::KvServer server(w.b, 6379, *w.storage, ex->kvServerCfg());
     app::KvClientConfig ccfg = ex->kvClientCfg();
     ccfg.verifyContent = false;
-    app::KvClient client(w.generator, app::MacroWorld::kGenIp,
-                         app::MacroWorld::kSrvIp, 6379, w.files, ccfg);
+    app::KvClient client(w.a, core::Testbed::kIpA,
+                         core::Testbed::kIpB, 6379, w.files, ccfg);
     client.start();
 
     ex->warm(serverCores == 1 ? 60 * sim::kMillisecond

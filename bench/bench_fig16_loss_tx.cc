@@ -48,23 +48,22 @@ run(sim::RunContext &ctx, double loss, int mode /*0=tcp 1=offload 2=tls*/)
     icfg.streams = 128;
     icfg.tlsEnabled = mode != 0;
     icfg.clientTls.txOffload = mode == 1;
-    app::IperfRun runr(w.generator, app::MacroWorld::kGenIp, w.server,
-                       app::MacroWorld::kSrvIp, icfg);
+    app::IperfRun runr(w.a, core::Testbed::kIpA, w.b,
+                       core::Testbed::kIpB, icfg);
     runr.start();
     ex->warm(20 * sim::kMillisecond);
 
     sim::Tick window = ex->scaledWindow(40 * sim::kMillisecond);
-    nic::PcieStats pcie0 = w.generator.nicDev().pcie();
+    nic::PcieStats pcie0 = w.a.nicDev().pcie();
     ex->measure(
-        w.generator, window, [&] { runr.measureStart(); },
+        w.a, window, [&] { runr.measureStart(); },
         [&] { runr.measureStop(); });
-    nic::PcieStats pcie1 = w.generator.nicDev().pcie();
+    nic::PcieStats pcie1 = w.a.nicDev().pcie();
 
     Point p;
     p.gbps = runr.meter().gbps();
     uint64_t recovery = pcie1.ctxRecoveryBytes - pcie0.ctxRecoveryBytes;
-    p.pciePct = 100.0 * w.generator.nicDev().pcieUtilization(recovery,
-                                                             window);
+    p.pciePct = 100.0 * w.a.nicDev().pcieUtilization(recovery, window);
 
     emitRegistrySnapshot(ctx, "fig16",
                          {{"loss", tagNum(loss)}, {"mode", kModeName[mode]}});

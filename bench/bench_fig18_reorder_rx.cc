@@ -50,8 +50,8 @@ run(sim::RunContext &ctx, double rate, int mode /*0=tcp 1=offload 2=tls*/)
     icfg.streams = 128;
     icfg.tlsEnabled = mode != 0;
     icfg.serverTls.rxOffload = mode == 1;
-    app::IperfRun runr(w.generator, app::MacroWorld::kGenIp, w.server,
-                       app::MacroWorld::kSrvIp, icfg);
+    app::IperfRun runr(w.a, core::Testbed::kIpA, w.b,
+                       core::Testbed::kIpB, icfg);
     runr.start();
     ex->warm(20 * sim::kMillisecond);
 

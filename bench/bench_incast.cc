@@ -20,7 +20,7 @@
 #include <memory>
 
 #include "bench_common.hh"
-#include "core/node.hh"
+#include "core/testbed.hh"
 #include "tls/ktls.hh"
 
 using namespace anic;
@@ -28,8 +28,6 @@ using namespace anic::bench;
 
 namespace {
 
-constexpr net::IpAddr kGenIp = net::makeIp(10, 1, 0, 1);
-constexpr net::IpAddr kSrvIp = net::makeIp(10, 1, 0, 2);
 constexpr uint16_t kPort = 443;
 constexpr uint64_t kTlsSecret = 0x1ca57;
 constexpr size_t kRecordSize = 4096;
@@ -61,36 +59,32 @@ struct PointResult
 };
 
 /**
- * One incast world: sender node "gen" (all N flows), receiver node
- * "srv" whose accepted connections each get an rx-offload(-able) TLS
- * socket. Burst round k releases bytesPerSender more bytes to every
- * sender at kStart + k*gap.
+ * One incast world on a testbed: sender node a ("gen", all N flows),
+ * receiver node b ("srv") whose accepted connections each get an
+ * rx-offload(-able) TLS socket. Burst round k releases bytesPerSender
+ * more bytes to every sender at kStart + k*gap.
  */
 class IncastWorld
 {
   public:
     IncastWorld(sim::RunContext &ctx, const IncastParams &p)
-        : p_(p), link_(sim_, linkCfg(p)),
-          gen_(sim_, nodeCfg(ctx, p, "gen", 11)),
-          srv_(sim_, nodeCfg(ctx, p, "srv", 22))
+        : p_(p), bed_(testbedCfg(ctx, p))
     {
-        gen_.attachPort(link_, 0, kGenIp);
-        srv_.attachPort(link_, 1, kSrvIp);
         srvTlsCfg_.recordSize = kRecordSize;
         srvTlsCfg_.rxOffload = p.offload;
         srvTlsCfg_.aggregate = &srvAgg_;
         cliTlsCfg_.recordSize = kRecordSize;
 
-        srv_.stack().listen(kPort, srv_.tcpConfig(),
-                            [this](tcp::TcpConnection &c) { accept(c); });
+        bed_.b.stack().listen(kPort, bed_.b.tcpConfig(),
+                              [this](tcp::TcpConnection &c) { accept(c); });
         senders_.resize(static_cast<size_t>(p.fanIn));
         for (int i = 0; i < p.fanIn; i++) {
             size_t idx = static_cast<size_t>(i);
-            sim_.schedule(kStart, [this, idx] { open(idx); });
+            bed_.sim.schedule(kStart, [this, idx] { open(idx); });
         }
         roundsOpen_ = 1;
         for (uint32_t k = 1; k < p.rounds; k++)
-            sim_.schedule(kStart + k * p.gap, [this] {
+            bed_.sim.schedule(kStart + k * p.gap, [this] {
                 roundsOpen_++;
                 for (size_t i = 0; i < senders_.size(); i++)
                     pump(i);
@@ -106,9 +100,7 @@ class IncastWorld
 
     bool done() const { return delivered_ >= expectedBytes(); }
     uint64_t delivered() const { return delivered_; }
-    sim::Simulator &sim() { return sim_; }
-    core::Node &gen() { return gen_; }
-    const net::Link &link() const { return link_; }
+    core::Testbed &bed() { return bed_; }
     const tls::TlsStats &srvTls() const { return srvAgg_; }
 
   private:
@@ -124,10 +116,15 @@ class IncastWorld
         std::unique_ptr<tls::TlsSocket> tls;
     };
 
-    static net::Link::Config
-    linkCfg(const IncastParams &p)
+    static core::Testbed::Config
+    testbedCfg(sim::RunContext &ctx, const IncastParams &p)
     {
-        net::Link::Config c;
+        core::Testbed::Config t;
+        t.a.name = "gen";
+        t.b.name = "srv";
+        t.a.tcpCfg.cc = t.b.tcpCfg.cc = p.cc;
+        t.bindRun(ctx);
+        net::Link::Config &c = t.link;
         c.seed = 0x11ca57;
         // Mild loss + reordering toward the receiver: enough that the
         // NIC's rx FSM pays real resyncs inside the bursts, low enough
@@ -144,26 +141,15 @@ class IncastWorld
             c.dir[0].ecnMarkThresholdBytes = 4 << 10;
             c.dir[0].ecnMarkRate = 0.02;
         }
-        return c;
-    }
-
-    static core::Node::Config
-    nodeCfg(sim::RunContext &ctx, const IncastParams &p, const char *name,
-            uint64_t seed)
-    {
-        core::Node::Config c;
-        c.name = name;
-        c.stackSeed = seed;
-        c.tcpCfg.cc = p.cc;
-        c.bindRun(ctx);
-        return c;
+        return t;
     }
 
     void
     open(size_t i)
     {
-        tcp::TcpConnection &c =
-            gen_.stack().connect(kGenIp, kSrvIp, kPort, gen_.tcpConfig());
+        tcp::TcpConnection &c = bed_.a.stack().connect(
+            core::Testbed::kIpA, core::Testbed::kIpB, kPort,
+            bed_.a.tcpConfig());
         senders_[i].conn = &c;
         c.setOnConnected([this, i, &c] {
             senders_[i].tls = std::make_unique<tls::TlsSocket>(
@@ -205,7 +191,7 @@ class IncastWorld
         r->tls = std::make_unique<tls::TlsSocket>(
             c, tls::SessionKeys::derive(kTlsSecret, false), srvTlsCfg_);
         if (p_.offload)
-            r->tls->enableOffload(srv_.device());
+            r->tls->enableOffload(bed_.b.device());
         tls::TlsSocket *s = r->tls.get();
         s->setOnReadable([this, s] {
             while (s->readable())
@@ -215,10 +201,7 @@ class IncastWorld
     }
 
     IncastParams p_;
-    sim::Simulator sim_;
-    net::Link link_;
-    core::Node gen_;
-    core::Node srv_;
+    core::Testbed bed_;
     tls::TlsConfig srvTlsCfg_;
     tls::TlsConfig cliTlsCfg_;
     tls::TlsStats srvAgg_;
@@ -233,12 +216,13 @@ runPoint(sim::RunContext &ctx, const IncastParams &p)
 {
     IncastWorld w(ctx, p);
     sim::Tick limit = 4 * sim::kSecond;
-    while (w.sim().now() < limit && !w.done())
-        w.sim().runFor(kPoll);
+    sim::Simulator &sim = w.bed().sim;
+    while (sim.now() < limit && !w.done())
+        sim.runFor(kPoll);
 
     PointResult r;
     r.completed = w.done();
-    sim::Tick took = w.sim().now() > kStart ? w.sim().now() - kStart : 0;
+    sim::Tick took = sim.now() > kStart ? sim.now() - kStart : 0;
     r.completionMs = sim::ticksToSeconds(took) * 1e3;
     if (took > 0)
         r.goodputGbps = static_cast<double>(w.delivered()) * 8.0 /
@@ -253,11 +237,11 @@ runPoint(sim::RunContext &ctx, const IncastParams &p)
                     : 0.0;
     r.resyncReq = t.rxResyncRequests.value();
     r.resyncConf = t.rxResyncConfirmed.value();
-    const tcp::TcpStats &g = w.gen().stack().stats();
+    const tcp::TcpStats &g = w.bed().a.stack().stats();
     r.fastRetx = g.fastRetransmits.value();
     r.rtoFires = g.rtoFires.value();
     r.cwndReductions = g.ecnCwndReductions.value();
-    r.ecnMarked = w.link().stats(0).ecnMarked;
+    r.ecnMarked = w.bed().link.stats(0).ecnMarked;
     emitRegistrySnapshot(ctx, "incast",
                          {{"cc", tcp::ccAlgoName(p.cc)},
                           {"fan_in", tagNum(p.fanIn)},

@@ -27,21 +27,21 @@ ExperimentBuilder &
 ExperimentBuilder::run(sim::RunContext &ctx)
 {
     ctx_ = &ctx;
-    cfg_.run = &ctx;
+    cfg_.bindRun(ctx);
     return *this;
 }
 
 ExperimentBuilder &
 ExperimentBuilder::serverCores(int n)
 {
-    cfg_.serverCores = n;
+    cfg_.b.cores = n;
     return *this;
 }
 
 ExperimentBuilder &
 ExperimentBuilder::generatorCores(int n)
 {
-    cfg_.generatorCores = n;
+    cfg_.a.cores = n;
     return *this;
 }
 
@@ -55,28 +55,28 @@ ExperimentBuilder::link(const net::Link::Config &lc)
 ExperimentBuilder &
 ExperimentBuilder::serverSndBuf(size_t bytes)
 {
-    cfg_.serverTcp.sndBufSize = bytes;
+    cfg_.b.tcpCfg.sndBufSize = bytes;
     return *this;
 }
 
 ExperimentBuilder &
 ExperimentBuilder::serverRcvBuf(size_t bytes)
 {
-    cfg_.serverTcp.rcvBufSize = bytes;
+    cfg_.b.tcpCfg.rcvBufSize = bytes;
     return *this;
 }
 
 ExperimentBuilder &
 ExperimentBuilder::generatorSndBuf(size_t bytes)
 {
-    cfg_.generatorTcp.sndBufSize = bytes;
+    cfg_.a.tcpCfg.sndBufSize = bytes;
     return *this;
 }
 
 ExperimentBuilder &
 ExperimentBuilder::generatorRcvBuf(size_t bytes)
 {
-    cfg_.generatorTcp.rcvBufSize = bytes;
+    cfg_.a.tcpCfg.rcvBufSize = bytes;
     return *this;
 }
 
@@ -138,7 +138,7 @@ ExperimentBuilder::build()
         // HTTP clients only ever send small requests, but the send
         // ring allocates its full capacity on first use — at 128K
         // connections a 1 MB default would be ~128 GB.
-        cfg_.generatorTcp.sndBufSize = 64 << 10;
+        cfg_.a.tcpCfg.sndBufSize = 64 << 10;
     }
 
     auto ex = std::unique_ptr<Experiment>(new Experiment());

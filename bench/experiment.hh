@@ -106,8 +106,6 @@ class Experiment
 {
   public:
     app::MacroWorld &world() { return *world_; }
-    core::Node &server() { return world_->server; }
-    core::Node &generator() { return world_->generator; }
     sim::Simulator &sim() { return world_->sim; }
     sim::RunContext *runCtx() { return ctx_; }
 
@@ -141,7 +139,7 @@ class Experiment
     measure(sim::Tick window, const std::function<void()> &start,
             const std::function<void()> &stop)
     {
-        return measure(server(), window, start, stop);
+        return measure(world_->b, window, start, stop);
     }
 
   private:

@@ -35,11 +35,11 @@ run(HttpVariant v, int connections, uint64_t fileKib)
                   .build();
     app::MacroWorld &w = ex->world();
 
-    app::HttpServer server(w.server, 443, *w.storage, ex->httpServerCfg());
+    app::HttpServer server(w.b, 443, *w.storage, ex->httpServerCfg());
     app::HttpClientConfig ccfg = ex->httpClientCfg();
     ccfg.verifyContent = false;
-    app::HttpClient client(w.generator, app::MacroWorld::kGenIp,
-                           app::MacroWorld::kSrvIp, 443, w.files, ccfg);
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 443, w.files, ccfg);
     client.start();
 
     ex->warm(15 * sim::kMillisecond);

@@ -21,7 +21,7 @@ using namespace anic;
 int
 main()
 {
-    // 1. A world: client host "generator", server host "server",
+    // 1. A world: client host a ("gen"), server host b ("srv"),
     //    connected by a link with 1% packet loss toward the server.
     net::Link::Config link;
     link.dir[0].lossRate = 0.01;
@@ -40,13 +40,12 @@ main()
     std::unique_ptr<tls::TlsSocket> serverSock;
     uint64_t received = 0;
     bool corrupt = false;
-    w.server.stack().listen(443, w.server.tcpConfig(),
-                            [&](tcp::TcpConnection &c) {
+    w.b.stack().listen(443, w.b.tcpConfig(), [&](tcp::TcpConnection &c) {
         tls::TlsConfig scfg;
         scfg.rxOffload = true; // NIC decrypts + verifies in-sequence
         serverSock = std::make_unique<tls::TlsSocket>(
             c, tls::SessionKeys::derive(kSecret, false), scfg);
-        serverSock->enableOffload(w.server.device()); // l5o_create
+        serverSock->enableOffload(w.b.device()); // l5o_create
         serverSock->setOnReadable([&] {
             while (serverSock->readable()) {
                 tcp::RxSegment seg = serverSock->pop();
@@ -62,15 +61,15 @@ main()
     //    l5o_get_tx_msgstate), and push the stream.
     std::unique_ptr<tls::TlsSocket> clientSock;
     uint64_t sent = 0;
-    tcp::TcpConnection &conn = w.generator.stack().connect(
-        app::MacroWorld::kGenIp, app::MacroWorld::kSrvIp, 443,
-        w.generator.tcpConfig());
+    tcp::TcpConnection &conn = w.a.stack().connect(
+        core::Testbed::kIpA, core::Testbed::kIpB, 443,
+        w.a.tcpConfig());
     conn.setOnConnected([&] {
         tls::TlsConfig ccfg;
         ccfg.txOffload = true;
         clientSock = std::make_unique<tls::TlsSocket>(
             conn, tls::SessionKeys::derive(kSecret, true), ccfg);
-        clientSock->enableOffload(w.generator.device());
+        clientSock->enableOffload(w.a.device());
         auto pump = [&] {
             while (sent < kTotal) {
                 size_t n = std::min<uint64_t>(kTotal - sent, 65536);
@@ -109,8 +108,8 @@ main()
                 (unsigned long long)fsm->midMsgResumes);
     std::printf("client NIC: %llu packets encrypted inline, %llu tx "
                 "context recoveries\n",
-                (unsigned long long)w.generator.nicDev().stats().txOffloadedPkts,
-                (unsigned long long)w.generator.nicDev().stats().txResyncs);
+                (unsigned long long)w.a.nicDev().stats().txOffloadedPkts,
+                (unsigned long long)w.a.nicDev().stats().txResyncs);
     anic::bench::emitRegistrySnapshot("quickstart");
     return corrupt || received != kTotal ? 1 : 0;
 }

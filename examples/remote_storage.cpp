@@ -43,10 +43,10 @@ run(bool offload, uint32_t ioKib, int depth)
     fcfg.verify = true; // end-to-end payload verification
     app::FioJob job(w.sim, *w.storage->queue(0), fcfg);
     job.driveSeed_ = w.drive.config().contentSeed;
-    w.server.core(0).post([&job] { job.start(); });
+    w.b.core(0).post([&job] { job.start(); });
 
     ex->warm(10 * sim::kMillisecond);
-    std::vector<sim::Tick> busy = w.server.busySnapshot();
+    std::vector<sim::Tick> busy = w.b.busySnapshot();
     uint64_t done0 = job.completions();
     sim::Tick window = 50 * sim::kMillisecond;
     ex->warm(window);
@@ -59,7 +59,7 @@ run(bool offload, uint32_t ioKib, int depth)
                 "placed %5.1f MiB, crc skipped %llu / sw %llu, "
                 "failures %llu\n",
                 offload ? "offload" : "software", gbps,
-                w.server.busyCores(busy, window), job.latencyUs().mean(),
+                w.b.busyCores(busy, window), job.latencyUs().mean(),
                 static_cast<double>(st.bytesPlaced) / (1 << 20),
                 (unsigned long long)st.crcSkipped,
                 (unsigned long long)st.crcSoftware,

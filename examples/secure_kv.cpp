@@ -37,11 +37,11 @@ run(bool offload, uint64_t valueKib, int connections)
                   .build();
     app::MacroWorld &w = ex->world();
 
-    app::KvServer server(w.server, 6379, *w.storage, ex->kvServerCfg());
+    app::KvServer server(w.b, 6379, *w.storage, ex->kvServerCfg());
     app::KvClientConfig ccfg = ex->kvClientCfg();
     ccfg.verifyContent = true;
-    app::KvClient client(w.generator, app::MacroWorld::kGenIp,
-                         app::MacroWorld::kSrvIp, 6379, w.files, ccfg);
+    app::KvClient client(w.a, core::Testbed::kIpA,
+                         core::Testbed::kIpB, 6379, w.files, ccfg);
     client.start();
 
     ex->warm(15 * sim::kMillisecond);
@@ -52,7 +52,7 @@ run(bool offload, uint64_t valueKib, int connections)
 
     uint64_t placed = 0;
     uint64_t skipped = 0;
-    for (int i = 0; i < w.server.coreCount(); i++) {
+    for (int i = 0; i < w.b.coreCount(); i++) {
         placed += w.storage->queue(i)->stats().bytesPlaced;
         skipped += w.storage->queue(i)->stats().crcSkipped;
     }

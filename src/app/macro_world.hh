@@ -1,7 +1,7 @@
 /**
  * @file
- * Full evaluation-testbed wiring (used by benches, examples, tests): a server
- * (DUT) and a workload generator connected back-to-back; the NVMe
+ * The testbed with storage on top (used by benches, examples, tests):
+ * node a is the workload generator, node b the server (DUT). The NVMe
  * drive lives on the generator and is exported to the server over
  * NVMe-TCP across the same link (§6: "the server utilizes an Optane
  * ... SSD that resides remotely, on the generator").
@@ -14,57 +14,42 @@
 
 #include "app/http.hh"
 #include "app/kv.hh"
+#include "core/testbed.hh"
 #include "nvmetcp/target.hh"
 #include "util/panic.hh"
 
 namespace anic::app {
 
-struct MacroWorld
+struct MacroWorld : core::Testbed
 {
-    static constexpr net::IpAddr kGenIp = net::makeIp(10, 0, 0, 1);
-    static constexpr net::IpAddr kSrvIp = net::makeIp(10, 0, 0, 2);
     static constexpr uint16_t kNvmePort = 4420;
 
-    struct Config
+    struct Config : core::Testbed::Config
     {
-        int serverCores = 1;
-        int generatorCores = 8;
-        net::Link::Config link;
+        Config()
+        {
+            a = named("gen", 101);
+            a.cores = 8;
+            b = named("srv", 202);
+        }
+
         host::NvmeDrive::Config drive;
         app::StorageService::Config storage;
         bool remoteStorage = true; ///< C1: serve through NVMe-TCP
-        host::CycleModel model;
-        nic::Nic::Config nicCfg;
-        tcp::TcpConnection::Config serverTcp;
-        tcp::TcpConnection::Config generatorTcp;
-
-        /** Per-run context owning this world's registry and trace
-         *  ring; null falls back to the thread-local globals. */
-        sim::RunContext *run = nullptr;
     };
 
     explicit MacroWorld(Config cfg)
-        : link(sim, linkCfg(cfg, pool)),
-          generator(sim, genCfg(cfg, pool)),
-          server(sim, srvCfg(cfg, pool)),
-          drive(sim, cfg.drive),
-          files(cfg.drive.contentSeed)
+        : Testbed(cfg), drive(sim, cfg.drive), files(cfg.drive.contentSeed)
     {
-        if (cfg.run != nullptr)
-            pool.linkStats(sim::StatsScope(cfg.run->registry(), "sim.alloc"));
-        generator.attachPort(link, 0, kGenIp);
-        server.attachPort(link, 1, kSrvIp);
-
-        storage = std::make_unique<app::StorageService>(server, files,
-                                                        cfg.storage);
+        storage = std::make_unique<app::StorageService>(b, files, cfg.storage);
         if (cfg.remoteStorage) {
             // NVMe-TCP target on the generator, one session per
             // accepted queue connection.
             nvmetcp::WireConfig wire = cfg.storage.wire;
             uint64_t tlsSecret = cfg.storage.tlsSecret;
             bool tlsTransport = cfg.storage.tlsTransport;
-            generator.stack().listen(
-                kNvmePort, generator.tcpConfig(),
+            a.stack().listen(
+                kNvmePort, a.tcpConfig(),
                 [this, wire, tlsTransport, tlsSecret](tcp::TcpConnection &c) {
                     if (tlsTransport) {
                         targetTls.push_back(std::make_unique<tls::TlsSocket>(
@@ -79,50 +64,10 @@ struct MacroWorld
                                                                   wire));
                     }
                 });
-            storage->connectRemote(kSrvIp, kGenIp, kNvmePort);
+            storage->connectRemote(kIpB, kIpA, kNvmePort);
             sim.runUntil(sim.now() + 20 * sim::kMillisecond);
             ANIC_ASSERT(storage->ready(), "NVMe queues failed to connect");
         }
-    }
-
-    static net::Link::Config
-    linkCfg(const Config &c, net::PacketPool &pool)
-    {
-        net::Link::Config l = c.link;
-        l.pool = &pool;
-        return l;
-    }
-
-    static core::Node::Config
-    genCfg(const Config &c, net::PacketPool &pool)
-    {
-        core::Node::Config n;
-        n.cores = c.generatorCores;
-        n.model = c.model;
-        n.nicCfg = c.nicCfg;
-        n.tcpCfg = c.generatorTcp;
-        n.stackSeed = 101;
-        n.name = "gen";
-        n.pool = &pool;
-        if (c.run != nullptr)
-            n.bindRun(*c.run);
-        return n;
-    }
-
-    static core::Node::Config
-    srvCfg(const Config &c, net::PacketPool &pool)
-    {
-        core::Node::Config n;
-        n.cores = c.serverCores;
-        n.model = c.model;
-        n.nicCfg = c.nicCfg;
-        n.tcpCfg = c.serverTcp;
-        n.stackSeed = 202;
-        n.name = "srv";
-        n.pool = &pool;
-        if (c.run != nullptr)
-            n.bindRun(*c.run);
-        return n;
     }
 
     /** Creates files of @p size bytes; returns their ids. */
@@ -135,14 +80,6 @@ struct MacroWorld
         return ids;
     }
 
-    // Pool first: members destroy in reverse order, and every
-    // PacketPtr still alive in sim events / sockets must release back
-    // into the pool before its destructor checks liveCount == 0.
-    net::PacketPool pool;
-    sim::Simulator sim;
-    net::Link link;
-    core::Node generator;
-    core::Node server;
     host::NvmeDrive drive;
     host::FileStore files;
     std::unique_ptr<app::StorageService> storage;
@@ -150,6 +87,6 @@ struct MacroWorld
     std::vector<std::unique_ptr<tls::TlsSocket>> targetTls;
 };
 
-} // namespace anic::testing
+} // namespace anic::app
 
 #endif // ANIC_APP_MACRO_WORLD_HH

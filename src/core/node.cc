@@ -33,8 +33,7 @@ Node::attachPort(net::Link &link, int linkPort, net::IpAddr ip)
         nicCfg.numQueues = cfg_.cores;
     nicCfg.name = name_ + ".nic" + std::to_string(ports_.size());
     nicCfg.registry = scope_.registry();
-    if (nicCfg.trace == nullptr)
-        nicCfg.trace = cfg_.trace;
+    nicCfg.trace = cfg_.trace;
     p.nic = std::make_unique<nic::Nic>(sim_, link, linkPort, nicCfg);
     p.dev = std::make_unique<OffloadDevice>(sim_, *p.nic, ip);
     p.dev->attachStack(stack_.get());

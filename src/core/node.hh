@@ -36,12 +36,11 @@ class Node
         /** Registry to publish under; null -> StatsRegistry::global(). */
         sim::StatsRegistry *registry = nullptr;
         /** Trace ring for this node's stack and NICs; null ->
-         *  TraceRing::global() (nicCfg.trace, when set, still wins
-         *  for the NICs). */
+         *  TraceRing::global(). */
         sim::TraceRing *trace = nullptr;
         /** Packet arena for this node's stack; null ->
-         *  PacketPool::threadDefault(). Worlds that own their pool
-         *  (MacroWorld) inject it so packet recycling stays per-run. */
+         *  PacketPool::threadDefault(). core::Testbed injects the pool
+         *  it owns, so packet recycling stays per-world. */
         net::PacketPool *pool = nullptr;
 
         /** Binds registry + trace to @p run's per-run instances. */
@@ -70,6 +69,8 @@ class Node
 
     /** Registry instance name ("node", "srv", ...). */
     const std::string &name() const { return name_; }
+    /** Registry this node publishes under. */
+    sim::StatsRegistry &registry() { return *scope_.registry(); }
     /** Child scope under this node's name, for co-located components
      *  (apps, storage services) to publish their own stats. */
     sim::StatsScope subScope(const std::string &leaf) { return scope_.child(leaf); }

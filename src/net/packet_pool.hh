@@ -6,11 +6,11 @@
  * of the last PacketPtr pushes the packet onto the owning pool's
  * freelist with its payload vector's capacity intact, so after a
  * short warm-up the steady-state data path performs zero per-packet
- * heap allocations. Pools are per-world (one per RunContext-bound
- * MacroWorld), which keeps --jobs N runs isolated without locks; the
- * pool must be declared before the Simulator that schedules events
- * holding PacketPtrs, so that every packet is released before the
- * pool is destroyed.
+ * heap allocations. Pools are per-world (each core::Testbed owns
+ * one), which keeps --jobs N runs isolated without locks; the pool
+ * must be declared before the Simulator that schedules events holding
+ * PacketPtrs, so that every packet is released before the pool is
+ * destroyed.
  *
  * Code without a plumbed pool (bare unit tests) falls back to
  * PacketPool::threadDefault(), a thread-local arena with the same

@@ -282,15 +282,6 @@ class Nic
     /** Contexts resident in the context cache (rx and tx). */
     size_t ctxResident() const { return ctxResident_; }
 
-    /** Host heap behind the flow tables: context slab + the three
-     *  flat indexes (feeds bytes/flow in bench_flowscale). */
-    size_t
-    ctxTableHeapBytes() const
-    {
-        return ctxArena_.heapBytes() + rxByFlow_.heapBytes() +
-               rxById_.heapBytes() + txById_.heapBytes();
-    }
-
     const FsmStats *rxFsmStats(uint64_t ctxId) const;
 
     /** Roll-up of every per-flow FSM on this NIC (rx and tx). */

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/node.hh"
+#include "core/testbed.hh"
 #include "host/storage.hh"
 #include "iscsi/session.hh"
 #include "nvmetcp/host_queue.hh"
@@ -21,8 +21,8 @@ namespace anic::testing {
 
 namespace {
 
-constexpr net::IpAddr kIpA = net::makeIp(10, 0, 0, 1);
-constexpr net::IpAddr kIpB = net::makeIp(10, 0, 0, 2);
+using core::Testbed;
+
 constexpr uint16_t kTlsPortBase = 4000;
 constexpr uint16_t kNvmePort = 4420;
 constexpr uint16_t kIscsiPort = 3260;
@@ -48,63 +48,49 @@ genSecret(const TlsFlowSpec &f, uint64_t gen)
     return f.secret + 0x9e3779b97f4a7c15ull * gen;
 }
 
-net::Link::Config
-linkCfg(const Scenario &s)
+Testbed::Config
+testbedCfg(const Scenario &s, sim::StatsRegistry &reg, sim::TraceRing &trace,
+           nic::FsmProbe *probeA, nic::FsmProbe *probeB)
 {
-    net::Link::Config c;
-    c.seed = s.wireSeed;
+    Testbed::Config c;
+    c.link.seed = s.wireSeed;
     if (!s.phases.empty()) {
-        c.dir[0] = s.phases[0].dir[0];
-        c.dir[1] = s.phases[0].dir[1];
+        c.link.dir[0] = s.phases[0].dir[0];
+        c.link.dir[1] = s.phases[0].dir[1];
     }
-    return c;
-}
-
-core::Node::Config
-nodeCfg(const Scenario &s, const char *name, uint64_t stackSeed,
-        sim::StatsRegistry *reg, sim::TraceRing *trace, nic::FsmProbe *probe)
-{
-    core::Node::Config c;
-    c.name = name;
-    c.stackSeed = stackSeed;
-    c.registry = reg;
-    c.trace = trace;
-    c.nicCfg.ctxCacheCapacity = s.ctxCacheCapacity;
-    c.nicCfg.trace = trace;
-    c.nicCfg.fsmProbe = probe;
-    c.tcpCfg.cc = s.cc;
-    c.tcpCfg.ecn = s.ecn;
+    for (core::Node::Config *n : {&c.a, &c.b}) {
+        n->registry = &reg;
+        n->trace = &trace;
+        n->nicCfg.ctxCacheCapacity = s.ctxCacheCapacity;
+        n->tcpCfg.cc = s.cc;
+        n->tcpCfg.ecn = s.ecn;
+    }
+    // One probe per node: context ids are only unique per NIC.
+    c.a.nicCfg.fsmProbe = probeA;
+    c.b.nicCfg.fsmProbe = probeB;
     return c;
 }
 
 /**
- * One isolated execution world: its own simulator, registry, trace
- * ring, link, and two nodes, so the offload and software runs share
- * nothing. The impairment schedule is armed at construction.
+ * One isolated execution world: its own registry, trace ring and
+ * testbed, so the offload and software runs share nothing. The
+ * impairment schedule is armed at construction.
  */
 struct FuzzWorld
 {
-    sim::Simulator sim;
     sim::StatsRegistry registry;
     sim::TraceRing trace{1 << 16};
-    net::Link link;
-    core::Node a;
-    core::Node b;
+    Testbed bed;
     // Per-phase impairment pairs, indexed by scheduled events (an
     // index capture fits the inline callback budget; the structs
     // themselves would not).
     std::vector<std::array<net::Impairments, 2>> phaseImp;
 
-    // One probe per node: context ids are only unique per NIC.
     FuzzWorld(const Scenario &s, nic::FsmProbe *probeA,
               nic::FsmProbe *probeB)
-        : link(sim, linkCfg(s)),
-          a(sim, nodeCfg(s, "a", 11, &registry, &trace, probeA)),
-          b(sim, nodeCfg(s, "b", 22, &registry, &trace, probeB))
+        : bed(testbedCfg(s, registry, trace, probeA, probeB))
     {
         trace.enable();
-        a.attachPort(link, 0, kIpA);
-        b.attachPort(link, 1, kIpB);
         // Phase 0 is live from t=0 (via the link config); later phase
         // boundaries and the final clean-drain switch are scheduled.
         sim::Tick at = 0;
@@ -117,9 +103,9 @@ struct FuzzWorld
             }
             size_t slot = phaseImp.size();
             phaseImp.push_back({d0, d1});
-            sim.schedule(at, [this, slot] {
-                link.setImpairments(0, phaseImp[slot][0]);
-                link.setImpairments(1, phaseImp[slot][1]);
+            bed.sim.schedule(at, [this, slot] {
+                bed.link.setImpairments(0, phaseImp[slot][0]);
+                bed.link.setImpairments(1, phaseImp[slot][1]);
             });
         }
     }
@@ -145,7 +131,7 @@ struct FuzzWorld
 class TlsFlowDriver
 {
   public:
-    TlsFlowDriver(FuzzWorld &w, const TlsFlowSpec &spec, int idx,
+    TlsFlowDriver(Testbed &w, const TlsFlowSpec &spec, int idx,
                   bool offload)
         : w_(w), spec_(spec), offload_(offload),
           port_(static_cast<uint16_t>(kTlsPortBase + idx))
@@ -160,7 +146,7 @@ class TlsFlowDriver
                             });
         w_.sim.schedule(spec_.startAt, [this] {
             tcp::TcpConnection &c = w_.a.stack().connect(
-                kIpA, kIpB, port_, w_.a.tcpConfig());
+                Testbed::kIpA, Testbed::kIpB, port_, w_.a.tcpConfig());
             connA_ = &c;
             c.setOnConnected([this] { makeSocket(true); });
         });
@@ -333,7 +319,7 @@ class TlsFlowDriver
             w_.sim.schedule(kPollPeriod, [this] { senderPoll(); });
     }
 
-    FuzzWorld &w_;
+    Testbed &w_;
     TlsFlowSpec spec_;
     bool offload_;
     uint16_t port_;
@@ -392,7 +378,7 @@ template <typename W>
 class StorageDriver
 {
   public:
-    StorageDriver(FuzzWorld &w, const Scenario &s, bool offload)
+    StorageDriver(Testbed &w, const Scenario &s, bool offload)
         : w_(w), spec_(W::spec(s)), drive_(w.sim, {})
     {
         Rng r(s.seed ^ W::kSeedSalt);
@@ -416,7 +402,7 @@ class StorageDriver
                             });
         w_.sim.schedule(spec_.startAt, [this, offload] {
             tcp::TcpConnection &c = w_.b.stack().connect(
-                kIpB, kIpA, W::kPort, w_.b.tcpConfig());
+                Testbed::kIpB, Testbed::kIpA, W::kPort, w_.b.tcpConfig());
             c.setOnConnected([this, &c, offload] {
                 core::StorageOffloadConfig ocfg;
                 ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = offload;
@@ -496,7 +482,7 @@ class StorageDriver
         issueMore();
     }
 
-    FuzzWorld &w_;
+    Testbed &w_;
     typename W::Spec spec_;
     host::NvmeDrive drive_;
     typename W::Wire wc_;
@@ -526,7 +512,7 @@ class StorageDriver
 class IncastDriver
 {
   public:
-    IncastDriver(FuzzWorld &w, const Scenario &s)
+    IncastDriver(Testbed &w, const Scenario &s)
         : w_(w), spec_(s.incast), seed_((s.seed ^ 0x1ca5717eull) | 1)
     {
         check_.seed = seed_;
@@ -538,7 +524,8 @@ class IncastDriver
         for (uint32_t i = 0; i < spec_.senders; i++)
             w_.sim.schedule(spec_.startAt, [this, i] {
                 tcp::TcpConnection &c = w_.a.stack().connect(
-                    kIpA, kIpB, kIncastPort, w_.a.tcpConfig());
+                    Testbed::kIpA, Testbed::kIpB, kIncastPort,
+                    w_.a.tcpConfig());
                 senders_[i].conn = &c;
                 c.setOnConnected([this, i] { pump(i); });
                 c.setOnWritable([this, i] { pump(i); });
@@ -603,7 +590,7 @@ class IncastDriver
             check_.onSegment(c.pop());
     }
 
-    FuzzWorld &w_;
+    Testbed &w_;
     IncastSpec spec_;
     uint64_t seed_;
     std::vector<Sender> senders_;
@@ -621,7 +608,7 @@ class IncastDriver
 class ShortFlowDriver
 {
   public:
-    ShortFlowDriver(FuzzWorld &w, const Scenario &s)
+    ShortFlowDriver(Testbed &w, const Scenario &s)
         : w_(w), spec_(s.shortFlows), seed_((s.seed ^ 0x5f10775eedull) | 1)
     {
         check_.seed = seed_;
@@ -637,7 +624,8 @@ class ShortFlowDriver
             expected_ += flows_[i].bytes;
             w_.sim.schedule(at, [this, i] {
                 tcp::TcpConnection &c = w_.a.stack().connect(
-                    kIpA, kIpB, kShortFlowPort, w_.a.tcpConfig());
+                    Testbed::kIpA, Testbed::kIpB, kShortFlowPort,
+                    w_.a.tcpConfig());
                 flows_[i].conn = &c;
                 c.setOnConnected([this, i] { pump(i); });
                 c.setOnWritable([this, i] { pump(i); });
@@ -690,7 +678,7 @@ class ShortFlowDriver
             check_.onSegment(c.pop());
     }
 
-    FuzzWorld &w_;
+    Testbed &w_;
     ShortFlowSpec spec_;
     uint64_t seed_;
     std::vector<Flow> flows_;
@@ -711,19 +699,21 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
     std::vector<std::unique_ptr<TlsFlowDriver>> tls;
     for (size_t i = 0; i < s.tls.size(); i++)
         tls.push_back(std::make_unique<TlsFlowDriver>(
-            w, s.tls[i], static_cast<int>(i), offload));
+            w.bed, s.tls[i], static_cast<int>(i), offload));
     std::unique_ptr<StorageDriver<NvmeWorkload>> nvme;
     if (s.nvme.enabled)
-        nvme = std::make_unique<StorageDriver<NvmeWorkload>>(w, s, offload);
+        nvme = std::make_unique<StorageDriver<NvmeWorkload>>(w.bed, s,
+                                                             offload);
     std::unique_ptr<StorageDriver<IscsiWorkload>> iscsi;
     if (s.iscsi.enabled)
-        iscsi = std::make_unique<StorageDriver<IscsiWorkload>>(w, s, offload);
+        iscsi = std::make_unique<StorageDriver<IscsiWorkload>>(w.bed, s,
+                                                               offload);
     std::unique_ptr<IncastDriver> incast;
     if (s.incast.senders > 0)
-        incast = std::make_unique<IncastDriver>(w, s);
+        incast = std::make_unique<IncastDriver>(w.bed, s);
     std::unique_ptr<ShortFlowDriver> shortFlows;
     if (s.shortFlows.count > 0)
-        shortFlows = std::make_unique<ShortFlowDriver>(w, s);
+        shortFlows = std::make_unique<ShortFlowDriver>(w.bed, s);
 
     auto allDone = [&] {
         for (auto &f : tls)
@@ -737,8 +727,8 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
             return false;
         return shortFlows == nullptr || shortFlows->done();
     };
-    while (w.sim.now() < s.timeLimit && !allDone())
-        w.sim.runFor(kPollPeriod);
+    while (w.bed.sim.now() < s.timeLimit && !allDone())
+        w.bed.sim.runFor(kPollPeriod);
 
     r.completed = allDone();
     for (size_t i = 0; i < tls.size(); i++) {

@@ -159,7 +159,7 @@ class SlabArena
     size_t capacity() const { return slots_.size(); }
 
     /** Bytes the arena holds on the heap (slab payload + slot
-     *  headers); feeds the bytes/flow accounting in bench_flowscale. */
+     *  headers). */
     size_t
     heapBytes() const
     {

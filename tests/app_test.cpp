@@ -10,18 +10,18 @@
 #include "app/fio.hh"
 #include "accel/qat.hh"
 #include "app/iperf.hh"
-#include "support/macro_world.hh"
+#include "app/macro_world.hh"
 
 namespace anic {
 namespace {
 
-using testing::MacroWorld;
+using app::MacroWorld;
 
 MacroWorld::Config
 c2Config(int serverCores = 1)
 {
     MacroWorld::Config cfg;
-    cfg.serverCores = serverCores;
+    cfg.b.cores = serverCores;
     cfg.remoteStorage = false; // pure page cache
     return cfg;
 }
@@ -30,7 +30,7 @@ MacroWorld::Config
 c1Config(int serverCores = 1)
 {
     MacroWorld::Config cfg;
-    cfg.serverCores = serverCores;
+    cfg.b.cores = serverCores;
     cfg.remoteStorage = true;
     cfg.storage.pageCacheBytes = 1 << 20; // tiny: every request misses
     return cfg;
@@ -42,12 +42,12 @@ TEST(HttpApp, PlainHttpServesCorrectBodies)
     auto ids = w.makeFiles(4, 65536);
     w.storage->prewarm();
 
-    app::HttpServer server(w.server, 80, *w.storage, {});
+    app::HttpServer server(w.b, 80, *w.storage, {});
     app::HttpClientConfig ccfg;
     ccfg.connections = 8;
     ccfg.fileIds = ids;
-    app::HttpClient client(w.generator, MacroWorld::kGenIp,
-                           MacroWorld::kSrvIp, 80, w.files, ccfg);
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 80, w.files, ccfg);
     client.start();
     w.sim.runUntil(w.sim.now() + 100 * sim::kMillisecond);
 
@@ -77,14 +77,14 @@ TEST(HttpApp, HttpsVariantsServeIdenticalContent)
         scfg.tlsEnabled = true;
         scfg.tlsCfg.txOffload = v.tx;
         scfg.tlsCfg.zerocopySendfile = v.zc;
-        app::HttpServer server(w.server, 443, *w.storage, scfg);
+        app::HttpServer server(w.b, 443, *w.storage, scfg);
 
         app::HttpClientConfig ccfg;
         ccfg.connections = 8;
         ccfg.fileIds = ids;
         ccfg.tlsEnabled = true;
-        app::HttpClient client(w.generator, MacroWorld::kGenIp,
-                               MacroWorld::kSrvIp, 443, w.files, ccfg);
+        app::HttpClient client(w.a, core::Testbed::kIpA,
+                               core::Testbed::kIpB, 443, w.files, ccfg);
         client.start();
         w.sim.runUntil(w.sim.now() + 100 * sim::kMillisecond);
 
@@ -100,12 +100,12 @@ TEST(HttpApp, C1ReadsComeFromTheRemoteDrive)
     MacroWorld w(c1Config());
     auto ids = w.makeFiles(64, 65536);
 
-    app::HttpServer server(w.server, 80, *w.storage, {});
+    app::HttpServer server(w.b, 80, *w.storage, {});
     app::HttpClientConfig ccfg;
     ccfg.connections = 16;
     ccfg.fileIds = ids;
-    app::HttpClient client(w.generator, MacroWorld::kGenIp,
-                           MacroWorld::kSrvIp, 80, w.files, ccfg);
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 80, w.files, ccfg);
     client.start();
     w.sim.runUntil(w.sim.now() + 200 * sim::kMillisecond);
 
@@ -124,12 +124,12 @@ TEST(HttpApp, C1WithNvmeOffloadsStillCorrect)
     MacroWorld w(cfg);
     auto ids = w.makeFiles(64, 262144);
 
-    app::HttpServer server(w.server, 80, *w.storage, {});
+    app::HttpServer server(w.b, 80, *w.storage, {});
     app::HttpClientConfig ccfg;
     ccfg.connections = 16;
     ccfg.fileIds = ids;
-    app::HttpClient client(w.generator, MacroWorld::kGenIp,
-                           MacroWorld::kSrvIp, 80, w.files, ccfg);
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 80, w.files, ccfg);
     client.start();
     w.sim.runUntil(w.sim.now() + 300 * sim::kMillisecond);
 
@@ -137,7 +137,7 @@ TEST(HttpApp, C1WithNvmeOffloadsStillCorrect)
     EXPECT_EQ(client.stats().corruptions, 0u);
     // Placement happened on the storage path.
     uint64_t placed = 0;
-    for (int i = 0; i < w.server.coreCount(); i++)
+    for (int i = 0; i < w.b.coreCount(); i++)
         placed += w.storage->queue(i)->stats().bytesPlaced;
     EXPECT_GT(placed, 0u);
 }
@@ -153,12 +153,12 @@ TEST(HttpApp, C1OverNvmeTlsComposition)
     MacroWorld w(cfg);
     auto ids = w.makeFiles(32, 262144);
 
-    app::HttpServer server(w.server, 80, *w.storage, {});
+    app::HttpServer server(w.b, 80, *w.storage, {});
     app::HttpClientConfig ccfg;
     ccfg.connections = 16;
     ccfg.fileIds = ids;
-    app::HttpClient client(w.generator, MacroWorld::kGenIp,
-                           MacroWorld::kSrvIp, 80, w.files, ccfg);
+    app::HttpClient client(w.a, core::Testbed::kIpA,
+                           core::Testbed::kIpB, 80, w.files, ccfg);
     client.start();
     w.sim.runUntil(w.sim.now() + 300 * sim::kMillisecond);
 
@@ -166,7 +166,7 @@ TEST(HttpApp, C1OverNvmeTlsComposition)
     EXPECT_EQ(client.stats().corruptions, 0u);
     uint64_t placed = 0;
     uint64_t crc_skipped = 0;
-    for (int i = 0; i < w.server.coreCount(); i++) {
+    for (int i = 0; i < w.b.coreCount(); i++) {
         placed += w.storage->queue(i)->stats().bytesPlaced;
         crc_skipped += w.storage->queue(i)->stats().crcSkipped;
     }
@@ -183,11 +183,11 @@ TEST(KvApp, GetWorkloadServesValues)
     MacroWorld w(cfg);
     w.makeFiles(64, 65536);
 
-    app::KvServer server(w.server, 6379, *w.storage, {});
+    app::KvServer server(w.b, 6379, *w.storage, {});
     app::KvClientConfig ccfg;
     ccfg.connections = 8;
     ccfg.keyCount = 64;
-    app::KvClient client(w.generator, MacroWorld::kGenIp, MacroWorld::kSrvIp,
+    app::KvClient client(w.a, core::Testbed::kIpA, core::Testbed::kIpB,
                          6379, w.files, ccfg);
     client.start();
     w.sim.runUntil(w.sim.now() + 200 * sim::kMillisecond);
@@ -212,8 +212,8 @@ TEST(IperfApp, TlsStreamsWithOffloadAndLoss)
     icfg.serverTls.rxOffload = true;
     icfg.verifyContent = true;
     // Sender = generator, receiver = server (DUT).
-    app::IperfRun run(w.generator, MacroWorld::kGenIp, w.server,
-                      MacroWorld::kSrvIp, icfg);
+    app::IperfRun run(w.a, core::Testbed::kIpA, w.b,
+                      core::Testbed::kIpB, icfg);
     run.start();
     w.sim.runFor(20 * sim::kMillisecond);
     run.measureStart();
@@ -242,7 +242,7 @@ TEST(FioApp, RandomReadsAtDepth)
     fcfg.verify = true;
     app::FioJob job(w.sim, *w.storage->queue(0), fcfg);
     job.driveSeed_ = w.drive.config().contentSeed;
-    w.server.core(0).post([&job] { job.start(); });
+    w.b.core(0).post([&job] { job.start(); });
     w.sim.runFor(100 * sim::kMillisecond);
 
     EXPECT_GT(job.completions(), 50u);

@@ -3,13 +3,13 @@
  * Unit tests for the core offload framework: the tx message tracker
  * (seq->message map with ack trimming) and driver-level behaviours —
  * resync response staleness matching and shadow-context recovery —
- * exercised through a minimal TLS offload.
+ * exercised through a minimal TLS offload — and testbed teardown.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/testbed.hh"
 #include "core/tx_msg_tracker.hh"
-#include "support/offload_world.hh"
 #include "tls/ktls.hh"
 
 namespace anic {
@@ -74,7 +74,7 @@ TEST(OffloadDriver, StaleResyncResponseIsDropped)
     // Covered behaviourally: a response for a speculation the NIC
     // abandoned must not confirm the new speculation. Exercised at
     // the unit level via the public l5o handle.
-    testing::OffloadWorld w;
+    core::Testbed w;
     std::unique_ptr<tls::TlsSocket> server;
     std::unique_ptr<tls::TlsSocket> client;
     w.b.stack().listen(443, {}, [&](tcp::TcpConnection &c) {
@@ -85,8 +85,8 @@ TEST(OffloadDriver, StaleResyncResponseIsDropped)
         server->enableOffload(w.b.device());
     });
     tcp::TcpConnection &c =
-        w.a.stack().connect(testing::OffloadWorld::kIpA,
-                            testing::OffloadWorld::kIpB, 443, {});
+        w.a.stack().connect(core::Testbed::kIpA,
+                            core::Testbed::kIpB, 443, {});
     c.setOnConnected([&] {
         client = std::make_unique<tls::TlsSocket>(
             c, tls::SessionKeys::derive(1, true), tls::TlsConfig{});
@@ -104,7 +104,7 @@ TEST(OffloadDriver, TxRecoveryFeedsRebuildOverPcie)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.05;
     lc.seed = 3;
-    testing::OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
 
     std::unique_ptr<tls::TlsSocket> server;
     std::unique_ptr<tls::TlsSocket> client;
@@ -125,8 +125,8 @@ TEST(OffloadDriver, TxRecoveryFeedsRebuildOverPcie)
         });
     });
     tcp::TcpConnection &c =
-        w.a.stack().connect(testing::OffloadWorld::kIpA,
-                            testing::OffloadWorld::kIpB, 443, {});
+        w.a.stack().connect(core::Testbed::kIpA,
+                            core::Testbed::kIpB, 443, {});
     uint64_t sent = 0;
     constexpr uint64_t kTotal = 1 << 20;
     c.setOnConnected([&] {
@@ -161,6 +161,36 @@ TEST(OffloadDriver, TxRecoveryFeedsRebuildOverPcie)
     EXPECT_GT(w.a.nicDev().pcie().ctxRecoveryBytes, 0u);
     EXPECT_EQ(w.a.device().txRecoveryFailures(), 0u);
     EXPECT_EQ(client->stats().txMsgStateUpcalls, ns.txResyncs);
+}
+
+// ------------------------------------------------------------ teardown
+
+TEST(Testbed, TeardownMidTransferReleasesEveryPacket)
+{
+    // Packets in flight sit in a sim event (serializing on a's NIC),
+    // on the link and, pinned by zero-copy segments, in an unread
+    // socket buffer. Destroying the testbed must release all of them
+    // before the pool's destructor asserts liveCount == 0.
+    auto w = std::make_unique<core::Testbed>();
+    tcp::TcpConnection *server = nullptr;
+    w->b.stack().listen(80, {}, [&](tcp::TcpConnection &c) { server = &c; });
+    tcp::TcpConnection &c = w->a.stack().connect(
+        core::Testbed::kIpA, core::Testbed::kIpB, 80, {});
+    Bytes data(1 << 20);
+    fillDeterministic(data, 4, 0);
+    c.setOnConnected([&] { c.send(data); });
+
+    auto inFlight = [&] {
+        const net::LinkStats &ls = w->link.stats(0);
+        return server != nullptr && server->readable() &&
+               w->a.nicDev().stats().pktsTx.value() > ls.sent &&
+               ls.delivered > w->b.nicDev().stats().pktsRx.value();
+    };
+    while (!inFlight() && w->sim.now() < sim::kMillisecond)
+        w->sim.runFor(100 * sim::kNanosecond);
+    ASSERT_TRUE(inFlight());
+    EXPECT_GT(w->pool.liveCount(), 0u);
+    w.reset();
 }
 
 } // namespace

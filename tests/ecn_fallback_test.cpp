@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "support/offload_world.hh"
+#include "core/testbed.hh"
 #include "support/test_net.hh"
 #include "testing/invariants.hh"
 #include "tls/ktls.hh"
@@ -21,7 +21,6 @@ namespace {
 
 using tcp::CcAlgo;
 using tcp::TcpConnection;
-using testing::OffloadWorld;
 using testing::TwoHostWorld;
 
 constexpr uint64_t kBytes = 2 << 20;
@@ -220,11 +219,11 @@ TEST(EcnOffloadInteraction, MidStreamImpairmentFlipHoldsFsmInvariants)
 {
     testing::FsmInvariantChecker checker;
 
-    core::Node::Config ca, cb;
-    ca.tcpCfg.cc = CcAlgo::Dctcp;
-    cb.tcpCfg.cc = CcAlgo::Dctcp;
-    cb.nicCfg.fsmProbe = &checker;
-    OffloadWorld w({}, ca, cb);
+    core::Testbed::Config cfg;
+    cfg.a.tcpCfg.cc = CcAlgo::Dctcp;
+    cfg.b.tcpCfg.cc = CcAlgo::Dctcp;
+    cfg.b.nicCfg.fsmProbe = &checker;
+    core::Testbed w(cfg);
 
     constexpr uint64_t kTlsBytes = 4 << 20;
     constexpr uint64_t kSecret = 0xeca57;
@@ -254,8 +253,8 @@ TEST(EcnOffloadInteraction, MidStreamImpairmentFlipHoldsFsmInvariants)
     });
 
     uint64_t sent = 0;
-    TcpConnection &c = w.a.stack().connect(OffloadWorld::kIpA,
-                                           OffloadWorld::kIpB, 443,
+    TcpConnection &c = w.a.stack().connect(core::Testbed::kIpA,
+                                           core::Testbed::kIpB, 443,
                                            w.a.tcpConfig());
     auto pump = [&] {
         while (sent < kTlsBytes) {

@@ -10,12 +10,11 @@
 
 #include "nvmetcp/host_queue.hh"
 #include "nvmetcp/target.hh"
-#include "support/offload_world.hh"
+#include "core/testbed.hh"
 
 namespace anic {
 namespace {
 
-using testing::OffloadWorld;
 using namespace nvmetcp;
 
 // ------------------------------------------------------------- codec
@@ -87,14 +86,14 @@ struct NvmeFabric
 {
     static constexpr uint16_t kPort = 4420;
 
-    OffloadWorld &w;
+    core::Testbed &w;
     host::NvmeDrive drive;
     WireConfig wc;
     std::unique_ptr<NvmeTarget> target;
     std::unique_ptr<NvmeHostQueue> hostq;
     bool ready = false;
 
-    NvmeFabric(OffloadWorld &world, NvmeOffloadConfig ocfg,
+    NvmeFabric(core::Testbed &world, NvmeOffloadConfig ocfg,
                host::NvmeDrive::Config dcfg = {},
                NvmeOffloadConfig targetOcfg = {})
         : w(world), drive(world.sim, dcfg)
@@ -107,7 +106,7 @@ struct NvmeFabric
                                                      targetOcfg);
                            });
         tcp::TcpConnection &c = w.b.stack().connect(
-            OffloadWorld::kIpB, OffloadWorld::kIpA, kPort, w.b.tcpConfig());
+            core::Testbed::kIpB, core::Testbed::kIpA, kPort, w.b.tcpConfig());
         c.setOnConnected([this, &c, ocfg] {
             hostq = std::make_unique<NvmeHostQueue>(c, wc, ocfg);
             hostq->enableOffload(w.b.device(), c);
@@ -129,7 +128,7 @@ verifyRead(const host::NvmeDrive &drive, const host::BlockBufferPtr &buf,
 
 TEST(NvmeFabric, SoftwareReadDeliversDriveContent)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeFabric f(w, {});
     bool done = false;
     bool ok = false;
@@ -151,7 +150,7 @@ TEST(NvmeFabric, SoftwareReadDeliversDriveContent)
 
 TEST(NvmeFabric, CrcOffloadSkipsSoftwareDigest)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     NvmeFabric f(w, ocfg);
@@ -170,7 +169,7 @@ TEST(NvmeFabric, CrcOffloadSkipsSoftwareDigest)
 
 TEST(NvmeFabric, CopyOffloadPlacesDirectly)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -192,7 +191,7 @@ TEST(NvmeFabric, CopyOffloadPlacesDirectly)
 
 TEST(NvmeFabric, ManyConcurrentReads)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -219,7 +218,7 @@ TEST(NvmeFabric, LossyLinkFallsBackAndRecovers)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.01; // target -> host data direction
     lc.seed = 3;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -253,7 +252,7 @@ TEST(NvmeFabric, LossyLinkFallsBackAndRecovers)
 
 TEST(NvmeFabric, WritesReachTheDrive)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeFabric f(w, {});
     bool ok = false;
     f.hostq->write(0, 131072, /*seed=*/9, [&](bool o) { ok = o; });
@@ -270,7 +269,7 @@ TEST(NvmeFabric, WritesReachTheDrive)
 
 TEST(NvmeFabric, LargeWriteUsesOneR2tWindowAtATime)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeFabric f(w, {});
     bool ok = false;
     f.hostq->write(0, 512 << 10, /*seed=*/4, [&](bool o) { ok = o; });
@@ -284,7 +283,7 @@ TEST(NvmeFabric, LargeWriteUsesOneR2tWindowAtATime)
 
 TEST(NvmeFabric, FlushAndCompareRoundTrip)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeFabric f(w, {});
     uint64_t seed = f.drive.config().contentSeed;
     bool wok = false, fok = false, cok = false, cbad = true;
@@ -311,7 +310,7 @@ TEST(NvmeFabric, TargetOffloadedWritePath)
     // Host fills H2CData digests via its tx engine; the target's NIC
     // verifies them and places payload straight into the pending
     // write's buffer (the ISSUE's ≥90 % full-offload criterion).
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig hostO;
     hostO.crcTx = true;
     NvmeOffloadConfig tgtO;
@@ -336,7 +335,7 @@ TEST(NvmeFabric, TargetOffloadedWritePath)
 
 TEST(NvmeFabric, TxCrcOffloadProducesValidDigests)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig ocfg;
     ocfg.crcTx = true;
     NvmeFabric f(w, ocfg);
@@ -359,7 +358,7 @@ TEST(NvmeFabric, TxCrcOffloadSurvivesLoss)
     net::Link::Config lc;
     lc.dir[1].lossRate = 0.02; // host -> target direction
     lc.seed = 11;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcTx = true;
     NvmeFabric f(w, ocfg);
@@ -376,6 +375,74 @@ TEST(NvmeFabric, TxCrcOffloadSurvivesLoss)
     EXPECT_GT(w.b.nicDev().stats().txResyncs, 0u);
 }
 
+/**
+ * Alternating 256 KiB writes and reads with host and target both
+ * offloaded (rx digest + placement, tx digest), on a clean wire and
+ * at 0.5% loss each way. Clean: >= 90% of data digests, host and
+ * target combined, are skipped by the NICs. Both: every IO completes
+ * with zero failures.
+ */
+class NvmeMixedIo : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(NvmeMixedIo, BothEndsOffloaded)
+{
+    const double loss = GetParam();
+    core::Testbed::Config cfg;
+    cfg.link.seed = 0x15b71;
+    cfg.link.dir[0].lossRate = loss;
+    cfg.link.dir[1].lossRate = loss;
+    core::Testbed w(cfg);
+    NvmeOffloadConfig ocfg;
+    ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = true;
+    NvmeFabric f(w, ocfg, {}, ocfg);
+
+    constexpr int kOps = 8;
+    constexpr uint32_t kLen = 256 << 10;
+    int completed = 0, failed = 0;
+    for (int i = 0; i < kOps; i++) {
+        uint64_t slba = uint64_t{kLen} * 2 * i;
+        if (i % 2 == 0) {
+            f.hostq->write(slba, kLen, f.drive.config().contentSeed,
+                           [&](bool o) {
+                               completed++;
+                               if (!o)
+                                   failed++;
+                           });
+        } else {
+            f.hostq->read(slba, kLen,
+                          [&, slba](bool o, host::BlockBufferPtr b) {
+                              completed++;
+                              if (!o || !verifyRead(f.drive, b, slba))
+                                  failed++;
+                          });
+        }
+    }
+    while (completed < kOps && w.sim.now() < 4 * sim::kSecond)
+        w.sim.runFor(sim::kMillisecond);
+    EXPECT_EQ(completed, kOps);
+    EXPECT_EQ(failed, 0);
+    const NvmeHostStats &h = f.hostq->stats();
+    const NvmeTargetStats &t = f.target->stats();
+    EXPECT_EQ(h.crcFailures.value(), 0u);
+    EXPECT_EQ(t.digestFailures, 0u);
+    if (loss == 0) {
+        uint64_t skipped = h.crcSkipped.value() + t.h2cDigestSkipped;
+        uint64_t total =
+            skipped + h.crcSoftware.value() + t.h2cDigestSoftware;
+        ASSERT_GT(total, 0u);
+        EXPECT_GE(skipped * 10, total * 9); // >= 90 % skipped
+    } else {
+        EXPECT_GT(w.link.stats(0).dropped + w.link.stats(1).dropped, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Wire, NvmeMixedIo, ::testing::Values(0.0, 0.005),
+                         [](const ::testing::TestParamInfo<double> &i) {
+                             return i.param == 0 ? "clean" : "lossy";
+                         });
+
 // ------------------------------------------------- NVMe-TLS composition
 
 struct NvmeTlsFabric
@@ -383,7 +450,7 @@ struct NvmeTlsFabric
     static constexpr uint16_t kPort = 4420;
     static constexpr uint64_t kSecret = 0xabcd;
 
-    OffloadWorld &w;
+    core::Testbed &w;
     host::NvmeDrive drive;
     WireConfig wc;
     std::unique_ptr<tls::TlsSocket> targetTls;
@@ -392,7 +459,7 @@ struct NvmeTlsFabric
     std::unique_ptr<NvmeHostQueue> hostq;
     bool ready = false;
 
-    NvmeTlsFabric(OffloadWorld &world, NvmeOffloadConfig ocfg,
+    NvmeTlsFabric(core::Testbed &world, NvmeOffloadConfig ocfg,
                   bool tlsRxOffload)
         : w(world), drive(world.sim, {})
     {
@@ -405,7 +472,7 @@ struct NvmeTlsFabric
                                    *targetTls, drive, wc);
                            });
         tcp::TcpConnection &c = w.b.stack().connect(
-            OffloadWorld::kIpB, OffloadWorld::kIpA, kPort, w.b.tcpConfig());
+            core::Testbed::kIpB, core::Testbed::kIpA, kPort, w.b.tcpConfig());
         c.setOnConnected([this, &c, ocfg, tlsRxOffload] {
             tls::TlsConfig tcfg;
             tcfg.rxOffload = tlsRxOffload;
@@ -424,7 +491,7 @@ struct NvmeTlsFabric
 
 TEST(NvmeTls, SoftwareTlsTransportWorks)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeTlsFabric f(w, {}, /*tlsRxOffload=*/false);
     bool ok = false;
     host::BlockBufferPtr buf;
@@ -440,7 +507,7 @@ TEST(NvmeTls, SoftwareTlsTransportWorks)
 
 TEST(NvmeTls, ComposedOffloadPlacesAndVerifies)
 {
-    OffloadWorld w;
+    core::Testbed w;
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -473,7 +540,7 @@ TEST(NvmeTls, ComposedOffloadSurvivesLoss)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.01;
     lc.seed = 7;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;

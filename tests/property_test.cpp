@@ -19,7 +19,7 @@
 #include <map>
 
 #include "nic/stream_fsm.hh"
-#include "support/offload_world.hh"
+#include "core/testbed.hh"
 #include "support/scenario.hh"
 #include "tls/ktls.hh"
 #include "tls/tls_engine.hh"
@@ -194,7 +194,7 @@ TEST_P(TcpProperty, ExactDeliveryUnderImpairments)
                                                  .reorder = 0.0,
                                                  .duplicate = 0.0});
     lc.seed = 2000 + idx;
-    testing::OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
 
     constexpr uint64_t kBytes = 512 << 10;
     testing::DeliveryChecker rx{/*seed=*/5};
@@ -208,7 +208,7 @@ TEST_P(TcpProperty, ExactDeliveryUnderImpairments)
     });
 
     tcp::TcpConnection &c = w.a.stack().connect(
-        testing::OffloadWorld::kIpA, testing::OffloadWorld::kIpB, 80, {});
+        core::Testbed::kIpA, core::Testbed::kIpB, 80, {});
     uint64_t sent = 0;
     auto pump = testing::deterministicPump(
         [&c](ByteView b) { return c.send(b); }, /*seed=*/5, kBytes, sent,
@@ -243,7 +243,7 @@ TEST_P(TlsProperty, OffloadedStreamsStayAuthenticated)
                                                  .reorder = 0.0,
                                                  .duplicate = 0.0});
     lc.seed = 4000 + idx;
-    testing::OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
 
     constexpr uint64_t kBytes = 768 << 10;
     constexpr uint64_t kSeed = 99;
@@ -265,7 +265,7 @@ TEST_P(TlsProperty, OffloadedStreamsStayAuthenticated)
     });
 
     tcp::TcpConnection &c = w.a.stack().connect(
-        testing::OffloadWorld::kIpA, testing::OffloadWorld::kIpB, 443, {});
+        core::Testbed::kIpA, core::Testbed::kIpB, 443, {});
     uint64_t sent = 0;
     c.setOnConnected([&] {
         tls::TlsConfig ccfg;

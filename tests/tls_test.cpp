@@ -8,13 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "support/offload_world.hh"
+#include "core/testbed.hh"
 #include "tls/ktls.hh"
 
 namespace anic {
 namespace {
 
-using testing::OffloadWorld;
 using tls::RecordHeader;
 using tls::SessionKeys;
 using tls::TlsConfig;
@@ -81,7 +80,7 @@ struct TlsPipe
     static constexpr uint64_t kSecret = 0xbeef;
     static constexpr uint64_t kSeed = 1234;
 
-    OffloadWorld &w;
+    core::Testbed &w;
     TlsConfig clientCfg;
     TlsConfig serverCfg;
     uint64_t totalBytes;
@@ -92,7 +91,7 @@ struct TlsPipe
     uint64_t received = 0;
     bool corrupt = false;
 
-    TlsPipe(OffloadWorld &world, TlsConfig ccfg, TlsConfig scfg,
+    TlsPipe(core::Testbed &world, TlsConfig ccfg, TlsConfig scfg,
             uint64_t bytes)
         : w(world), clientCfg(ccfg), serverCfg(scfg), totalBytes(bytes)
     {
@@ -106,7 +105,7 @@ struct TlsPipe
                            });
 
         tcp::TcpConnection &c = w.a.stack().connect(
-            OffloadWorld::kIpA, OffloadWorld::kIpB, kPort, w.a.tcpConfig());
+            core::Testbed::kIpA, core::Testbed::kIpB, kPort, w.a.tcpConfig());
         c.setOnConnected([this, &c] {
             client = std::make_unique<TlsSocket>(
                 c, SessionKeys::derive(kSecret, true), clientCfg);
@@ -154,7 +153,7 @@ struct TlsPipe
 
 TEST(TlsSoftware, CleanLinkDeliversPlaintext)
 {
-    OffloadWorld w;
+    core::Testbed w;
     TlsPipe p(w, {}, {}, 1 << 20);
     w.sim.runUntil(500 * sim::kMillisecond);
     EXPECT_EQ(p.received, 1u << 20);
@@ -169,7 +168,7 @@ TEST(TlsSoftware, LossyLinkStillAuthenticates)
     lc.dir[0].lossRate = 0.02;
     lc.dir[1].lossRate = 0.01;
     lc.seed = 7;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsPipe p(w, {}, {}, 1 << 20);
     w.sim.runUntil(3 * sim::kSecond);
     EXPECT_EQ(p.received, 1u << 20);
@@ -179,7 +178,7 @@ TEST(TlsSoftware, LossyLinkStillAuthenticates)
 
 TEST(TlsTxOffload, NicEncryptsValidRecords)
 {
-    OffloadWorld w;
+    core::Testbed w;
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 1 << 20);
@@ -197,7 +196,7 @@ TEST(TlsTxOffload, RetransmissionRecoversContext)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.02;
     lc.seed = 9;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 1 << 20);
@@ -213,7 +212,7 @@ TEST(TlsTxOffload, RetransmissionRecoversContext)
 
 TEST(TlsRxOffload, CleanLinkFullyOffloadsEverything)
 {
-    OffloadWorld w;
+    core::Testbed w;
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 1 << 20);
@@ -232,7 +231,7 @@ TEST(TlsRxOffload, LossCausesPartialsButRecovers)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.02;
     lc.seed = 13;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -255,7 +254,7 @@ TEST(TlsRxOffload, ResyncRequestsAreAnsweredAndConfirmed)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.03;
     lc.seed = 21;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -276,7 +275,7 @@ TEST(TlsRxOffload, ReorderingDegradesGracefully)
     net::Link::Config lc;
     lc.dir[0].reorderRate = 0.03;
     lc.seed = 31;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -292,7 +291,7 @@ TEST(TlsBothOffloads, LossBothDirections)
     lc.dir[0].lossRate = 0.02;
     lc.dir[1].lossRate = 0.02;
     lc.seed = 17;
-    OffloadWorld w(lc);
+    core::Testbed w({.link = lc});
     TlsConfig cfg;
     cfg.txOffload = true;
     cfg.rxOffload = true;
@@ -305,7 +304,7 @@ TEST(TlsBothOffloads, LossBothDirections)
 
 TEST(TlsBothOffloads, SmallRecords)
 {
-    OffloadWorld w;
+    core::Testbed w;
     TlsConfig cfg;
     cfg.txOffload = true;
     cfg.rxOffload = true;
@@ -328,7 +327,7 @@ TEST(TlsSendfile, AllVariantsDeliverIdenticalContent)
     };
     for (Variant v : {Variant{false, false}, Variant{true, false},
                       Variant{true, true}}) {
-        OffloadWorld w;
+        core::Testbed w;
         constexpr uint64_t kFileSeed = 777;
         constexpr uint64_t kLen = 300000;
 
@@ -354,7 +353,7 @@ TEST(TlsSendfile, AllVariantsDeliverIdenticalContent)
         });
 
         tcp::TcpConnection &c = w.a.stack().connect(
-            OffloadWorld::kIpA, OffloadWorld::kIpB, 443, {});
+            core::Testbed::kIpA, core::Testbed::kIpB, 443, {});
         c.setOnConnected([&] {
             TlsConfig ccfg;
             ccfg.txOffload = v.txOffload;
@@ -386,7 +385,7 @@ TEST(TlsSendfile, ZeroCopyCostsFewerCycles)
 {
     double cycles[2];
     for (int zc = 0; zc < 2; zc++) {
-        OffloadWorld w;
+        core::Testbed w;
         std::unique_ptr<TlsSocket> server;
         std::unique_ptr<TlsSocket> client;
         uint64_t received = 0;
@@ -402,7 +401,7 @@ TEST(TlsSendfile, ZeroCopyCostsFewerCycles)
             });
         });
         tcp::TcpConnection &c = w.a.stack().connect(
-            OffloadWorld::kIpA, OffloadWorld::kIpB, 443, {});
+            core::Testbed::kIpA, core::Testbed::kIpB, 443, {});
         c.setOnConnected([&] {
             TlsConfig ccfg;
             ccfg.txOffload = true;
@@ -431,9 +430,10 @@ TEST(TlsSendfile, ZeroCopyCostsFewerCycles)
 
 TEST(TlsOffload, TinyContextCacheStillCorrect)
 {
-    core::Node::Config small;
-    small.nicCfg.ctxCacheCapacity = 3;
-    OffloadWorld w({}, small, small);
+    core::Testbed::Config cfg;
+    cfg.a.nicCfg.ctxCacheCapacity = 3;
+    cfg.b.nicCfg.ctxCacheCapacity = 3;
+    core::Testbed w(cfg);
 
     const int kConns = 8;
     constexpr uint64_t kBytes = 100000;
@@ -464,7 +464,7 @@ TEST(TlsOffload, TinyContextCacheStillCorrect)
 
     for (int i = 0; i < kConns; i++) {
         tcp::TcpConnection &c = w.a.stack().connect(
-            OffloadWorld::kIpA, OffloadWorld::kIpB, 443, {});
+            core::Testbed::kIpA, core::Testbed::kIpB, 443, {});
         c.setOnConnected([&, i, &c2 = c] {
             TlsConfig ccfg;
             ccfg.txOffload = true;
