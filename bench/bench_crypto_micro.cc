@@ -6,18 +6,20 @@
  * enough to push hundreds of megabytes through the benches.
  *
  * Every kernel variant compiled into the binary is registered (scalar
- * always; hw when the CPU supports AES-NI/PCLMUL/SSE4.2), and a
- * summary at the end reports hw-over-scalar speedups plus JSON
- * records, so the dispatch layer's win is visible in one run. The
- * payload generator's word kernels (util/bytes.hh), which every
- * experiment runs over every delivered byte, are measured the same
- * way: wide over portable.
+ * always; hw when the CPU supports AES-NI/PCLMUL/SSE4.2; each CRC32C
+ * kernel the CPU runs: scalar, 3way, fold), and a summary at the end
+ * reports hw-over-scalar speedups, the fold-over-3way CRC32C ratio
+ * and JSON records, so the dispatch layer's win is visible in one
+ * run. The payload generator's word kernels (util/bytes.hh), which
+ * every experiment runs over every delivered byte, are measured the
+ * same way: wide over portable.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench_json.hh"
@@ -44,24 +46,29 @@ impls()
 }
 
 uint32_t
-crcCompute(CryptoImpl impl, ByteView data)
+crcCompute(const detail::Crc32cKernel &k, ByteView data)
 {
-    uint32_t s = 0xffffffffu;
-    if (impl == CryptoImpl::Hw)
-        s = detail::hwOpsIfSupported()->crc32cUpdate(s, data.data(),
-                                                     data.size());
-    else
-        s = detail::crc32cScalarUpdate(s, data.data(), data.size());
-    return ~s;
+    return ~k.update(0xffffffffu, data.data(), data.size());
+}
+
+/** The CRC32C kernel named @p name, or nullptr if this CPU lacks it. */
+const detail::Crc32cKernel *
+crcKernel(const char *name)
+{
+    for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
+        if (std::strcmp(k.name, name) == 0)
+            return &k;
+    }
+    return nullptr;
 }
 
 void
-BM_Crc32c(benchmark::State &state, CryptoImpl impl)
+BM_Crc32c(benchmark::State &state, const detail::Crc32cKernel *k)
 {
     Bytes data(static_cast<size_t>(state.range(0)));
     fillDeterministic(data, 1, 0);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(crcCompute(impl, data));
+        benchmark::DoNotOptimize(crcCompute(*k, data));
     }
     state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                             state.range(0));
@@ -164,14 +171,17 @@ BM_Sha1(benchmark::State &state)
 void
 registerAll()
 {
+    for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
+        char name[64];
+        std::snprintf(name, sizeof name, "BM_Crc32c/%s", k.name);
+        benchmark::RegisterBenchmark(name, BM_Crc32c, &k)
+            ->Arg(1460)
+            ->Arg(65536)
+            ->Arg(262144);
+    }
     for (CryptoImpl impl : impls()) {
         const char *nm = cryptoImplName(impl);
         char name[64];
-        std::snprintf(name, sizeof name, "BM_Crc32c/%s", nm);
-        benchmark::RegisterBenchmark(name, BM_Crc32c, impl)
-            ->Arg(1460)
-            ->Arg(16384)
-            ->Arg(262144);
         std::snprintf(name, sizeof name, "BM_AesGcmSeal/%s", nm);
         benchmark::RegisterBenchmark(name, BM_AesGcmSeal, impl)
             ->Arg(1460)
@@ -218,6 +228,16 @@ throughput(size_t bytesPerCall, Fn work)
            static_cast<double>(bytesPerCall) / elapsed;
 }
 
+double
+crcThroughput(const detail::Crc32cKernel &k, size_t len)
+{
+    Bytes data(len);
+    fillDeterministic(data, 1, 0);
+    return throughput(len, [&k, &data] {
+        benchmark::DoNotOptimize(crcCompute(k, data));
+    });
+}
+
 void
 speedupSummary()
 {
@@ -244,11 +264,10 @@ speedupSummary()
         });
     };
     auto crc = [](CryptoImpl impl, size_t len) {
-        Bytes data(len);
-        fillDeterministic(data, 1, 0);
-        return throughput(len, [impl, &data] {
-            benchmark::DoNotOptimize(crcCompute(impl, data));
-        });
+        return crcThroughput(impl == CryptoImpl::Hw
+                                 ? detail::crc32cKernels().back()
+                                 : detail::crc32cKernels().front(),
+                             len);
     };
 
     struct Row
@@ -278,6 +297,40 @@ speedupSummary()
         anic::bench::jsonRecord("crypto_micro",
                                 (std::string(r.tag) + "_hw_mbps").c_str(),
                                 hw / 1e6);
+    }
+}
+
+void
+crcFoldSummary()
+{
+    const detail::Crc32cKernel *threeWay = crcKernel("3way");
+    const detail::Crc32cKernel *fold = crcKernel("fold");
+    if (threeWay == nullptr || fold == nullptr) {
+        std::printf("\ncrc32c fold kernel unavailable (needs AVX-512F/DQ/VL "
+                    "+ VPCLMULQDQ)\n");
+        return;
+    }
+    std::printf("\n-- crc32c fold vs 3way --\n");
+    struct Row
+    {
+        const char *name;
+        const char *tag;
+        size_t len;
+    };
+    static const Row rows[] = {
+        {"crc32c 1460B", "crc_fold1460", 1460},
+        {"crc32c 64KiB", "crc_fold64k", 65536},
+        {"crc32c 256KiB", "crc_fold256k", 262144},
+    };
+    for (const Row &r : rows) {
+        double base = crcThroughput(*threeWay, r.len);
+        double fast = crcThroughput(*fold, r.len);
+        double ratio = base > 0 ? fast / base : 0;
+        std::printf("%-20s 3way %6.1f GB/s   fold %6.1f GB/s   %5.2fx\n",
+                    r.name, base / 1e9, fast / 1e9, ratio);
+        anic::bench::jsonRecord("crypto_micro",
+                                (std::string(r.tag) + "_over_3way").c_str(),
+                                ratio);
     }
 }
 
@@ -346,6 +399,7 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     speedupSummary();
+    crcFoldSummary();
     payloadSummary();
     anic::bench::emitRegistrySnapshot("crypto_micro");
     return 0;

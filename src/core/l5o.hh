@@ -35,7 +35,9 @@ class L5pCallbacks
     {
         uint32_t msgStartSeq = 0; ///< TCP seq of the enclosing message
         uint64_t msgIdx = 0;      ///< index of that message
-        Bytes rebuild;            ///< message bytes [msgStartSeq, tcpsn)
+        /** Message bytes [msgStartSeq, tcpsn): a view into the L5P's
+         *  retained copy, valid only during the upcall. */
+        ByteView rebuild;
     };
 
     /**

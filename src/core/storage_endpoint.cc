@@ -148,7 +148,8 @@ StorageEndpoint::getTxMsgState(uint32_t tcpsn)
     st.msgStartSeq = e->startSeq;
     st.msgIdx = e->msgIdx;
     uint32_t n = tcpsn - e->startSeq;
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
+    ANIC_ASSERT(e->bytes.size() >= n, "PDU bytes not retained");
+    st.rebuild = ByteView(e->bytes).first(n);
     return st;
 }
 

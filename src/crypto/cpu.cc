@@ -1,8 +1,10 @@
 #include "crypto/cpu.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "crypto/kernels.hh"
 #include "util/env.hh"
@@ -32,17 +34,33 @@ detectCpu()
     }
     if (__get_cpuid_count(7, 0, &a, &b, &c, &d))
         f.avx2 = (b & bit_AVX2) != 0;
+    // The builtin also checks that the OS saves the 512-bit state.
+    __builtin_cpu_init();
+    f.vpclmul512 = __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512dq") &&
+                   __builtin_cpu_supports("avx512vl") &&
+                   __builtin_cpu_supports("vpclmulqdq");
 #endif
     return f;
 }
 
 #ifdef ANIC_HAVE_X86_CRYPTO
-const detail::HwOps kX86Ops = {
-    &detail::x86::crc32cUpdate,  &detail::x86::aesKeyExpand,
-    &detail::x86::aesEncryptBlock, &detail::x86::ghashInit,
-    &detail::x86::ghashBlocks,   &detail::x86::gcmCryptBlocks,
-    &detail::x86::ctrBlocks,
-};
+/** The widest CRC32C kernel this CPU runs; the rest of the table is
+ *  fixed. Built once, so no call branches on CPUID. */
+const detail::HwOps &
+x86Ops()
+{
+    static const detail::HwOps ops = {
+        detail::crc32cKernels().back().update,
+        &detail::x86::aesKeyExpand,
+        &detail::x86::aesEncryptBlock,
+        &detail::x86::ghashInit,
+        &detail::x86::ghashBlocks,
+        &detail::x86::gcmCryptBlocks,
+        &detail::x86::ctrBlocks,
+    };
+    return ops;
+}
 #endif
 
 /**
@@ -127,9 +145,31 @@ hwOpsIfSupported()
 {
 #ifdef ANIC_HAVE_X86_CRYPTO
     if (hwCryptoSupported())
-        return &kX86Ops;
+        return &x86Ops();
 #endif
     return nullptr;
+}
+
+std::span<const Crc32cKernel>
+crc32cKernels()
+{
+    static const Crc32cKernel all[] = {
+        {"scalar", &crc32cScalarUpdate},
+#ifdef ANIC_HAVE_X86_CRYPTO
+        {"3way", &x86::crc32cUpdate},
+#ifdef ANIC_HAVE_CRC_FOLD
+        {"fold", &x86::crc32cFoldUpdate},
+#endif
+#endif
+    };
+    // Each kernel needs what the one before it needs, so the usable
+    // ones are a prefix.
+    static const size_t usable = [] {
+        const CpuFeatures &f = cpuFeatures();
+        size_t cpu = f.sse42 ? (f.pclmul && f.vpclmul512 ? 3 : 2) : 1;
+        return std::min(cpu, std::size(all));
+    }();
+    return {all, usable};
 }
 
 const HwOps *

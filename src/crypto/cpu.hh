@@ -10,7 +10,10 @@
  *   - compile time: the accelerated translation units are only built
  *     when the toolchain targets x86 and accepts the ISA flags
  *     (ANIC_HAVE_X86_CRYPTO);
- *   - run time: CPUID must report the extensions;
+ *   - run time: CPUID must report the extensions; within the hardware
+ *     set, CRC32C folds with VPCLMULQDQ when CPUID also reports
+ *     AVX-512 and VPCLMULQDQ, and runs the SSE4.2 3-way kernel
+ *     otherwise;
  *   - override: ANIC_CRYPTO_IMPL=scalar|hw forces a kernel (a forced
  *     "hw" on an unsupported machine warns and falls back to scalar).
  *
@@ -31,6 +34,9 @@ struct CpuFeatures
     bool pclmul = false;
     bool sse42 = false;
     bool avx2 = false;
+    /** AVX-512F/DQ/VL and VPCLMULQDQ, with OS support for the
+     *  512-bit state: what the folding CRC32C kernel needs. */
+    bool vpclmul512 = false;
 };
 
 /** Detected once, cached for the process lifetime. */
@@ -39,7 +45,7 @@ const CpuFeatures &cpuFeatures();
 enum class CryptoImpl
 {
     Scalar, ///< portable reference kernels
-    Hw,     ///< AES-NI/PCLMUL GCM, SSE4.2 CRC32C
+    Hw,     ///< AES-NI/PCLMUL GCM; SSE4.2 or VPCLMULQDQ CRC32C
 };
 
 const char *cryptoImplName(CryptoImpl impl);

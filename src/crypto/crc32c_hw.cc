@@ -9,8 +9,18 @@
  * block sizes cover large buffers, mid-size PDUs, and packet-sized
  * tails. Compiled with -msse4.2 for this file only; reached through
  * the dispatch table in cpu.cc.
+ *
+ * A second kernel, for CPUs with AVX-512 and VPCLMULQDQ, folds instead
+ * of chaining CRC32Q: four 512-bit accumulators each carry four
+ * 16-byte lanes, and every step multiplies each lane by x^(8*256)
+ * modulo P with carry-less multiplies and XORs in the next 256 bytes.
+ * The accumulators then collapse into one 16-byte lane whose CRC
+ * equals the CRC of everything folded; two CRC32Q finish it.
  */
 
+#ifdef ANIC_HAVE_CRC_FOLD
+#include <immintrin.h>
+#endif
 #include <nmmintrin.h>
 
 #include <cstring>
@@ -182,5 +192,92 @@ crc32cUpdate(uint32_t crc, const uint8_t *p, size_t n)
     }
     return crc;
 }
+
+#ifdef ANIC_HAVE_CRC_FOLD
+
+namespace {
+
+#define ANIC_FOLD_TARGET                                                       \
+    __attribute__((target("avx512f,avx512dq,avx512vl,vpclmulqdq,pclmul,"      \
+                          "sse4.2")))
+
+constexpr size_t kFoldBlock = 256;
+constexpr Crc32cFold kFold256 = crc32cFoldConstants(kFoldBlock);
+constexpr Crc32cFold kFold64 = crc32cFoldConstants(64);
+constexpr Crc32cFold kFold48 = crc32cFoldConstants(48);
+constexpr Crc32cFold kFold32 = crc32cFoldConstants(32);
+constexpr Crc32cFold kFold16 = crc32cFoldConstants(16);
+
+/** @p k in every 128-bit lane: early operand low, late operand high. */
+ANIC_FOLD_TARGET inline __m512i
+foldOperand(Crc32cFold k)
+{
+    const auto e = static_cast<long long>(k.early);
+    const auto l = static_cast<long long>(k.late);
+    return _mm512_set_epi64(l, e, l, e, l, e, l, e);
+}
+
+/** Each lane of @p acc moved forward by the distance of @p k, XOR @p next. */
+ANIC_FOLD_TARGET inline __m512i
+fold(__m512i acc, __m512i k, __m512i next)
+{
+    return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                     _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                     next, 0x96); // three-way XOR
+}
+
+} // namespace
+
+ANIC_FOLD_TARGET uint32_t
+crc32cFoldUpdate(uint32_t crc, const uint8_t *p, size_t n)
+{
+    if (n < kFoldBlock)
+        return crc32cUpdate(crc, p, n);
+
+    // The raw state XORed into the first 4 bytes gives the same CRC
+    // as starting from it, so the folds below start from zero.
+    __m512i a0 = _mm512_xor_si512(
+        _mm512_loadu_si512(p),
+        _mm512_maskz_set1_epi32(1, static_cast<int>(crc)));
+    __m512i a1 = _mm512_loadu_si512(p + 64);
+    __m512i a2 = _mm512_loadu_si512(p + 128);
+    __m512i a3 = _mm512_loadu_si512(p + 192);
+    p += kFoldBlock;
+    n -= kFoldBlock;
+
+    const __m512i k256 = foldOperand(kFold256);
+    while (n >= kFoldBlock) {
+        a0 = fold(a0, k256, _mm512_loadu_si512(p));
+        a1 = fold(a1, k256, _mm512_loadu_si512(p + 64));
+        a2 = fold(a2, k256, _mm512_loadu_si512(p + 128));
+        a3 = fold(a3, k256, _mm512_loadu_si512(p + 192));
+        p += kFoldBlock;
+        n -= kFoldBlock;
+    }
+
+    // Four accumulators into one, then its four lanes into one.
+    const __m512i k64 = foldOperand(kFold64);
+    __m512i acc = fold(fold(fold(a0, k64, a1), k64, a2), k64, a3);
+    // Lanes 0-2 move 48/32/16 bytes forward onto lane 3, which stays.
+    const __m512i kLanes = _mm512_set_epi64(
+        0, 0, static_cast<long long>(kFold16.late),
+        static_cast<long long>(kFold16.early),
+        static_cast<long long>(kFold32.late),
+        static_cast<long long>(kFold32.early),
+        static_cast<long long>(kFold48.late),
+        static_cast<long long>(kFold48.early));
+    alignas(64) uint64_t q[8];
+    _mm512_store_si512(q, fold(acc, kLanes, _mm512_maskz_mov_epi64(0xc0, acc)));
+
+    // The XOR of the lanes is congruent to all bytes folded so far:
+    // its CRC from a zero state is theirs.
+    uint64_t c = _mm_crc32_u64(0, q[0] ^ q[2] ^ q[4] ^ q[6]);
+    c = _mm_crc32_u64(c, q[1] ^ q[3] ^ q[5] ^ q[7]);
+    return crc32cUpdate(static_cast<uint32_t>(c), p, n);
+}
+
+#undef ANIC_FOLD_TARGET
+
+#endif // ANIC_HAVE_CRC_FOLD
 
 } // namespace anic::crypto::detail::x86

@@ -3,11 +3,12 @@
  * Internal kernel dispatch table shared by the crypto primitives.
  *
  * The scalar reference kernels live in aes.cc/gcm.cc/crc32c.cc; the
- * hardware kernels (AES-NI, PCLMULQDQ, SSE4.2) live in aesni_gcm.cc
- * and crc32c_hw.cc, which are compiled with per-file ISA flags only on
- * x86 toolchains. This header is ISA-neutral so any translation unit
- * (including tests and benches) can include it; the function pointers
- * are resolved once at startup by cpu.cc.
+ * hardware kernels (AES-NI, PCLMULQDQ, SSE4.2, and AVX-512 VPCLMULQDQ
+ * for CRC32C folding) live in aesni_gcm.cc and crc32c_hw.cc, which
+ * are compiled with per-file ISA flags only on x86 toolchains. This
+ * header is ISA-neutral so any translation unit (including tests and
+ * benches) can include it; the function pointers are resolved once
+ * at startup by cpu.cc.
  *
  * Conventions shared by both kernel sets:
  *   - AES round keys are 11 x 16 bytes in wire order (the byte
@@ -26,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace anic::crypto::detail {
 
@@ -86,10 +88,82 @@ const HwOps *hwOpsIfSupported();
 /** Scalar CRC32C kernel (slicing-by-8), raw-state form. */
 uint32_t crc32cScalarUpdate(uint32_t crc, const uint8_t *p, size_t n);
 
+/** One CRC32C kernel, raw-state form like HwOps::crc32cUpdate. */
+struct Crc32cKernel
+{
+    const char *name;
+    uint32_t (*update)(uint32_t crc, const uint8_t *p, size_t n);
+};
+
+/**
+ * The CRC32C kernels compiled in that this CPU runs, narrowest first:
+ * "scalar" (slicing-by-8), "3way" (SSE4.2 CRC32Q over three streams)
+ * and "fold" (VPCLMULQDQ folding, 256 B per step).
+ */
+std::span<const Crc32cKernel> crc32cKernels();
+
+/**
+ * x^e mod P for the CRC32C polynomial P = 0x11EDC6F41, as a 64-bit
+ * carry-less-multiply operand in the reflected bit order CRC32C data
+ * uses: the coefficient of x^d sits at bit 63 - d. Square-and-multiply,
+ * so it is cheap enough to run at compile time.
+ */
+constexpr uint64_t
+crc32cXPowMod(unsigned e)
+{
+    // Normal order here (bit d holds x^d); reflected on return.
+    auto mulMod = [](uint64_t a, uint64_t b) {
+        uint64_t r = 0;
+        for (int i = 31; i >= 0; i--) {
+            r <<= 1;
+            if (r & (1ull << 32))
+                r ^= 0x11edc6f41ull;
+            if ((b >> i) & 1)
+                r ^= a;
+        }
+        return r;
+    };
+    uint64_t result = 1;
+    uint64_t base = 2; // x
+    for (; e != 0; e >>= 1) {
+        if (e & 1)
+            result = mulMod(result, base);
+        base = mulMod(base, base);
+    }
+    uint64_t reflected = 0;
+    for (int d = 0; d < 32; d++) {
+        if ((result >> d) & 1)
+            reflected |= 1ull << (63 - d);
+    }
+    return reflected;
+}
+
+/**
+ * Operands that move a 16-byte lane @p distance bytes forward in the
+ * stream: lane * x^(8 distance) is congruent to
+ * clmul(lane.lo, early) ^ clmul(lane.hi, late). The lane's low qword
+ * holds its earlier bytes (higher degrees, hence 64 more), and a
+ * reflected clmul result carries one extra factor of x, hence the -1.
+ */
+struct Crc32cFold
+{
+    uint64_t early; ///< x^(8 distance + 63) mod P
+    uint64_t late;  ///< x^(8 distance - 1) mod P
+};
+
+constexpr Crc32cFold
+crc32cFoldConstants(unsigned distance)
+{
+    return {crc32cXPowMod(8 * distance + 63), crc32cXPowMod(8 * distance - 1)};
+}
+
 #ifdef ANIC_HAVE_X86_CRYPTO
 // Implemented in the ISA-flagged translation units.
 namespace x86 {
 uint32_t crc32cUpdate(uint32_t crc, const uint8_t *p, size_t n);
+#ifdef ANIC_HAVE_CRC_FOLD
+uint32_t crc32cFoldUpdate(uint32_t crc, const uint8_t *p, size_t n);
+#endif
 void aesKeyExpand(const uint8_t key[16], uint8_t rk[11][16]);
 void aesEncryptBlock(const uint8_t rk[11][16], const uint8_t in[16],
                      uint8_t out[16]);

@@ -353,12 +353,8 @@ Nic::onWire(net::PacketPtr pkt)
     if (queues_.size() > 1) {
         uint32_t h = rss_->hashFlow(pkt->flow());
         queue = rssTable_[h % rssTable_.size()];
-        // record() copies the component name before its own enabled
-        // check; guard here so the per-packet path stays allocation
-        // free when tracing is off.
-        if (trace_->enabled())
-            trace_->record(sim_.now(), sim::TraceKind::RxQueueSelect, name_,
-                           static_cast<uint64_t>(queue), h);
+        trace_->record(sim_.now(), sim::TraceKind::RxQueueSelect, name_,
+                       static_cast<uint64_t>(queue), h);
     }
     QueueState &qs = *queues_[static_cast<size_t>(queue)];
     qs.stats.rxPkts++;
@@ -420,9 +416,8 @@ Nic::deliverToQueue(int queue, net::PacketPtr pkt)
     QueueState &q = *queues_[static_cast<size_t>(queue)];
     q.stats.compIrqs++;
     stats_.irqsFired++;
-    if (trace_->enabled())
-        trace_->record(sim_.now(), sim::TraceKind::IrqFire, name_,
-                       static_cast<uint64_t>(queue), 1);
+    trace_->record(sim_.now(), sim::TraceKind::IrqFire, name_,
+                   static_cast<uint64_t>(queue), 1);
     if (onRxInterrupt_)
         onRxInterrupt_(queue, std::move(pkt));
 }
@@ -610,7 +605,7 @@ Nic::rxResyncResponse(uint64_t ctxId, uint64_t reqId, bool ok, uint64_t msgIdx)
 }
 
 void
-Nic::applyTxResync(const TxResyncCmd &cmd)
+Nic::applyTxResync(TxResyncCmd &cmd)
 {
     TxCtx *tc = txById_.find(cmd.ctxId);
     if (tc == nullptr)
@@ -630,11 +625,11 @@ Nic::applyTxResync(const TxResyncCmd &cmd)
         cmd.tcpsn - static_cast<uint32_t>(cmd.rebuild.size());
     ctx.arm(msg_start, cmd.msgIdx);
     if (!cmd.rebuild.empty()) {
-        // Feed a scratch copy through the engine: same transforms as
-        // the original pass, output discarded.
-        Bytes scratch(cmd.rebuild);
+        // Replay the snapshot through the engine in place: same
+        // transforms as the original pass; the command is discarded
+        // after this, so the transformed bytes go with it.
         PacketResult res;
-        ctx.fsm().segment(ctx.posOf(msg_start), scratch, res);
+        ctx.fsm().segment(ctx.posOf(msg_start), cmd.rebuild, res);
     }
     tc->expectedSeq = cmd.tcpsn;
     ctx.advanceTo(cmd.tcpsn);

@@ -252,7 +252,9 @@ class Nic
      * into the flow's usual send ring to ensure ordering"). The NIC
      * DMA-reads @p rebuild (the message bytes from the message start
      * up to @p tcpsn) to reconstruct the engine state, then expects
-     * the next data descriptor at @p tcpsn.
+     * the next data descriptor at @p tcpsn. The descriptor keeps its
+     * own copy of @p rebuild, so the caller's buffer need not outlive
+     * this call.
      */
     void postTxResync(uint64_t ctxId, uint32_t tcpsn, uint64_t msgIdx,
                       ByteView rebuild, int queue = 0);
@@ -320,6 +322,8 @@ class Nic
         uint64_t ctxId = 0;
         uint32_t tcpsn = 0;
         uint64_t msgIdx = 0;
+        /** Snapshot of the rebuild bytes, the one copy a resync
+         *  makes; the engine replays over it in place. */
         Bytes rebuild;
     };
 
@@ -348,7 +352,7 @@ class Nic
         sim::StatsScope scope;
     };
 
-    void applyTxResync(const TxResyncCmd &cmd);
+    void applyTxResync(TxResyncCmd &cmd);
     void pumpTx();
     void drainOne();
     void onWire(net::PacketPtr pkt);

@@ -47,6 +47,20 @@ TraceRing::global()
     return *ring;
 }
 
+void
+TraceRing::push(Tick ts, TraceKind kind, std::string_view comp, uint64_t id,
+                uint64_t a, uint64_t b)
+{
+    TraceEvent ev{ts, kind, id, a, b, std::string(comp)};
+    if (buf_.size() < capacity_) {
+        buf_.push_back(std::move(ev));
+    } else {
+        buf_[head_] = std::move(ev);
+        head_ = (head_ + 1) % capacity_;
+        dropped_++;
+    }
+}
+
 std::vector<TraceEvent>
 TraceRing::events() const
 {

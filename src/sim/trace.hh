@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -90,20 +91,14 @@ class TraceRing
         dropped_ = 0;
     }
 
+    /** Records one event. A disabled ring costs callers one inlined
+     *  test: @p comp is copied, out of line, only when enabled. */
     void
-    record(Tick ts, TraceKind kind, std::string comp, uint64_t id = 0,
+    record(Tick ts, TraceKind kind, std::string_view comp, uint64_t id = 0,
            uint64_t a = 0, uint64_t b = 0)
     {
-        if (!enabled_)
-            return;
-        TraceEvent ev{ts, kind, id, a, b, std::move(comp)};
-        if (buf_.size() < capacity_) {
-            buf_.push_back(std::move(ev));
-        } else {
-            buf_[head_] = std::move(ev);
-            head_ = (head_ + 1) % capacity_;
-            dropped_++;
-        }
+        if (enabled_)
+            push(ts, kind, comp, id, a, b);
     }
 
     size_t size() const { return buf_.size(); }
@@ -122,6 +117,9 @@ class TraceRing
     void dumpChromeTrace(std::FILE *f) const;
 
   private:
+    void push(Tick ts, TraceKind kind, std::string_view comp, uint64_t id,
+              uint64_t a, uint64_t b);
+
     size_t capacity_;
     std::vector<TraceEvent> buf_;
     size_t head_ = 0; ///< oldest element once the ring wrapped

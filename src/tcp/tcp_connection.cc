@@ -535,10 +535,10 @@ TcpConnection::sendSegment(uint32_t seq, uint32_t len, bool retransmission)
     count(&TcpStats::dataPktsSent);
     if (retransmission) {
         count(&TcpStats::retransmits);
+        const std::string &prefix = stack_.scope_.prefix();
         stack_.trace_->record(stack_.sim().now(), sim::TraceKind::Retransmit,
-                              stack_.scope_.prefix().empty()
-                                  ? "tcp"
-                                  : stack_.scope_.prefix(),
+                              prefix.empty() ? std::string_view("tcp")
+                                             : std::string_view(prefix),
                               net::FlowKeyHash{}(local_), seq, len);
     } else if (!rttPending_) {
         rttSeq_ = seq + len;

@@ -231,7 +231,7 @@ TlsSocket::getTxMsgState(uint32_t tcpsn)
     st.msgIdx = e->msgIdx;
     uint32_t n = tcpsn - e->startSeq;
     ANIC_ASSERT(e->bytes.size() >= n, "record bytes not retained");
-    st.rebuild.assign(e->bytes.begin(), e->bytes.begin() + n);
+    st.rebuild = ByteView(e->bytes).first(n);
     return st;
 }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+
 #include "crypto/aes.hh"
 #include "crypto/cpu.hh"
 #include "crypto/crc32c.hh"
@@ -13,6 +16,7 @@
 #include "crypto/kernels.hh"
 #include "crypto/sha1.hh"
 #include "util/bytes.hh"
+#include "util/env.hh"
 #include "util/rand.hh"
 
 namespace anic::crypto {
@@ -447,29 +451,20 @@ compiledImpls()
     return v;
 }
 
-uint32_t
-crcWithImpl(CryptoImpl impl, ByteView data)
-{
-    uint32_t s = 0xffffffffu;
-    if (impl == CryptoImpl::Hw)
-        s = detail::hwOpsIfSupported()->crc32cUpdate(s, data.data(),
-                                                     data.size());
-    else
-        s = detail::crc32cScalarUpdate(s, data.data(), data.size());
-    return ~s;
-}
-
 TEST(CryptoImplKat, Crc32cEveryVariant)
 {
-    for (CryptoImpl impl : compiledImpls()) {
-        SCOPED_TRACE(cryptoImplName(impl));
-        EXPECT_EQ(crcWithImpl(impl, ascii("123456789")), 0xe3069283u);
-        EXPECT_EQ(crcWithImpl(impl, Bytes(32, 0x00)), 0x8a9136aau);
-        EXPECT_EQ(crcWithImpl(impl, Bytes(32, 0xff)), 0x62a8ab43u);
+    for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
+        SCOPED_TRACE(k.name);
+        auto crc = [&k](ByteView d) {
+            return ~k.update(0xffffffffu, d.data(), d.size());
+        };
+        EXPECT_EQ(crc(ascii("123456789")), 0xe3069283u);
+        EXPECT_EQ(crc(Bytes(32, 0x00)), 0x8a9136aau);
+        EXPECT_EQ(crc(Bytes(32, 0xff)), 0x62a8ab43u);
         Bytes incr(32);
         for (int i = 0; i < 32; i++)
             incr[i] = static_cast<uint8_t>(i);
-        EXPECT_EQ(crcWithImpl(impl, incr), 0x46dd794eu);
+        EXPECT_EQ(crc(incr), 0x46dd794eu);
     }
 }
 
@@ -494,6 +489,167 @@ TEST(CryptoImplKat, GcmEveryVariant)
     }
 }
 
+// ----------------------------------------------- CRC32C kernels
+
+/** Raw CRC32C state advanced one bit at a time: the slowest, plainest
+ *  reference. */
+uint32_t
+crcBitwise(uint32_t crc, const uint8_t *p, size_t n)
+{
+    for (size_t i = 0; i < n; i++) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; bit++)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+    return crc;
+}
+
+/** x^e mod P by e single shifts, reflected like crc32cXPowMod. */
+uint64_t
+xPowModBitwise(unsigned e)
+{
+    uint64_t r = 1;
+    for (unsigned i = 0; i < e; i++) {
+        r <<= 1;
+        if (r & (1ull << 32))
+            r ^= 0x11edc6f41ull;
+    }
+    uint64_t reflected = 0;
+    for (int d = 0; d < 32; d++) {
+        if ((r >> d) & 1)
+            reflected |= 1ull << (63 - d);
+    }
+    return reflected;
+}
+
+TEST(Crc32cKernels, ListsWhatThisCpuRuns)
+{
+    auto kernels = detail::crc32cKernels();
+    ASSERT_FALSE(kernels.empty());
+    EXPECT_STREQ(kernels.front().name, "scalar");
+    // Crc32c dispatches to the widest kernel, unless forced scalar.
+    const detail::HwOps *ops = detail::hwOps();
+    const detail::Crc32cKernel &active =
+        ops != nullptr ? kernels.back() : kernels.front();
+    EXPECT_EQ(active.update, ops != nullptr ? ops->crc32cUpdate
+                                            : &detail::crc32cScalarUpdate);
+    std::string names;
+    for (const detail::Crc32cKernel &k : kernels)
+        names += std::string(names.empty() ? "" : " ") + k.name;
+    const std::string &knob = util::Env::cryptoImpl();
+    std::printf("crc32c kernels on this CPU: %s; ANIC_CRYPTO_IMPL=%s "
+                "selects %s\n",
+                names.c_str(), knob.empty() ? "auto" : knob.c_str(),
+                active.name);
+}
+
+TEST(Crc32cKernels, FoldConstantsMatchBitwise)
+{
+    for (unsigned d : {256u, 64u, 48u, 32u, 16u}) {
+        SCOPED_TRACE(d);
+        detail::Crc32cFold k = detail::crc32cFoldConstants(d);
+        EXPECT_EQ(k.early, xPowModBitwise(8 * d + 63));
+        EXPECT_EQ(k.late, xPowModBitwise(8 * d - 1));
+    }
+}
+
+/** One kernel by name, checked against the references above; skips
+ *  when this CPU or build lacks it. */
+class Crc32cKernelTest : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
+            if (std::strcmp(k.name, GetParam()) == 0)
+                kernel_ = k.update;
+        }
+        if (kernel_ != nullptr)
+            return;
+        if (std::strcmp(GetParam(), "fold") == 0 &&
+            !cpuFeatures().vpclmul512) {
+            GTEST_SKIP() << "fold kernel untested: CPU lacks AVX-512F/DQ/"
+                            "VL + VPCLMULQDQ";
+        }
+        GTEST_SKIP() << GetParam() << " kernel untested: not compiled in "
+                     << "or CPU lacks its ISA";
+    }
+
+    uint32_t (*kernel_)(uint32_t, const uint8_t *, size_t) = nullptr;
+};
+
+TEST_P(Crc32cKernelTest, EveryShortLengthAtEveryOffset)
+{
+    // Lengths 0..1100 from offsets 0..63: every head alignment, every
+    // tail, and the fold kernel's switch to folding at 256 B.
+    constexpr size_t kMaxLen = 1100;
+    Bytes buf(64 + kMaxLen);
+    fillDeterministic(buf, 91, 0);
+    Rng rng(92);
+    std::vector<uint32_t> want(kMaxLen + 1);
+    for (size_t off = 0; off < 64; off++) {
+        const uint8_t *p = buf.data() + off;
+        uint32_t init = static_cast<uint32_t>(rng.next());
+        want[0] = init;
+        for (size_t len = 1; len <= kMaxLen; len++)
+            want[len] = crcBitwise(want[len - 1], p + len - 1, 1);
+        for (size_t len = 0; len <= kMaxLen; len++) {
+            ASSERT_EQ(kernel_(init, p, len), want[len])
+                << "off=" << off << " len=" << len;
+        }
+    }
+}
+
+TEST_P(Crc32cKernelTest, LengthsAroundBlockEdges)
+{
+    std::vector<size_t> lengths;
+    for (size_t edge : {16, 64, 256, 3 * 256, 3 * 8192, 256 * 1024})
+        for (size_t len : {edge - 1, edge, edge + 1})
+            lengths.push_back(len);
+    Bytes buf(64 + 256 * 1024 + 1);
+    fillDeterministic(buf, 93, 0);
+    Rng rng(94);
+    for (size_t off = 0; off < 64; off++) {
+        for (size_t len : lengths) {
+            const uint8_t *p = buf.data() + off;
+            uint32_t init = static_cast<uint32_t>(rng.next());
+            ASSERT_EQ(kernel_(init, p, len),
+                      detail::crc32cScalarUpdate(init, p, len))
+                << "off=" << off << " len=" << len;
+        }
+    }
+}
+
+TEST_P(Crc32cKernelTest, StreamingSplits)
+{
+    // The NIC digests a PDU across arbitrary packet boundaries; any
+    // split must give the one-shot result.
+    Bytes data(300000);
+    fillDeterministic(data, 95, 0);
+    Rng rng(96);
+    for (int trial = 0; trial < 20; trial++) {
+        uint32_t init = static_cast<uint32_t>(rng.next());
+        uint32_t whole =
+            detail::crc32cScalarUpdate(init, data.data(), data.size());
+        uint32_t crc = init;
+        size_t maxChunk = trial % 2 == 0 ? 2000 : 70000;
+        for (size_t off = 0; off < data.size();) {
+            size_t n = std::min<size_t>(rng.range(1, maxChunk),
+                                        data.size() - off);
+            crc = kernel_(crc, data.data() + off, n);
+            off += n;
+        }
+        EXPECT_EQ(crc, whole) << "trial=" << trial;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Crc32cKernelTest,
+                         ::testing::Values("scalar", "3way", "fold"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
 class HwCrossCheck : public ::testing::Test
 {
   protected:
@@ -504,48 +660,6 @@ class HwCrossCheck : public ::testing::Test
             GTEST_SKIP() << "hw crypto kernels not available on this host";
     }
 };
-
-TEST_F(HwCrossCheck, Crc32cLengthsAndAlignments)
-{
-    // Covers every tier of the hw kernel (byte head, 8KiB/256B/64B
-    // 3-way blocks, 8-byte tail, byte tail) at all 8 misalignments.
-    const size_t lengths[] = {0,    1,    7,    8,    63,           64,
-                              255,  256,  768,  1460, 4096,         8192,
-                              8275, 16384, 8192 * 3 + 17, 100000};
-    Bytes buf(100000 + 8);
-    fillDeterministic(buf, 77, 0);
-    for (size_t align = 0; align < 8; align++) {
-        for (size_t len : lengths) {
-            ByteView v(buf.data() + align, len);
-            EXPECT_EQ(crcWithImpl(CryptoImpl::Hw, v),
-                      crcWithImpl(CryptoImpl::Scalar, v))
-                << "align=" << align << " len=" << len;
-        }
-    }
-}
-
-TEST_F(HwCrossCheck, Crc32cStreamingSplits)
-{
-    // The NIC digests a PDU across arbitrary packet boundaries; the
-    // dispatched Crc32c must give split-independent results.
-    Bytes data(50000);
-    fillDeterministic(data, 78, 0);
-    uint32_t whole = crcWithImpl(CryptoImpl::Hw, data);
-    EXPECT_EQ(whole, crcWithImpl(CryptoImpl::Scalar, data));
-
-    Rng rng(17);
-    for (int trial = 0; trial < 10; trial++) {
-        Crc32c c;
-        size_t off = 0;
-        while (off < data.size()) {
-            size_t n = std::min<size_t>(rng.range(1, 9000),
-                                        data.size() - off);
-            c.update(ByteView(data).subspan(off, n));
-            off += n;
-        }
-        EXPECT_EQ(c.value(), whole);
-    }
-}
 
 TEST_F(HwCrossCheck, AesKeyScheduleMatchesScalar)
 {

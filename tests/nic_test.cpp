@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "net/packet_pool.hh"
 #include "nic/nic.hh"
@@ -237,58 +239,105 @@ TEST(NicDevice, TxOffloadEncryptsThroughRingInOrder)
     EXPECT_EQ(w.nicA.stats().txOffloadedPkts, 2u);
 }
 
+/** One 200-byte TLS record sent once through a tx context, whose
+ *  tail can then be retransmitted after a resync descriptor. */
+struct TxRecordWorld
+{
+    static constexpr size_t kPlain = 200;
+    static constexpr uint32_t kStartSeq = 1000;
+
+    NicWorld w;
+    uint64_t ctx = 0;
+    Bytes rec;
+    Bytes first; ///< ciphertext of the first pass
+    net::Ipv4Header ip;
+
+    TxRecordWorld()
+    {
+        tls::DirectionKeys keys;
+        keys.key.assign(16, 0x42);
+        keys.staticIv.assign(12, 0x24);
+        ctx = w.nicA.createTxContext(std::make_unique<tls::TlsTxEngine>(keys),
+                                     kStartSeq, 0);
+        tls::RecordHeader h;
+        h.length = kPlain + 16;
+        rec.assign(h.wireLen(), 0);
+        h.encode(rec.data());
+        Bytes pt(kPlain);
+        fillDeterministic(pt, 4, 0);
+        std::memcpy(rec.data() + 5, pt.data(), kPlain);
+        ip.src = 1;
+        ip.dst = 2;
+
+        // First pass: full record in-sequence.
+        send(kStartSeq, rec);
+        w.sim.run();
+        ByteView pl = w.atB[0]->payload();
+        first.assign(pl.begin(), pl.end());
+    }
+
+    void
+    send(uint32_t seq, ByteView payload)
+    {
+        net::TcpHeader t;
+        t.seq = seq;
+        auto p = net::PacketPool::threadDefault().make(ip, t, payload);
+        p->txCtx = ctx;
+        w.nicA.transmit(p);
+    }
+
+    /** Sends the record from @p off after the resync posted before. */
+    void
+    retransmitFrom(size_t off)
+    {
+        send(kStartSeq + static_cast<uint32_t>(off),
+             ByteView(rec).subspan(off));
+        w.sim.run();
+    }
+
+    /** Retransmitted ciphertext matches the first pass byte for byte:
+     *  receivers mix original and retransmitted bytes freely. */
+    bool
+    retransmissionMatches(size_t off) const
+    {
+        ByteView retx = w.atB.at(1)->payload();
+        return std::equal(retx.begin(), retx.end(), first.begin() + off);
+    }
+};
+
 TEST(NicDevice, TxResyncDescriptorRebuildsState)
 {
-    NicWorld w;
-    tls::DirectionKeys keys;
-    keys.key.assign(16, 0x42);
-    keys.staticIv.assign(12, 0x24);
-    uint64_t ctx = w.nicA.createTxContext(
-        std::make_unique<tls::TlsTxEngine>(keys), 1000, 0);
-
-    constexpr size_t kPlain = 200;
-    tls::RecordHeader h;
-    h.length = kPlain + 16;
-    Bytes rec(h.wireLen(), 0);
-    h.encode(rec.data());
-    Bytes pt(kPlain);
-    fillDeterministic(pt, 4, 0);
-    std::memcpy(rec.data() + 5, pt.data(), kPlain);
-
-    net::Ipv4Header ip;
-    ip.src = 1;
-    ip.dst = 2;
-
-    // First pass: full record in-sequence.
-    net::TcpHeader t1;
-    t1.seq = 1000;
-    auto p1 = net::PacketPool::threadDefault().make(ip, t1, rec);
-    p1->txCtx = ctx;
-    w.nicA.transmit(p1);
-    w.sim.run();
-    Bytes first = Bytes(w.atB[0]->payload().begin(),
-                        w.atB[0]->payload().end());
-
+    TxRecordWorld t;
     // Retransmission of the record's tail: the driver posts a resync
     // descriptor with the rebuild prefix, then the packet.
     constexpr size_t kOff = 77;
-    w.nicA.postTxResync(ctx, 1000 + kOff, 0,
-                        ByteView(rec).subspan(0, kOff));
-    net::TcpHeader t2;
-    t2.seq = 1000 + kOff;
-    auto p2 = net::PacketPool::threadDefault().make(
-        ip, t2, ByteView(rec).subspan(kOff));
-    p2->txCtx = ctx;
-    w.nicA.transmit(p2);
-    w.sim.run();
+    t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + kOff, 0,
+                          ByteView(t.rec).first(kOff));
+    t.retransmitFrom(kOff);
 
-    ASSERT_EQ(w.atB.size(), 2u);
-    ByteView retx = w.atB[1]->payload();
-    // Identical ciphertext for the overlapping range: receivers mix
-    // original and retransmitted bytes freely.
-    EXPECT_TRUE(std::equal(retx.begin(), retx.end(), first.begin() + kOff));
-    EXPECT_EQ(w.nicA.stats().txResyncs, 1u);
-    EXPECT_EQ(w.nicA.pcie().ctxRecoveryBytes, kOff);
+    ASSERT_EQ(t.w.atB.size(), 2u);
+    EXPECT_TRUE(t.retransmissionMatches(kOff));
+    EXPECT_EQ(t.w.nicA.stats().txResyncs, 1u);
+    EXPECT_EQ(t.w.nicA.pcie().ctxRecoveryBytes, kOff);
+}
+
+TEST(NicDevice, TxResyncDescriptorOwnsItsSnapshot)
+{
+    // The L5P hands the driver a view valid only during its upcall:
+    // the descriptor must snapshot the prefix, because the NIC reads
+    // it only when the ring drains. Scribble over and free the source
+    // before that.
+    TxRecordWorld t;
+    constexpr size_t kOff = 123;
+    auto src = std::make_unique<Bytes>(t.rec.begin(), t.rec.begin() + kOff);
+    t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + kOff, 0, *src);
+    std::fill(src->begin(), src->end(), 0xee);
+    src.reset();
+    t.retransmitFrom(kOff);
+
+    ASSERT_EQ(t.w.atB.size(), 2u);
+    EXPECT_TRUE(t.retransmissionMatches(kOff));
+    EXPECT_EQ(t.w.nicA.pcie().ctxRecoveryBytes, kOff);
 }
 
 net::PacketPtr
