@@ -91,7 +91,8 @@ StorageEndpoint::onReadable()
         tcp::RxSegment seg = sock_.pop();
         if (dead_)
             continue; // drain and discard; the session is over
-        assembler_.ingest(seg, [this](RxPdu &&pdu) { onPdu(std::move(pdu)); });
+        assembler_.ingest(seg,
+                          [this](RxPdu &&pdu) { dispatch(std::move(pdu)); });
         if (assembler_.error()) {
             // PDU framing lost (corrupted prefix): a fatal transport
             // error, handled instead of asserted so impairment fuzzing
@@ -109,6 +110,126 @@ StorageEndpoint::transportError()
     onTransportError();
 }
 
+// ------------------------------------------------------- receive path
+
+bool
+StorageEndpoint::nicVerified(const RxPdu &pdu)
+{
+    bool nic = ocfg_.crcRx && pdu.digestFullyOffloaded();
+    count(nic ? &StorageCounters::digestSkipped
+              : &StorageCounters::digestSoftware);
+    return nic;
+}
+
+void
+StorageEndpoint::dispatch(RxPdu &&pdu)
+{
+    host::Core &core = sock_.core();
+    const host::CycleModel &m = core.model();
+    const PduFrame &f = pdu.frame;
+    core.charge(m.nvmePduCost);
+
+    bool hdrOk = true;
+    pduDataOk_ = true;
+    if (wire_.nicHeaderDigest) {
+        // One verdict covers both digests: the NIC folds them into one
+        // per-PDU outcome, so software checks both or neither.
+        if (!nicVerified(pdu)) {
+            if (dg_.header) {
+                core.charge(m.crcPerByte * f.subHdrEnd);
+                hdrOk = headerDigestOk(pdu.bytes, f.subHdrEnd);
+            }
+            if (dg_.data && f.dataLen > 0) {
+                core.charge(m.crcPerByte * f.dataLen);
+                pduDataOk_ = dataDigestOk(pdu, f.dataOff, f.dataLen);
+            }
+        }
+        if (!hdrOk)
+            count(&StorageCounters::digestFailures);
+    } else if (dg_.header) {
+        core.charge(m.crcPerByte * f.subHdrEnd);
+        hdrOk = headerDigestOk(pdu.bytes, f.subHdrEnd);
+    }
+    if (!hdrOk) {
+        // The sub-header (tag, buffer offset) cannot be trusted, so
+        // nothing in this PDU can be attributed to a command.
+        transportError();
+        return;
+    }
+    onPdu(std::move(pdu));
+}
+
+StorageEndpoint::Command &
+StorageEndpoint::enter(uint32_t tag, Verb verb, uint64_t slba, uint32_t len)
+{
+    Command &c = cmds_[tag];
+    c = Command{};
+    c.verb = verb;
+    c.slba = slba;
+    c.len = len;
+    return c;
+}
+
+StorageEndpoint::Command *
+StorageEndpoint::command(uint32_t tag)
+{
+    auto it = cmds_.find(tag);
+    return it != cmds_.end() ? &it->second : nullptr;
+}
+
+std::optional<StorageEndpoint::Command>
+StorageEndpoint::take(uint32_t tag)
+{
+    auto it = cmds_.find(tag);
+    if (it == cmds_.end())
+        return std::nullopt;
+    Command c = std::move(it->second);
+    cmds_.erase(it);
+    delRrState(tag);
+    return c;
+}
+
+StorageEndpoint::Command *
+StorageEndpoint::receiveData(RxPdu &pdu, uint32_t tag, uint32_t bufferOffset,
+                             uint64_t queueBytes)
+{
+    count(&StorageCounters::dataPdus);
+    Command *c = command(tag);
+    if (c == nullptr)
+        return nullptr; // stale / unknown tag
+    const PduFrame &f = pdu.frame;
+    // limit == 0: the command takes no data (an initiator's write).
+    if (c->limit == 0 || uint64_t{bufferOffset} + f.dataLen > c->limit) {
+        transportError();
+        return nullptr;
+    }
+    host::Core &core = sock_.core();
+    const host::CycleModel &m = core.model();
+
+    // ---- copy (placement offload skips NIC-placed ranges)
+    CopyCounts cc = copyUnplaced(pdu, f.dataOff, f.dataLen, bufferOffset,
+                                 c->buffer.get());
+    core.charge(m.copyPerByte(std::max<uint64_t>(c->len, queueBytes)) *
+                static_cast<double>(cc.copied));
+    count(&StorageCounters::bytesCopied, cc.copied);
+    count(&StorageCounters::bytesPlaced, cc.placed);
+
+    // ---- data digest (decided before dispatch if the NIC checks
+    // headers too)
+    bool ok = pduDataOk_;
+    if (!wire_.nicHeaderDigest && dg_.data && f.dataLen > 0 &&
+        !nicVerified(pdu)) {
+        core.charge(m.crcPerByte * f.dataLen);
+        ok = dataDigestOk(pdu, f.dataOff, f.dataLen);
+    }
+    if (!ok) {
+        c->failed = true;
+        count(&StorageCounters::digestFailures);
+    }
+    c->received += f.dataLen;
+    return c;
+}
+
 // ------------------------------------------------------------- resync
 
 void
@@ -123,7 +244,7 @@ StorageEndpoint::checkPendingResync()
     resyncPending_ = false;
     resyncOffValid_ = false;
     if (ok)
-        countResyncConfirmed();
+        count(&StorageCounters::resyncConfirmed);
     answerResync(ok);
 }
 
@@ -157,7 +278,7 @@ void
 StorageEndpoint::resyncRxReq(uint32_t tcpsn)
 {
     ANIC_ASSERT(conn_ != nullptr);
-    countResyncRequest();
+    count(&StorageCounters::resyncRequests);
     resyncPending_ = true;
     resyncSeq_ = tcpsn; // echoed in the response (stale-answer guard)
     // Translate the sequence number into our stream-offset space.
@@ -167,6 +288,91 @@ StorageEndpoint::resyncRxReq(uint32_t tcpsn)
     resyncOff_ = consumed + delta;
     resyncOffValid_ = true;
     checkPendingResync();
+}
+
+// ---------------------------------------------------------- initiator
+
+namespace {
+
+/** Completion counter of each Verb. */
+constexpr sim::Counter *StorageCounters::*kCompleted[] = {
+    &StorageCounters::readsCompleted,
+    &StorageCounters::writesCompleted,
+    &StorageCounters::flushesCompleted,
+    &StorageCounters::comparesCompleted,
+};
+
+} // namespace
+
+StorageInitiator::StorageInitiator(tcp::StreamSocket &sock,
+                                   const StorageWire &wire, Digests d,
+                                   StorageOffloadConfig ocfg, uint32_t maxTag)
+    : StorageEndpoint(sock, wire, d, ocfg), maxTag_(maxTag)
+{
+}
+
+uint32_t
+StorageInitiator::issue(Verb verb, uint64_t slba, uint32_t len,
+                        uint64_t contentSeed, ReadDone readDone,
+                        WriteDone writeDone)
+{
+    host::Core &core = sock_.core();
+    core.charge(core.model().nvmeRequestCost / 2);
+
+    uint32_t tag;
+    do {
+        tag = nextTag_;
+        nextTag_ = nextTag_ == maxTag_ ? 1 : nextTag_ + 1;
+    } while (command(tag) != nullptr);
+
+    Command &c = enter(tag, verb, slba, len);
+    c.contentSeed = contentSeed;
+    c.readDone = std::move(readDone);
+    c.writeDone = std::move(writeDone);
+    outstandingBytes_ += len;
+    if (verb == Verb::Read) {
+        c.limit = len;
+        c.buffer = std::make_shared<host::BlockBuffer>(len);
+        addRrState(tag, c.buffer); // where the NIC places the data
+    }
+    return tag;
+}
+
+void
+StorageInitiator::complete(uint32_t tag, bool ok)
+{
+    std::optional<Command> c = take(tag);
+    if (!c)
+        return;
+    host::Core &core = sock_.core();
+    core.charge(core.model().nvmeRequestCost / 2);
+    outstandingBytes_ -= c->len;
+
+    bool success = ok && !c->failed &&
+                   (c->verb != Verb::Read || c->received == c->len);
+    if (!success)
+        count(&StorageCounters::failures);
+    count(kCompleted[static_cast<size_t>(c->verb)]);
+    if (c->verb == Verb::Read) {
+        if (c->readDone)
+            c->readDone(success, std::move(c->buffer));
+    } else if (c->writeDone) {
+        c->writeDone(success);
+    }
+}
+
+void
+StorageInitiator::onTransportError()
+{
+    std::vector<uint32_t> tags;
+    tags.reserve(cmds_.size());
+    for (const auto &[tag, c] : cmds_)
+        tags.push_back(tag);
+    // Tag (issue) order, not hash order: completion callbacks can issue
+    // new commands, and the replay must be identical across processes.
+    std::sort(tags.begin(), tags.end());
+    for (uint32_t tag : tags)
+        complete(tag, false);
 }
 
 } // namespace anic::core

@@ -98,6 +98,15 @@ copyUnplaced(RxPdu &pdu, uint64_t dataOff, uint32_t dataLen,
 }
 
 bool
+headerDigestOk(ByteView pdu, size_t hdrEnd)
+{
+    if (pdu.size() < hdrEnd + kDigestSize)
+        return false;
+    uint32_t wire = static_cast<uint32_t>(getLe32(pdu.data() + hdrEnd));
+    return crypto::Crc32c::compute(pdu.first(hdrEnd)) == wire;
+}
+
+bool
 dataDigestOk(const RxPdu &pdu, uint64_t dataOff, uint32_t dataLen)
 {
     ByteView data = ByteView(pdu.bytes).subspan(dataOff, dataLen);

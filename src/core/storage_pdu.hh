@@ -202,6 +202,10 @@ struct CopyCounts
 CopyCounts copyUnplaced(RxPdu &pdu, uint64_t dataOff, uint32_t dataLen,
                         uint64_t bufferOffset, host::BlockBuffer *dst);
 
+/** Software check of a header digest: CRC32C of pdu[0, hdrEnd),
+ *  stored little-endian right after it. */
+bool headerDigestOk(ByteView pdu, size_t hdrEnd);
+
 /** Software check of the data digest following the data region. */
 bool dataDigestOk(const RxPdu &pdu, uint64_t dataOff, uint32_t dataLen);
 

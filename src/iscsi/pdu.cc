@@ -144,10 +144,7 @@ buildDataPdu(const IscsiWireConfig &wc, uint8_t opcode, const IscsiBhs &bhs,
 bool
 verifyHdgst(const IscsiWireConfig &wc, ByteView pdu)
 {
-    if (!wc.headerDigest)
-        return true;
-    uint32_t crc = crypto::Crc32c::compute(ByteView(pdu.data(), kBhsSize));
-    return crc == static_cast<uint32_t>(getLe32(pdu.data() + kBhsSize));
+    return !wc.headerDigest || core::headerDigestOk(pdu, kBhsSize);
 }
 
 // ------------------------------------------------------ wire traits

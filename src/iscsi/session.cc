@@ -1,220 +1,95 @@
 #include "iscsi/session.hh"
 
-#include <algorithm>
+#include <limits>
 
 #include "host/core.hh"
 #include "util/panic.hh"
 
 namespace anic::iscsi {
 
+namespace {
+
+/** The BHS of a data PDU; the last one of a sequence is final. */
+IscsiBhs
+dataBhs(uint32_t itt, uint32_t off, bool last)
+{
+    IscsiBhs bhs;
+    bhs.itt = itt;
+    bhs.bufferOffset = off;
+    bhs.flags = last ? kFlagFinal : 0;
+    return bhs;
+}
+
+core::StorageCounters
+counters(IscsiInitiatorStats *s)
+{
+    if (s == nullptr)
+        return {};
+    return {.dataPdus = &s->dataInPdus,
+            .bytesPlaced = &s->bytesPlaced,
+            .bytesCopied = &s->bytesCopied,
+            .digestSkipped = &s->digestSkipped,
+            .digestSoftware = &s->digestSoftware,
+            .digestFailures = &s->digestFailures,
+            .resyncRequests = &s->resyncRequests,
+            .resyncConfirmed = &s->resyncConfirmed,
+            .failures = &s->failures,
+            .readsCompleted = &s->readsCompleted,
+            .writesCompleted = &s->writesCompleted};
+}
+
+} // namespace
+
 // ----------------------------------------------------------- initiator
 
 IscsiInitiator::IscsiInitiator(tcp::StreamSocket &sock, IscsiWireConfig wc,
                                IscsiOffloadConfig ocfg,
                                IscsiInitiatorStats *aggregate)
-    : StorageEndpoint(sock, kIscsiWire, wc.digests(), ocfg), wc_(wc),
-      aggregate_(aggregate)
+    : StorageInitiator(sock, kIscsiWire, wc.digests(), ocfg,
+                       std::numeric_limits<decltype(IscsiBhs::itt)>::max()),
+      wc_(wc)
 {
-}
-
-uint32_t
-IscsiInitiator::allocItt()
-{
-    for (;;) {
-        uint32_t itt = nextItt_++;
-        if (nextItt_ == 0)
-            nextItt_ = 1;
-        if (tasks_.find(itt) == tasks_.end())
-            return itt;
-    }
+    countInto(counters(&stats_), counters(aggregate));
 }
 
 void
 IscsiInitiator::read(uint64_t slba, uint32_t len, ReadDone done)
 {
-    host::Core &core = sock_.core();
-    core.charge(core.model().nvmeRequestCost / 2);
-
-    uint32_t itt = allocItt();
-    Task task;
-    task.scsiOp = kScsiRead;
-    task.slba = slba;
-    task.len = len;
-    task.buffer = std::make_shared<host::BlockBuffer>(len);
-    task.readDone = std::move(done);
-
-    // l5o_add_rr_state: tell the NIC where Data-In belongs.
-    addRrState(itt, task.buffer);
-    tasks_.emplace(itt, std::move(task));
-
-    IscsiBhs bhs;
-    bhs.itt = itt;
-    bhs.edtl = len;
-    bhs.scsiOp = kScsiRead;
-    bhs.slba = slba;
-    bhs.length = len;
-    enqueue(buildScsiCmd(wc_, bhs));
+    uint32_t itt = issue(Verb::Read, slba, len, 0, std::move(done), nullptr);
+    enqueue(buildScsiCmd(wc_, {.itt = itt, .edtl = len, .scsiOp = kScsiRead,
+                               .slba = slba, .length = len}));
 }
 
 void
 IscsiInitiator::write(uint64_t slba, uint32_t len, uint64_t contentSeed,
                       WriteDone done)
 {
-    host::Core &core = sock_.core();
-    core.charge(core.model().nvmeRequestCost / 2);
-
-    uint32_t itt = allocItt();
-    Task task;
-    task.scsiOp = kScsiWrite;
-    task.slba = slba;
-    task.len = len;
-    task.writeDone = std::move(done);
-
-    IscsiBhs bhs;
-    bhs.itt = itt;
-    bhs.edtl = len;
-    bhs.scsiOp = kScsiWrite;
-    bhs.slba = slba;
-    bhs.length = len;
-    enqueue(buildScsiCmd(wc_, bhs));
-    sendDataOut(itt, task, contentSeed);
-    tasks_.emplace(itt, std::move(task));
-}
-
-void
-IscsiInitiator::sendDataOut(uint32_t itt, const Task &task,
-                            uint64_t contentSeed)
-{
-    host::Core &core = sock_.core();
-    const host::CycleModel &m = core.model();
-    uint32_t off = 0;
-    while (off < task.len) {
-        uint32_t n = static_cast<uint32_t>(
-            std::min<size_t>(wc_.maxDataSegment, task.len - off));
-        Bytes data(n);
-        fillDeterministic(data, contentSeed, task.slba + off);
-        IscsiBhs dh;
-        dh.itt = itt;
-        dh.bufferOffset = off;
-        dh.flags = off + n >= task.len ? kFlagFinal : 0;
-        // User buffer -> PDU copy; compute the data digest in
-        // software unless the NIC tx engine fills it.
-        core.charge(m.copyLlcPerByte * n +
-                    (wc_.dataDigest && !ocfg_.crcTx ? m.crcPerByte * n : 0) +
-                    m.nvmePduCost);
-        enqueue(buildDataPdu(wc_, kOpDataOut, dh, data,
-                                /*fillDdgst=*/!ocfg_.crcTx));
-        off += n;
-    }
-}
-
-void
-IscsiInitiator::onTransportError()
-{
-    std::vector<uint32_t> itts;
-    itts.reserve(tasks_.size());
-    for (const auto &[itt, task] : tasks_)
-        itts.push_back(itt);
-    // Issue order, not hash order, for cross-process determinism.
-    std::sort(itts.begin(), itts.end());
-    for (uint32_t itt : itts) {
-        auto it = tasks_.find(itt);
-        if (it == tasks_.end())
-            continue;
-        it->second.failed = true;
-        completeTask(itt, false);
-    }
+    uint32_t itt =
+        issue(Verb::Write, slba, len, contentSeed, nullptr, std::move(done));
+    enqueue(buildScsiCmd(wc_, {.itt = itt, .edtl = len, .scsiOp = kScsiWrite,
+                               .slba = slba, .length = len}));
+    // User buffer -> PDU copy.
+    sendData(0, len, wc_.maxDataSegment, sock_.core().model().copyLlcPerByte,
+             [&](uint32_t off, uint32_t n, bool fillDdgst) {
+                 Bytes data(n);
+                 fillDeterministic(data, contentSeed, slba + off);
+                 return buildDataPdu(wc_, kOpDataOut,
+                                     dataBhs(itt, off, off + n >= len), data,
+                                     fillDdgst);
+             });
 }
 
 void
 IscsiInitiator::onPdu(core::RxPdu &&pdu)
 {
-    host::Core &core = sock_.core();
-    const host::CycleModel &m = core.model();
-    core.charge(m.nvmePduCost);
     IscsiBhs bhs = parseBhs(pdu.bytes);
-
-    // Digest verification: one decision covers both digests — the
-    // NIC engine folds the header and data digest verdicts into the
-    // same per-PDU outcome.
-    bool skip = ocfg_.crcRx && pdu.digestFullyOffloaded();
-    bool hdgst_ok = true;
-    bool ddgst_ok = true;
-    if (skip) {
-        count(&IscsiInitiatorStats::digestSkipped);
-    } else {
-        count(&IscsiInitiatorStats::digestSoftware);
-        if (wc_.headerDigest) {
-            core.charge(m.crcPerByte * kBhsSize);
-            hdgst_ok = verifyHdgst(wc_, pdu.bytes);
-        }
-        if (wc_.dataDigest && bhs.dsl > 0) {
-            core.charge(m.crcPerByte * bhs.dsl);
-            ddgst_ok = core::dataDigestOk(pdu, pdu.frame.dataOff, bhs.dsl);
-        }
-    }
-    if (!hdgst_ok) {
-        // The BHS (ITT, buffer offset) cannot be trusted: fatal
-        // transport error, like a corrupted NVMe specific header.
-        count(&IscsiInitiatorStats::digestFailures);
-        transportError();
-        return;
-    }
-
     if (bhs.opcode == kOpDataIn) {
-        count(&IscsiInitiatorStats::dataInPdus);
-        auto it = tasks_.find(bhs.itt);
-        if (it == tasks_.end())
-            return; // stale / unknown task
-        Task &task = it->second;
-        core::CopyCounts c =
-            core::copyUnplaced(pdu, pdu.frame.dataOff, bhs.dsl,
-                               bhs.bufferOffset, task.buffer.get());
-        core.charge(m.copyPerByte(task.len) * static_cast<double>(c.copied));
-        count(&IscsiInitiatorStats::bytesCopied, c.copied);
-        count(&IscsiInitiatorStats::bytesPlaced, c.placed);
-        if (!ddgst_ok) {
-            task.failed = true;
-            count(&IscsiInitiatorStats::digestFailures);
-        }
-        task.received += bhs.dsl;
+        receiveData(pdu, bhs.itt, bhs.bufferOffset);
         return;
     }
-
-    if (bhs.opcode == kOpScsiResp) {
-        completeTask(bhs.itt, bhs.status == 0);
-        return;
-    }
+    if (bhs.opcode == kOpScsiResp)
+        complete(bhs.itt, bhs.status == 0);
     // Initiators don't expect other opcodes.
-}
-
-void
-IscsiInitiator::completeTask(uint32_t itt, bool ok)
-{
-    auto it = tasks_.find(itt);
-    if (it == tasks_.end())
-        return;
-    Task task = std::move(it->second);
-    tasks_.erase(it);
-
-    host::Core &core = sock_.core();
-    core.charge(core.model().nvmeRequestCost / 2);
-
-    delRrState(itt); // l5o_del_rr_state
-
-    bool success = ok && !task.failed &&
-                   (task.scsiOp != kScsiRead || task.received == task.len);
-    if (!success)
-        count(&IscsiInitiatorStats::failures);
-    if (task.scsiOp == kScsiRead) {
-        count(&IscsiInitiatorStats::readsCompleted);
-        if (task.readDone)
-            task.readDone(success, std::move(task.buffer));
-    } else {
-        count(&IscsiInitiatorStats::writesCompleted);
-        if (task.writeDone)
-            task.writeDone(success);
-    }
 }
 
 // -------------------------------------------------------------- target
@@ -224,93 +99,48 @@ IscsiTarget::IscsiTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
     : StorageEndpoint(sock, kIscsiWire, wc.digests(), {}), drive_(drive),
       wc_(wc)
 {
+    countInto({.dataPdus = &stats_.dataOutPdus,
+               .bytesPlaced = &stats_.bytesPlaced,
+               .bytesCopied = &stats_.bytesCopied,
+               .digestSkipped = &stats_.digestSkipped,
+               .digestSoftware = &stats_.digestSoftware,
+               .digestFailures = &stats_.digestFailures,
+               .resyncRequests = &stats_.resyncRequests,
+               .resyncConfirmed = &stats_.resyncConfirmed});
 }
 
 void
 IscsiTarget::onPdu(core::RxPdu &&pdu)
 {
-    host::Core &core = sock_.core();
-    const host::CycleModel &m = core.model();
-    core.charge(m.nvmePduCost);
     IscsiBhs bhs = parseBhs(pdu.bytes);
-
-    bool skip = ocfg_.crcRx && pdu.digestFullyOffloaded();
-    bool hdgst_ok = true;
-    bool ddgst_ok = true;
-    if (skip) {
-        stats_.digestSkipped++;
-    } else {
-        stats_.digestSoftware++;
-        if (wc_.headerDigest) {
-            core.charge(m.crcPerByte * kBhsSize);
-            hdgst_ok = verifyHdgst(wc_, pdu.bytes);
-        }
-        if (wc_.dataDigest && bhs.dsl > 0) {
-            core.charge(m.crcPerByte * bhs.dsl);
-            ddgst_ok = core::dataDigestOk(pdu, pdu.frame.dataOff, bhs.dsl);
-        }
-    }
-    if (!hdgst_ok) {
-        stats_.digestFailures++;
-        transportError(); // a corrupted BHS must not reach the task table
-        return;
-    }
-
     switch (bhs.opcode) {
       case kOpScsiCmd: {
         if (bhs.scsiOp == kScsiRead) {
             serveRead(bhs);
-        } else {
-            PendingWrite w;
-            w.slba = bhs.slba;
-            w.len = bhs.length;
-            w.buffer = std::make_shared<host::BlockBuffer>(bhs.length);
-            if (bhs.length > 0) {
-                // Unsolicited Data-Out can arrive right behind the
-                // command: register placement state immediately.
-                addRrState(bhs.itt, w.buffer);
-            }
-            writes_[bhs.itt] = std::move(w);
-            if (bhs.length == 0)
-                finishWrite(bhs.itt);
+            return;
         }
+        Command &w = enter(bhs.itt, Verb::Write, bhs.slba, bhs.length);
+        w.buffer = std::make_shared<host::BlockBuffer>(bhs.length);
+        if (bhs.length == 0) {
+            finishWrite(bhs.itt);
+            return;
+        }
+        // Unsolicited Data-Out: the command invites its whole range,
+        // and the data can arrive right behind it, so placement state
+        // is registered now.
+        w.limit = w.len;
+        addRrState(bhs.itt, w.buffer);
         return;
       }
-      case kOpDataOut:
-        if (!ddgst_ok) {
-            auto it = writes_.find(bhs.itt);
-            if (it != writes_.end())
-                it->second.digestOk = false;
-            stats_.digestFailures++;
-        }
-        onDataOut(pdu, bhs);
+      case kOpDataOut: {
+        Command *w = receiveData(pdu, bhs.itt, bhs.bufferOffset);
+        if (w != nullptr && w->received >= w->len)
+            finishWrite(bhs.itt);
         return;
+      }
       default:
         return; // targets ignore response-type opcodes
     }
-}
-
-void
-IscsiTarget::onDataOut(core::RxPdu &pdu, const IscsiBhs &bhs)
-{
-    host::Core &core = sock_.core();
-    const host::CycleModel &m = core.model();
-    stats_.dataOutPdus++;
-
-    auto it = writes_.find(bhs.itt);
-    if (it == writes_.end())
-        return; // stale / unknown task
-    PendingWrite &w = it->second;
-
-    core::CopyCounts c = core::copyUnplaced(pdu, pdu.frame.dataOff, bhs.dsl,
-                                            bhs.bufferOffset, w.buffer.get());
-    core.charge(m.copyPerByte(w.len) * static_cast<double>(c.copied));
-    stats_.bytesCopied += c.copied;
-    stats_.bytesPlaced += c.placed;
-
-    w.received += bhs.dsl;
-    if (w.received >= w.len)
-        finishWrite(bhs.itt);
 }
 
 void
@@ -321,31 +151,18 @@ IscsiTarget::serveRead(const IscsiBhs &bhs)
 
     drive_.read(bhs.slba, bhs.length, [this, bhs, &core](Bytes data) {
         core.post([this, itt = bhs.itt, data = std::move(data)] {
-            host::Core &c = sock_.core();
-            const host::CycleModel &m = c.model();
             stats_.readsServed++;
             stats_.bytesRead += data.size();
-
-            size_t off = 0;
-            while (off < data.size()) {
-                size_t n = std::min(wc_.maxDataSegment, data.size() - off);
-                IscsiBhs dh;
-                dh.itt = itt;
-                dh.bufferOffset = static_cast<uint32_t>(off);
-                dh.flags = off + n >= data.size() ? kFlagFinal : 0;
-                c.charge(m.copyPerByte(data.size()) * n +
-                         (wc_.dataDigest && !ocfg_.crcTx ? m.crcPerByte * n
-                                                         : 0) +
-                         m.nvmePduCost);
-                enqueue(buildDataPdu(wc_, kOpDataIn, dh,
-                                     ByteView(data).subspan(off, n),
-                                     /*fillDdgst=*/!ocfg_.crcTx));
-                off += n;
-            }
-            IscsiBhs resp;
-            resp.itt = itt;
-            resp.status = 0;
-            enqueue(buildScsiResp(wc_, resp));
+            uint32_t len = static_cast<uint32_t>(data.size());
+            sendData(0, len, wc_.maxDataSegment,
+                     sock_.core().model().copyPerByte(data.size()),
+                     [&](uint32_t off, uint32_t n, bool fillDdgst) {
+                         return buildDataPdu(wc_, kOpDataIn,
+                                             dataBhs(itt, off, off + n >= len),
+                                             ByteView(data).subspan(off, n),
+                                             fillDdgst);
+                     });
+            enqueue(buildScsiResp(wc_, {.itt = itt, .status = 0}));
         });
     });
 }
@@ -353,14 +170,10 @@ IscsiTarget::serveRead(const IscsiBhs &bhs)
 void
 IscsiTarget::finishWrite(uint32_t itt)
 {
-    auto it = writes_.find(itt);
-    ANIC_ASSERT(it != writes_.end());
-    PendingWrite w = std::move(it->second);
-    writes_.erase(it);
-    delRrState(itt); // l5o_del_rr_state
-
-    drive_.write(w.slba, w.len,
-                 [this, itt, len = w.len, digestOk = w.digestOk] {
+    std::optional<Command> w = take(itt);
+    ANIC_ASSERT(w.has_value());
+    drive_.write(w->slba, w->len,
+                 [this, itt, len = w->len, digestOk = !w->failed] {
         sock_.core().post([this, itt, len, digestOk] {
             stats_.writesServed++;
             stats_.bytesWritten += len;

@@ -7,10 +7,12 @@
  * writes carry unsolicited Data-Out (InitialR2T=No with a large
  * FirstBurstLength, a common fast-path configuration — credit-gated
  * data-out is exercised by the NVMe-TCP R2T path). IscsiTarget serves
- * Data-In segments and collects Data-Out into per-task buffers.
+ * Data-In segments and collects Data-Out into per-task buffers; data
+ * outside a task's range is a fatal transport error.
  *
- * Both sides install NIC offloads through the shared storage-L5P
- * endpoint (core::StorageEndpoint, l5o_create with kIscsiWire):
+ * Both sides are thin: the task table, the pending writes, the data
+ * path and the NIC offloads are the shared core::StorageEndpoint's
+ * (l5o_create with kIscsiWire):
  *  - rx digest offload: skip software header+data digest checks when
  *    the NIC verified every chunk of a PDU;
  *  - rx copy offload: skip copying ranges the NIC placed into the
@@ -18,12 +20,11 @@
  *  - tx digest offload: send data PDUs with dummy data digests for
  *    the NIC to fill;
  *  - resync: answers NIC BHS speculations with PDU-boundary anchors.
+ * What stays here is the BHS build and parse and unsolicited Data-Out.
  */
 
 #ifndef ANIC_ISCSI_SESSION_HH
 #define ANIC_ISCSI_SESSION_HH
-
-#include <unordered_map>
 
 #include "core/storage_endpoint.hh"
 #include "iscsi/pdu.hh"
@@ -45,7 +46,7 @@ struct IscsiInitiatorStats
     sim::Counter resyncConfirmed;
 };
 
-class IscsiInitiator : public core::StorageEndpoint
+class IscsiInitiator : public core::StorageInitiator
 {
   public:
     IscsiInitiator(tcp::StreamSocket &sock, IscsiWireConfig wc,
@@ -59,9 +60,6 @@ class IscsiInitiator : public core::StorageEndpoint
         installOffload(dev, conn);
     }
 
-    using ReadDone = std::function<void(bool ok, host::BlockBufferPtr)>;
-    using WriteDone = std::function<void(bool ok)>;
-
     /** Reads @p len bytes at byte address @p slba. */
     void read(uint64_t slba, uint32_t len, ReadDone done);
 
@@ -71,54 +69,14 @@ class IscsiInitiator : public core::StorageEndpoint
                WriteDone done);
 
     const IscsiInitiatorStats &stats() const { return stats_; }
-    size_t outstanding() const { return tasks_.size(); }
 
   private:
-    struct Task
-    {
-        uint8_t scsiOp = 0;
-        uint64_t slba = 0;
-        uint32_t len = 0;
-        host::BlockBufferPtr buffer;
-        ReadDone readDone;
-        WriteDone writeDone;
-        uint32_t received = 0;
-        bool failed = false;
-    };
-
-    uint32_t allocItt();
-    void sendDataOut(uint32_t itt, const Task &task, uint64_t contentSeed);
-    void completeTask(uint32_t itt, bool ok);
-
-    // StorageEndpoint. A lost framing or BHS digest fails every
-    // outstanding task and the session goes quiescent.
+    // StorageEndpoint. A lost framing, BHS digest or data range fails
+    // every outstanding task and the session goes quiescent.
     void onPdu(core::RxPdu &&pdu) override;
-    void onTransportError() override;
-    void
-    countResyncRequest() override
-    {
-        count(&IscsiInitiatorStats::resyncRequests);
-    }
-    void
-    countResyncConfirmed() override
-    {
-        count(&IscsiInitiatorStats::resyncConfirmed);
-    }
-
-    void
-    count(sim::Counter IscsiInitiatorStats::*m, uint64_t n = 1)
-    {
-        (stats_.*m) += n;
-        if (aggregate_ != nullptr)
-            (aggregate_->*m) += n;
-    }
 
     IscsiWireConfig wc_;
-    std::unordered_map<uint32_t, Task> tasks_;
-    uint32_t nextItt_ = 1;
-
     IscsiInitiatorStats stats_;
-    IscsiInitiatorStats *aggregate_ = nullptr;
 };
 
 struct IscsiTargetStats
@@ -155,27 +113,15 @@ class IscsiTarget : public core::StorageEndpoint
     const IscsiTargetStats &stats() const { return stats_; }
 
   private:
-    struct PendingWrite
-    {
-        uint64_t slba = 0;
-        uint32_t len = 0;
-        uint32_t received = 0;
-        bool digestOk = true;
-        host::BlockBufferPtr buffer;
-    };
-
-    // StorageEndpoint. A lost framing or BHS digest stops serving.
+    // StorageEndpoint. A lost framing, BHS digest or data range stops
+    // serving.
     void onPdu(core::RxPdu &&pdu) override;
-    void countResyncRequest() override { stats_.resyncRequests++; }
-    void countResyncConfirmed() override { stats_.resyncConfirmed++; }
 
-    void onDataOut(core::RxPdu &pdu, const IscsiBhs &bhs);
     void serveRead(const IscsiBhs &bhs);
     void finishWrite(uint32_t itt);
 
     host::NvmeDrive &drive_;
     IscsiWireConfig wc_;
-    std::unordered_map<uint32_t, PendingWrite> writes_;
 
     IscsiTargetStats stats_;
 };

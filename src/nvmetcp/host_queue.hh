@@ -3,18 +3,13 @@
  * NVMe-TCP host (initiator) queue: maps read/write/flush/compare
  * block requests to capsules over a StreamSocket. Data-out commands
  * (write, compare) are R2T-gated: H2CData PDUs are emitted only for
- * ranges the target has invited. Implements the paper's offloads:
+ * ranges the target has invited.
  *
- *  - rx CRC offload: skip software data-digest verification when the
- *    NIC checked every chunk of a capsule;
- *  - rx copy offload: skip copying payload ranges the NIC already
- *    placed into the destination block buffer (zero-copy receive);
- *  - tx CRC offload: send data PDUs with dummy digests for the NIC
- *    to fill, keeping per-capsule state for retransmit recovery;
- *  - resync: answers the NIC's PDU-header speculations, both for the
- *    plain-TCP transport (sequence-number anchors, in the shared
- *    StorageEndpoint) and for the NVMe-TLS composition (record/offset
- *    anchors via the TLS layer, here).
+ * The command table, the data path and the paper's offloads (rx CRC,
+ * rx copy, tx CRC and plain-TCP resync) are the shared
+ * core::StorageInitiator's. This queue keeps the NVMe capsules, R2T
+ * credit, FLUSH/COMPARE and the NVMe-TLS composition, whose resync
+ * anchors arrive as (record, offset) pairs via the TLS layer.
  *
  * The transport is any StreamSocket: a TcpConnection (plain NVMe-TCP)
  * or a TlsSocket (NVMe-TLS, §5.3).
@@ -22,8 +17,6 @@
 
 #ifndef ANIC_NVMETCP_HOST_QUEUE_HH
 #define ANIC_NVMETCP_HOST_QUEUE_HH
-
-#include <unordered_map>
 
 #include "core/storage_endpoint.hh"
 #include "nvmetcp/pdu.hh"
@@ -49,12 +42,12 @@ struct NvmeHostStats
     sim::Counter resyncConfirmed;
 };
 
-class NvmeHostQueue : public core::StorageEndpoint
+class NvmeHostQueue : public core::StorageInitiator
 {
   public:
     /** @param aggregate optional owner-level stats (e.g. one per
-     *  StorageService across its per-core queues) every count also
-     *  lands in — that is what the registry publishes. */
+     *  StorageService across its per-core queues) that every count but
+     *  r2tPdusRx also lands in — that is what the registry publishes. */
     NvmeHostQueue(tcp::StreamSocket &sock, WireConfig wc,
                   NvmeOffloadConfig ocfg, NvmeHostStats *aggregate = nullptr);
 
@@ -76,9 +69,6 @@ class NvmeHostQueue : public core::StorageEndpoint
      */
     void enableOffloadOverTls(tls::TlsSocket &tlsSock);
 
-    using ReadDone = std::function<void(bool ok, host::BlockBufferPtr)>;
-    using WriteDone = std::function<void(bool ok)>;
-
     /** Reads @p len bytes at byte address @p slba. */
     void read(uint64_t slba, uint32_t len, ReadDone done);
 
@@ -96,50 +86,19 @@ class NvmeHostQueue : public core::StorageEndpoint
                  WriteDone done);
 
     const NvmeHostStats &stats() const { return stats_; }
-    size_t outstanding() const { return requests_.size(); }
-    uint64_t outstandingBytes() const { return outstandingBytes_; }
 
     /** FSM stats of the rx offload (outer or inner), if any. */
     const nic::FsmStats *rxFsmStats() const;
 
   private:
-    struct Request
-    {
-        uint8_t opcode = 0;
-        uint64_t slba = 0;
-        uint32_t len = 0;
-        uint64_t contentSeed = 0; ///< data-out payload (write/compare)
-        host::BlockBufferPtr buffer;
-        ReadDone readDone;
-        WriteDone writeDone;
-        uint32_t received = 0;
-        bool failed = false;
-    };
-
-    uint16_t allocCid();
-    void issueDataOutCmd(uint8_t opcode, uint64_t slba, uint32_t len,
-                         uint64_t contentSeed, WriteDone done);
+    void issueDataOutCmd(uint8_t opcode, Verb verb, uint64_t slba,
+                         uint32_t len, uint64_t contentSeed, WriteDone done);
     void onR2t(const R2tHdr &r2t);
-    void completeRequest(uint16_t cid, bool ok);
     void handleInnerAnchor(uint64_t recIdx, uint64_t plainOff);
 
     // StorageEndpoint.
     void onPdu(core::RxPdu &&pdu) override;
-    /** Fails every outstanding command: the initiator-side analogue
-     *  of a fatal transport error. */
-    void onTransportError() override;
-    void countResyncRequest() override;
-    void countResyncConfirmed() override;
     void answerResync(bool ok) override;
-
-    /** Counts into the queue stats and the owner aggregate. */
-    void
-    count(sim::Counter NvmeHostStats::*m, uint64_t n = 1)
-    {
-        (stats_.*m) += n;
-        if (aggregate_ != nullptr)
-            (aggregate_->*m) += n;
-    }
 
     WireConfig wc_;
 
@@ -152,12 +111,7 @@ class NvmeHostQueue : public core::StorageEndpoint
     uint64_t innerAnchorRecIdx_ = 0;
     uint32_t innerAnchorRecOff_ = 0;
 
-    std::unordered_map<uint16_t, Request> requests_;
-    uint16_t nextCid_ = 1;
-    uint64_t outstandingBytes_ = 0;
-
     NvmeHostStats stats_;
-    NvmeHostStats *aggregate_ = nullptr;
 };
 
 } // namespace anic::nvmetcp

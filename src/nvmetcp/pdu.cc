@@ -89,17 +89,6 @@ fillHdgst(const WireConfig &wc, Bytes &pdu, uint8_t hlen)
 
 } // namespace
 
-bool
-verifyHdgst(const WireConfig &wc, ByteView pdu, size_t hlen)
-{
-    if (!wc.headerDigest)
-        return true;
-    if (pdu.size() < hlen + kDigestSize)
-        return false;
-    uint32_t wire = static_cast<uint32_t>(getLe32(pdu.data() + hlen));
-    return crypto::Crc32c::compute(ByteView(pdu.data(), hlen)) == wire;
-}
-
 Bytes
 buildCmdCapsule(const WireConfig &wc, const CmdCapsule &cmd)
 {

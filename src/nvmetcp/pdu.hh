@@ -79,7 +79,6 @@ struct WireConfig
     size_t maxR2tWindow = 128 << 10;
 
     size_t digestLen() const { return headerDigest ? kDigestSize : 0; }
-    size_t ddgstLen() const { return dataDigest ? kDigestSize : 0; }
     core::Digests digests() const { return {headerDigest, dataDigest}; }
 };
 
@@ -184,17 +183,6 @@ CmdCapsule parseCmdCapsule(ByteView pdu);
 RespCapsule parseRespCapsule(ByteView pdu);
 DataPduHdr parseDataPduHdr(ByteView pdu);
 R2tHdr parseR2tHdr(ByteView pdu);
-
-/**
- * Verifies the header digest of a full wire PDU whose specific header
- * ends at @p hlen (trivially true when HDGST is not negotiated). The
- * common-header structure checks alone cannot protect the specific
- * header: a flipped cid or dataOffset passes the data digest, so
- * receivers must check this before trusting any header field. A
- * mismatch is a fatal transport error (NVMe/TCP §7.4.7), like losing
- * PDU framing.
- */
-bool verifyHdgst(const WireConfig &wc, ByteView pdu, size_t hlen);
 
 } // namespace anic::nvmetcp
 

@@ -6,17 +6,17 @@
  * resides remotely, on the generator").
  *
  * The write path is R2T-gated: a data-out command (WRITE, COMPARE)
- * is granted one outstanding R2T window at a time, and H2CData is
- * accepted only inside granted ranges. With enableOffload() the
- * target also acts as a device under test: its NIC verifies H2CData
+ * is granted one outstanding R2T window at a time, and H2CData outside
+ * the ranges granted so far is a fatal transport error. The pending
+ * writes, the data path and the offloads are the shared
+ * core::StorageEndpoint's: with enableOffload() the NIC verifies H2CData
  * digests and places payload directly into the pending write's block
- * buffer (rx), and fills C2HData digests on the way out (tx).
+ * buffer (rx), and fills C2HData digests on the way out (tx). This
+ * class keeps the NVMe capsules, R2T credit, reads, FLUSH and COMPARE.
  */
 
 #ifndef ANIC_NVMETCP_TARGET_HH
 #define ANIC_NVMETCP_TARGET_HH
-
-#include <unordered_map>
 
 #include "core/storage_endpoint.hh"
 #include "nvmetcp/pdu.hh"
@@ -25,21 +25,22 @@ namespace anic::nvmetcp {
 
 struct NvmeTargetStats
 {
-    uint64_t readsServed = 0;
-    uint64_t writesServed = 0;
-    uint64_t flushesServed = 0;
-    uint64_t comparesServed = 0;
-    uint64_t compareMismatches = 0;
-    uint64_t bytesRead = 0;
-    uint64_t bytesWritten = 0;
-    uint64_t r2tsSent = 0;
-    uint64_t digestFailures = 0;       ///< H2CData DDGST mismatches
-    uint64_t h2cDigestSkipped = 0;     ///< PDUs fully verified by the NIC
-    uint64_t h2cDigestSoftware = 0;    ///< PDUs verified in software
-    uint64_t h2cBytesPlaced = 0;       ///< payload the NIC DMA'd to buffers
-    uint64_t h2cBytesCopied = 0;       ///< payload copied by software
-    uint64_t resyncRequests = 0;
-    uint64_t resyncConfirmed = 0;
+    sim::Counter readsServed;
+    sim::Counter writesServed;
+    sim::Counter flushesServed;
+    sim::Counter comparesServed;
+    sim::Counter compareMismatches;
+    sim::Counter bytesRead;
+    sim::Counter bytesWritten;
+    sim::Counter r2tsSent;
+    sim::Counter h2cPdusRx;         ///< H2CData PDUs received
+    sim::Counter digestFailures;    ///< H2CData DDGST mismatches
+    sim::Counter h2cDigestSkipped;  ///< PDUs fully verified by the NIC
+    sim::Counter h2cDigestSoftware; ///< PDUs verified in software
+    sim::Counter h2cBytesPlaced;    ///< payload the NIC DMA'd to buffers
+    sim::Counter h2cBytesCopied;    ///< payload copied by software
+    sim::Counter resyncRequests;
+    sim::Counter resyncConfirmed;
 };
 
 /** One connection's controller-side session. */
@@ -68,29 +69,13 @@ class NvmeTarget : public core::StorageEndpoint
     // StorageEndpoint. A lost framing or header digest stops serving
     // (a real controller resets the connection, NVMe/TCP §7.4.7).
     void onPdu(core::RxPdu &&pdu) override;
-    void countResyncRequest() override { stats_.resyncRequests++; }
-    void countResyncConfirmed() override { stats_.resyncConfirmed++; }
 
     void serveRead(const CmdCapsule &cmd);
-    void onH2cData(core::RxPdu &pdu);
-    void issueR2t(uint16_t cid);
+    void issueR2t(uint16_t cid, Command &w);
     void finishWrite(uint16_t cid);
 
     host::NvmeDrive &drive_;
     WireConfig wc_;
-
-    struct PendingWrite
-    {
-        uint8_t opcode = kOpWrite;
-        uint32_t len = 0;
-        uint32_t received = 0;
-        uint32_t granted = 0;
-        uint64_t slba = 0;
-        bool digestOk = true;
-        host::BlockBufferPtr buffer; ///< H2C payload lands here
-    };
-    std::unordered_map<uint16_t, PendingWrite> writes_;
-
     uint16_t nextTtag_ = 1;
 
     NvmeTargetStats stats_;

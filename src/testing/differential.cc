@@ -789,11 +789,13 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
 }
 
 std::vector<std::string>
-DifferentialRunner::check(const Scenario &s)
+DifferentialRunner::check(const Scenario &s, TraceHashes *hashes)
 {
     std::vector<std::string> errs;
     RunResult off = runOne(s, true);
     RunResult sw = runOne(s, false);
+    if (hashes != nullptr)
+        *hashes = TraceHashes{off.traceHash, sw.traceHash};
     for (const std::string &e : off.errors)
         errs.push_back("[offload] " + e);
     for (const std::string &e : sw.errors)

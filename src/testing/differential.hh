@@ -55,6 +55,13 @@ struct RunResult
     std::vector<std::string> errors; ///< oracle/invariant violations
 };
 
+/** Trace-ring fingerprints of check()'s two runs. */
+struct TraceHashes
+{
+    uint64_t offload = 0;
+    uint64_t software = 0;
+};
+
 class DifferentialRunner
 {
   public:
@@ -63,8 +70,10 @@ class DifferentialRunner
     RunResult runOne(const Scenario &s, bool offload);
 
     /** Full differential verdict: offload + software runs plus the
-     *  cross-run oracle. Empty result means the scenario passes. */
-    std::vector<std::string> check(const Scenario &s);
+     *  cross-run oracle. Empty result means the scenario passes.
+     *  @p hashes, if given, receives both runs' trace hashes. */
+    std::vector<std::string> check(const Scenario &s,
+                                   TraceHashes *hashes = nullptr);
 
     /**
      * Shrinks a failing scenario while check() still fails: halves

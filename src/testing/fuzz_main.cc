@@ -20,6 +20,11 @@
  * Nth seed (--determinism-every, default 16) the offload run is
  * executed twice and the trace-ring hashes must match exactly — the
  * same seed always yields the same simulation.
+ *
+ * A passing sweep ends with one JSON line whose "trace_digest" folds,
+ * in seed order, every seed's offload-run and software-run trace
+ * hashes: the same for any --jobs, and equal between two builds iff
+ * every simulated run of the sweep traced identically.
  */
 
 #include <atomic>
@@ -208,6 +213,7 @@ struct SeedOutcome
     bool ran = false;     ///< false: canceled after an earlier failure
     bool detFail = false; ///< trace-hash mismatch between double runs
     uint64_t h1 = 0, h2 = 0;
+    TraceHashes hashes; ///< of the differential check's two runs
     std::vector<std::string> errs; ///< differential oracle violations
     Scenario scenario;
 };
@@ -266,7 +272,7 @@ main(int argc, char **argv)
                             return;
                         }
                     }
-                    so.errs = dr.check(s);
+                    so.errs = dr.check(s, &so.hashes);
                     if (!so.errs.empty()) {
                         so.scenario = s;
                         // Seeds submitted before this one have already
@@ -283,11 +289,14 @@ main(int argc, char **argv)
     // Report in seed order: the verdict is independent of --jobs.
     uint64_t checked = 0;
     uint64_t determinismChecks = 0;
+    uint64_t digest = 0xcbf29ce484222325ull; // FNV-1 over 64-bit words
     for (uint64_t i = 0; i < count; i++) {
         const SeedOutcome &so = outcomes[i];
         if (!so.ran)
             break;
         checked++;
+        for (uint64_t h : {so.hashes.offload, so.hashes.software})
+            digest = (digest ^ h) * 0x100000001b3ull;
         if (so.detFail) {
             std::printf("FAIL seed %" PRIu64
                         ": nondeterministic trace "
@@ -318,7 +327,8 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("{\"scenarios\": %" PRIu64 ", \"failures\": 0, "
-                "\"determinism_checks\": %" PRIu64 "}\n",
-                checked, determinismChecks);
+                "\"determinism_checks\": %" PRIu64
+                ", \"trace_digest\": \"%016" PRIx64 "\"}\n",
+                checked, determinismChecks, digest);
     return 0;
 }

@@ -5,13 +5,15 @@
  * offloads (rx digest verification, ITT-keyed zero-copy placement, tx
  * digest computation) installed through the protocol-agnostic
  * l5o_create binding. Reassembly and the NIC engine core are tested
- * per wire traits in storage_l5p_test.
+ * per wire traits in storage_l5p_test. Crafted PDUs from a raw peer
+ * check the fatal paths: data outside a task, and lost framing.
  */
 
 #include <gtest/gtest.h>
 
 #include "iscsi/session.hh"
 #include "core/testbed.hh"
+#include "support/raw_peer.hh"
 
 namespace anic {
 namespace {
@@ -398,6 +400,16 @@ TEST_P(IscsiMixedIo, BothEndsOffloaded)
     const IscsiTargetStats &t = f.target->stats();
     EXPECT_EQ(h.failures.value(), 0u);
     EXPECT_EQ(h.digestFailures.value() + t.digestFailures.value(), 0u);
+    // The shared data path's counts, at both ends: one digest verdict
+    // per PDU, and every data byte either placed or copied.
+    const uint64_t dataBytes = uint64_t(p.reqs / 2) * p.len; // each way
+    EXPECT_EQ(h.digestSkipped + h.digestSoftware,
+              h.dataInPdus + h.readsCompleted + h.writesCompleted);
+    EXPECT_EQ(h.bytesPlaced + h.bytesCopied, dataBytes);
+    EXPECT_EQ(t.digestSkipped + t.digestSoftware,
+              t.readsServed + t.writesServed + t.dataOutPdus);
+    EXPECT_EQ(t.bytesPlaced + t.bytesCopied, t.bytesWritten.value());
+    EXPECT_EQ(t.bytesWritten.value(), dataBytes);
     if (p.loss == 0) {
         uint64_t skipped = h.digestSkipped.value() + t.digestSkipped.value();
         uint64_t total =
@@ -414,6 +426,114 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MixedIo{"clean", 8, 256 << 10, 0},
                       MixedIo{"lossy", 8, 256 << 10, 0.005}),
     [](const ::testing::TestParamInfo<MixedIo> &i) { return i.param.name; });
+
+// ------------------------------------------------------ crafted PDUs
+
+/** An initiator on node b whose target is a raw peer on node a. */
+struct CraftedTarget
+{
+    core::Testbed w;
+    testing::RawPeer peer;
+    IscsiWireConfig wc;
+    std::unique_ptr<IscsiInitiator> init;
+
+    CraftedTarget()
+    {
+        testing::connectRawPeer(w, 3260, /*peerOnA=*/true, peer,
+                                [this](tcp::TcpConnection &c) {
+                                    init = std::make_unique<IscsiInitiator>(
+                                        c, wc, IscsiOffloadConfig{});
+                                });
+    }
+
+    void run() { w.sim.runFor(2 * sim::kMillisecond); }
+};
+
+TEST(IscsiCrafted, DataInOutsideTheTaskIsFatal)
+{
+    CraftedTarget t;
+    int calls = 0;
+    bool ok = true;
+    t.init->read(0, 4096, [&](bool o, host::BlockBufferPtr) {
+        calls++;
+        ok = o;
+    });
+    t.run();
+    // 4 KiB of Data-In for the 4 KiB read, but 2 KiB of it past its
+    // end; then a good status. Dropping the tail would complete the
+    // read "successfully" with a hole.
+    Bytes data(4096);
+    t.peer.send(buildDataPdu(
+        t.wc, kOpDataIn,
+        IscsiBhs{.flags = kFlagFinal, .itt = 1, .bufferOffset = 2048}, data,
+        true));
+    t.peer.send(buildScsiResp(t.wc, IscsiBhs{.itt = 1, .status = 0}));
+    t.run();
+    EXPECT_TRUE(t.init->desynced());
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(ok);
+}
+
+TEST(IscsiCrafted, FramingLossFailsEveryTaskOnceInIssueOrder)
+{
+    CraftedTarget t;
+    std::vector<int> order;
+    for (int i = 0; i < 6; i++) {
+        uint64_t slba = uint64_t{4096} * i;
+        if (i % 2 == 0) {
+            t.init->read(slba, 4096, [&, i](bool o, host::BlockBufferPtr) {
+                EXPECT_FALSE(o);
+                order.push_back(i);
+            });
+        } else {
+            t.init->write(slba, 4096, 7, [&, i](bool o) {
+                EXPECT_FALSE(o);
+                order.push_back(i);
+            });
+        }
+    }
+    t.run();
+    ASSERT_EQ(t.init->outstanding(), 6u);
+    t.peer.send(Bytes(8, 0xff)); // no opcode is 0xff: framing is lost
+    t.run();
+    EXPECT_TRUE(t.init->desynced());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(t.init->outstanding(), 0u);
+    EXPECT_EQ(t.init->stats().failures.value(), 6u);
+
+    // Later PDUs are discarded unread.
+    t.peer.send(buildScsiResp(t.wc, IscsiBhs{.itt = 1, .status = 0}));
+    t.run();
+    EXPECT_EQ(t.init->stats().digestSoftware.value(), 0u);
+    EXPECT_EQ(order.size(), 6u);
+}
+
+TEST(IscsiCrafted, DataOutOutsideTheTaskIsFatal)
+{
+    core::Testbed w;
+    testing::RawPeer peer;
+    host::NvmeDrive drive(w.sim, {});
+    IscsiWireConfig wc;
+    std::unique_ptr<IscsiTarget> target;
+    testing::connectRawPeer(w, 3260, /*peerOnA=*/false, peer,
+                            [&](tcp::TcpConnection &c) {
+                                target = std::make_unique<IscsiTarget>(
+                                    c, drive, wc);
+                            });
+    // An 8 KiB write whose 8 KiB of Data-Out start 4 KiB in. Dropping
+    // the tail would write the drive "successfully" with a hole.
+    peer.send(buildScsiCmd(wc, IscsiBhs{.itt = 1, .edtl = 8192,
+                                        .scsiOp = kScsiWrite, .slba = 0,
+                                        .length = 8192}));
+    Bytes data(8192);
+    peer.send(buildDataPdu(
+        wc, kOpDataOut,
+        IscsiBhs{.flags = kFlagFinal, .itt = 1, .bufferOffset = 4096}, data,
+        true));
+    w.sim.runFor(5 * sim::kMillisecond);
+    EXPECT_TRUE(target->desynced());
+    EXPECT_EQ(target->stats().writesServed.value(), 0u);
+}
 
 TEST(IscsiFabric, LossyLinkFallsBackAndRecovers)
 {

@@ -11,6 +11,7 @@
 #include "nvmetcp/host_queue.hh"
 #include "nvmetcp/target.hh"
 #include "core/testbed.hh"
+#include "support/raw_peer.hh"
 
 namespace anic {
 namespace {
@@ -427,6 +428,14 @@ TEST_P(NvmeMixedIo, BothEndsOffloaded)
     const NvmeTargetStats &t = f.target->stats();
     EXPECT_EQ(h.crcFailures.value(), 0u);
     EXPECT_EQ(t.digestFailures, 0u);
+    // The shared data path's counts, at both ends: one digest verdict
+    // per data PDU, and every data byte either placed or copied.
+    const uint64_t dataBytes = uint64_t{kOps / 2} * kLen; // each way
+    EXPECT_EQ(h.crcSkipped + h.crcSoftware, h.dataPdusRx.value());
+    EXPECT_EQ(h.bytesPlaced + h.bytesCopied, dataBytes);
+    EXPECT_EQ(t.h2cDigestSkipped + t.h2cDigestSoftware, t.h2cPdusRx.value());
+    EXPECT_EQ(t.h2cBytesPlaced + t.h2cBytesCopied, t.bytesWritten.value());
+    EXPECT_EQ(t.bytesWritten.value(), dataBytes);
     if (loss == 0) {
         uint64_t skipped = h.crcSkipped.value() + t.h2cDigestSkipped;
         uint64_t total =
@@ -442,6 +451,132 @@ INSTANTIATE_TEST_SUITE_P(Wire, NvmeMixedIo, ::testing::Values(0.0, 0.005),
                          [](const ::testing::TestParamInfo<double> &i) {
                              return i.param == 0 ? "clean" : "lossy";
                          });
+
+// ------------------------------------------------------ crafted PDUs
+
+/** A host queue on node b whose target is a raw peer on node a. */
+struct CraftedTarget
+{
+    core::Testbed w;
+    testing::RawPeer peer;
+    WireConfig wc;
+    std::unique_ptr<NvmeHostQueue> hostq;
+
+    CraftedTarget()
+    {
+        testing::connectRawPeer(w, 4420, /*peerOnA=*/true, peer,
+                                [this](tcp::TcpConnection &c) {
+                                    hostq = std::make_unique<NvmeHostQueue>(
+                                        c, wc, NvmeOffloadConfig{});
+                                });
+    }
+
+    void run() { w.sim.runFor(2 * sim::kMillisecond); }
+};
+
+TEST(NvmeCrafted, C2HDataOutsideTheReadIsFatal)
+{
+    CraftedTarget t;
+    int calls = 0;
+    bool ok = true;
+    t.hostq->read(0, 4096, [&](bool o, host::BlockBufferPtr) {
+        calls++;
+        ok = o;
+    });
+    t.run();
+    // 4 KiB of data for the 4 KiB read, but 2 KiB of it past its end;
+    // then a success response. Dropping the tail would complete the
+    // read "successfully" with a hole.
+    Bytes data(4096);
+    t.peer.send(buildDataPdu(t.wc, kPduC2HData, DataPduHdr{1, 2048, 0}, data,
+                             true));
+    t.peer.send(buildRespCapsule(t.wc, RespCapsule{1, 0}));
+    t.run();
+    EXPECT_TRUE(t.hostq->desynced());
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(ok);
+}
+
+TEST(NvmeCrafted, C2HDataForAWriteIsFatal)
+{
+    CraftedTarget t;
+    int calls = 0;
+    bool ok = true;
+    t.hostq->write(0, 4096, 7, [&](bool o) {
+        calls++;
+        ok = o;
+    });
+    t.run();
+    Bytes data(4096);
+    t.peer.send(buildDataPdu(t.wc, kPduC2HData, DataPduHdr{1, 0, 0}, data,
+                             true));
+    t.peer.send(buildRespCapsule(t.wc, RespCapsule{1, 0}));
+    t.run();
+    EXPECT_TRUE(t.hostq->desynced());
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(ok);
+}
+
+TEST(NvmeCrafted, FramingLossFailsEveryCommandOnceInIssueOrder)
+{
+    CraftedTarget t;
+    std::vector<int> order;
+    for (int i = 0; i < 6; i++) {
+        uint64_t slba = uint64_t{4096} * i;
+        if (i % 2 == 0) {
+            t.hostq->read(slba, 4096, [&, i](bool o, host::BlockBufferPtr) {
+                EXPECT_FALSE(o);
+                order.push_back(i);
+            });
+        } else {
+            t.hostq->write(slba, 4096, 7, [&, i](bool o) {
+                EXPECT_FALSE(o);
+                order.push_back(i);
+            });
+        }
+    }
+    t.run();
+    ASSERT_EQ(t.hostq->outstanding(), 6u);
+    t.peer.send(Bytes(8, 0xff)); // no PDU type is 0xff: framing is lost
+    t.run();
+    EXPECT_TRUE(t.hostq->desynced());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(t.hostq->outstanding(), 0u);
+    EXPECT_EQ(t.hostq->stats().failures.value(), 6u);
+
+    // Later PDUs are discarded unread.
+    Bytes data(4096);
+    t.peer.send(buildDataPdu(t.wc, kPduC2HData, DataPduHdr{1, 0, 0}, data,
+                             true));
+    t.run();
+    EXPECT_EQ(t.hostq->stats().dataPdusRx.value(), 0u);
+    EXPECT_EQ(order.size(), 6u);
+}
+
+TEST(NvmeCrafted, H2CDataOutsideTheGrantIsFatal)
+{
+    core::Testbed w;
+    testing::RawPeer peer;
+    host::NvmeDrive drive(w.sim, {});
+    WireConfig wc;
+    std::unique_ptr<NvmeTarget> target;
+    testing::connectRawPeer(w, 4420, /*peerOnA=*/false, peer,
+                            [&](tcp::TcpConnection &c) {
+                                target = std::make_unique<NvmeTarget>(
+                                    c, drive, wc);
+                            });
+    peer.send(buildCmdCapsule(wc, CmdCapsule{1, kOpWrite, 0, 256 << 10}));
+    w.sim.runFor(2 * sim::kMillisecond);
+    ASSERT_EQ(target->stats().r2tsSent, 1u); // grants [0, 128 KiB)
+
+    // Data inside the write but past the granted window.
+    Bytes data(4096);
+    peer.send(buildDataPdu(wc, kPduH2CData, DataPduHdr{1, 128 << 10, 0}, data,
+                           true));
+    w.sim.runFor(2 * sim::kMillisecond);
+    EXPECT_TRUE(target->desynced());
+    EXPECT_EQ(target->stats().h2cBytesCopied, 0u);
+}
 
 // ------------------------------------------------- NVMe-TLS composition
 
