@@ -8,7 +8,7 @@ namespace anic::core {
 class OffloadDevice::OffloadImpl : public L5Offload
 {
   public:
-    OffloadImpl(OffloadDevice &dev, uint64_t id) : dev_(dev), id_(id) {}
+    explicit OffloadImpl(OffloadDevice &dev) : dev_(dev) {}
 
     void
     resyncRxResp(uint32_t tcpsn, bool ok, uint64_t msgIdx) override
@@ -26,7 +26,7 @@ class OffloadDevice::OffloadImpl : public L5Offload
         dev_.nic_.rxResyncResponse(rxCtx_, req, ok, msgIdx);
     }
 
-    void destroy() override { dev_.destroyOffload(id_); }
+    void destroy() override { dev_.destroyOffload(self_); }
 
     nic::L5Engine *
     rxEngine() override
@@ -49,9 +49,13 @@ class OffloadDevice::OffloadImpl : public L5Offload
     }
 
     OffloadDevice &dev_;
-    uint64_t id_;
+    util::SlabHandle self_;
     uint64_t rxCtx_ = 0;
     uint64_t txCtx_ = 0;
+    /** The driver's shadow of the tx context: the sequence number the
+     *  NIC expects next. The NIC's own state only advances when ring
+     *  entries drain. */
+    uint32_t txShadowSeq_ = 0;
     uint64_t pendingReqId_ = 0;
     uint32_t pendingSeq_ = 0;
     L5pCallbacks *callbacks_ = nullptr;
@@ -87,37 +91,27 @@ OffloadDevice::transmit(net::PacketPtr pkt)
 
     if (pkt->txCtx != 0 && pkt->payloadSize() > 0) {
         const net::TcpHeader th = pkt->tcp();
-        // The driver shadows the NIC context in software; the NIC's
-        // own state only advances when ring entries drain.
-        auto sit = txShadow_.find(pkt->txCtx);
-        ANIC_ASSERT(sit != txShadow_.end(), "unknown tx offload ctx");
-        uint32_t expected = sit->second;
-        if (th.seq != expected) {
+        const util::SlabHandle *h = byTxCtx_.find(pkt->txCtx);
+        ANIC_ASSERT(h != nullptr, "unknown tx offload ctx");
+        OffloadImpl &off = offloads_.at(*h);
+        if (th.seq != off.txShadowSeq_) {
             // §4.2 context recovery: ask the L5P for the enclosing
             // message's state, hand it to the NIC via a special
             // descriptor, then post the packet as usual.
-            auto tit = byTxCtx_.find(pkt->txCtx);
-            auto it = tit == byTxCtx_.end() ? offloads_.end()
-                                            : offloads_.find(tit->second);
-            if (it == offloads_.end()) {
-                txRecoveryFailures_++;
-            } else {
-                OffloadImpl &off = *it->second;
-                std::optional<L5pCallbacks::TxMsgState> st =
-                    off.callbacks_->getTxMsgState(th.seq);
-                ANIC_ASSERT(st.has_value(),
-                            "L5P lost tx message state for unacked seq %u",
-                            th.seq);
-                if (host::Core *cur = host::Core::current())
-                    cur->charge(cur->model().resyncUpcallCost);
-                // The special descriptor must ride the same ring the
-                // data packet will, or the resync could drain after
-                // the packet it is meant to precede.
-                nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx,
-                                  st->rebuild, nic_.txQueueFor(pkt->flow()));
-            }
+            std::optional<L5pCallbacks::TxMsgState> st =
+                off.callbacks_->getTxMsgState(th.seq);
+            ANIC_ASSERT(st.has_value(),
+                        "L5P lost tx message state for unacked seq %u",
+                        th.seq);
+            if (host::Core *cur = host::Core::current())
+                cur->charge(cur->model().resyncUpcallCost);
+            // The special descriptor must ride the same ring the data
+            // packet will, or the resync could drain after the packet
+            // it is meant to precede.
+            nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx, st->rebuild,
+                              nic_.txQueueFor(pkt->flow()));
         }
-        sit->second = th.seq + static_cast<uint32_t>(pkt->payloadSize());
+        off.txShadowSeq_ = th.seq + static_cast<uint32_t>(pkt->payloadSize());
     }
     return nic_.transmit(std::move(pkt));
 }
@@ -151,10 +145,10 @@ void
 OffloadDevice::onNicResyncRequest(uint64_t ctxId, uint64_t reqId,
                                   uint32_t tcpSeq)
 {
-    auto it = byRxCtx_.find(ctxId);
-    if (it == byRxCtx_.end())
+    const util::SlabHandle *h = byRxCtx_.find(ctxId);
+    if (h == nullptr)
         return;
-    OffloadImpl *off = it->second;
+    OffloadImpl *off = &offloads_.at(*h);
     off->pendingReqId_ = reqId;
     off->pendingSeq_ = tcpSeq;
     host::Core *core = off->core_;
@@ -185,37 +179,31 @@ OffloadDevice::l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
         txEngine = ops.makeTx(st);
     }
 
-    uint64_t id = nextOffloadId_++;
-    auto off = std::make_unique<OffloadImpl>(*this, id);
-    off->callbacks_ = cb;
-    off->core_ = &conn.core();
+    util::SlabHandle h = offloads_.alloc(*this);
+    OffloadImpl &off = offloads_.at(h);
+    off.self_ = h;
+    off.callbacks_ = cb;
+    off.core_ = &conn.core();
     if (rxEngine) {
         // Arriving packets carry the reversed flow (src = remote peer).
-        off->rxCtx_ = nic_.createRxContext(conn.localFlow().reversed(),
-                                           std::move(rxEngine),
-                                           conn.rcvNxt(), rxMsgIdx);
-        byRxCtx_[off->rxCtx_] = off.get();
+        off.rxCtx_ = nic_.createRxContext(conn.localFlow().reversed(),
+                                          std::move(rxEngine),
+                                          conn.rcvNxt(), rxMsgIdx);
+        byRxCtx_.emplace(off.rxCtx_, h);
     }
     if (txEngine) {
-        uint32_t txTcpsn = conn.sndNextByteSeq();
-        off->txCtx_ = nic_.createTxContext(std::move(txEngine), txTcpsn,
-                                           txMsgIdx);
-        byTxCtx_[off->txCtx_] = id;
-        txShadow_[off->txCtx_] = txTcpsn;
+        off.txShadowSeq_ = conn.sndNextByteSeq();
+        off.txCtx_ = nic_.createTxContext(std::move(txEngine),
+                                          off.txShadowSeq_, txMsgIdx);
+        byTxCtx_.emplace(off.txCtx_, h);
     }
-
-    L5Offload *handle = off.get();
-    offloads_.emplace(id, std::move(off));
-    return handle;
+    return &off;
 }
 
 void
-OffloadDevice::destroyOffload(uint64_t id)
+OffloadDevice::destroyOffload(util::SlabHandle h)
 {
-    auto it = offloads_.find(id);
-    if (it == offloads_.end())
-        return;
-    OffloadImpl &off = *it->second;
+    OffloadImpl &off = offloads_.at(h);
     if (off.rxCtx_ != 0) {
         nic_.destroyRxContext(off.rxCtx_);
         byRxCtx_.erase(off.rxCtx_);
@@ -223,9 +211,8 @@ OffloadDevice::destroyOffload(uint64_t id)
     if (off.txCtx_ != 0) {
         nic_.destroyTxContext(off.txCtx_);
         byTxCtx_.erase(off.txCtx_);
-        txShadow_.erase(off.txCtx_);
     }
-    offloads_.erase(it);
+    offloads_.free(h);
 }
 
 } // namespace anic::core

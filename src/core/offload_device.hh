@@ -10,12 +10,12 @@
 #ifndef ANIC_CORE_OFFLOAD_DEVICE_HH
 #define ANIC_CORE_OFFLOAD_DEVICE_HH
 
-#include <unordered_map>
-
 #include "core/l5o.hh"
 #include "nic/nic.hh"
 #include "tcp/net_device.hh"
 #include "tcp/tcp_stack.hh"
+#include "util/flat_map.hh"
+#include "util/slab.hh"
 
 namespace anic::core {
 
@@ -56,29 +56,24 @@ class OffloadDevice : public tcp::NetDevice
 
     nic::Nic &nic() { return nic_; }
 
-    /** Driver-level drop counter (tx resync impossible). */
-    uint64_t txRecoveryFailures() const { return txRecoveryFailures_; }
-
   private:
     class OffloadImpl;
     friend class OffloadImpl;
 
     void onNicRxInterrupt(int queue, net::PacketPtr pkt);
     void onNicResyncRequest(uint64_t ctxId, uint64_t reqId, uint32_t tcpSeq);
-    void destroyOffload(uint64_t id);
+    void destroyOffload(util::SlabHandle h);
 
     sim::Simulator &sim_;
     nic::Nic &nic_;
     net::IpAddr ip_;
     tcp::TcpStack *stack_ = nullptr;
 
-    // Offloads by tx ctx id (packet tags) and by rx ctx id (upcalls).
-    std::unordered_map<uint64_t, std::unique_ptr<OffloadImpl>> offloads_;
-    std::unordered_map<uint64_t, OffloadImpl *> byRxCtx_;
-    std::unordered_map<uint64_t, uint64_t> byTxCtx_; // tx ctx -> offload id
-    std::unordered_map<uint64_t, uint32_t> txShadow_; // tx ctx -> expected seq
-    uint64_t nextOffloadId_ = 1;
-    uint64_t txRecoveryFailures_ = 0;
+    // Offload records, indexed by tx ctx id (packet tags) and by rx
+    // ctx id (upcalls).
+    util::SlabArena<OffloadImpl> offloads_;
+    util::FlatMap<uint64_t, util::SlabHandle> byRxCtx_;
+    util::FlatMap<uint64_t, util::SlabHandle> byTxCtx_;
 };
 
 } // namespace anic::core

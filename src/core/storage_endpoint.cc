@@ -75,10 +75,13 @@ StorageEndpoint::flushSendQueue()
                        e.bytes);
             e.added = true;
         }
+        // e is not touched past send(): a push may move ring elements.
         ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
-        sendqOff_ += sock_.send(rest);
-        if (sendqOff_ < e.bytes.size())
+        size_t sent = sock_.send(rest);
+        if (sent < rest.size()) {
+            sendqOff_ += sent;
             return; // transport full; resume on writable
+        }
         sendq_.pop_front();
         sendqOff_ = 0;
     }

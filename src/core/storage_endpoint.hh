@@ -30,7 +30,6 @@
 #define ANIC_CORE_STORAGE_ENDPOINT_HH
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -39,6 +38,7 @@
 #include "core/tx_msg_tracker.hh"
 #include "host/core.hh"
 #include "sim/registry.hh"
+#include "util/ring_fifo.hh"
 
 namespace anic::core {
 
@@ -237,7 +237,7 @@ class StorageEndpoint : private L5pCallbacks
         Bytes bytes;
         bool added = false; ///< registered in txMap_
     };
-    std::deque<SendEntry> sendq_;
+    util::RingFifo<SendEntry> sendq_;
     size_t sendqOff_ = 0;
     TxMsgTracker txMap_;
     uint64_t txMsgIdx_ = 0;

@@ -12,12 +12,10 @@
 #ifndef ANIC_CORE_TX_MSG_TRACKER_HH
 #define ANIC_CORE_TX_MSG_TRACKER_HH
 
-#include <deque>
-#include <optional>
-
 #include "tcp/seq.hh"
 #include "util/bytes.hh"
 #include "util/panic.hh"
+#include "util/ring_fifo.hh"
 
 namespace anic::core {
 
@@ -63,7 +61,8 @@ class TxMsgTracker
     const Entry *
     find(uint32_t tcpsn) const
     {
-        for (const Entry &e : msgs_) {
+        for (size_t i = 0; i < msgs_.size(); i++) {
+            const Entry &e = msgs_[i];
             if (tcp::seqGeq(tcpsn, e.startSeq) &&
                 tcp::seqLt(tcpsn, e.startSeq + e.wireLen)) {
                 return &e;
@@ -77,7 +76,7 @@ class TxMsgTracker
     const Entry &front() const { return msgs_.front(); }
 
   private:
-    std::deque<Entry> msgs_;
+    util::RingFifo<Entry> msgs_;
 };
 
 } // namespace anic::core

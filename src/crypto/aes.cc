@@ -111,12 +111,6 @@ Aes128::setKey(ByteView key)
         }
         ek_[i] = ek_[i - 4] ^ tmp;
     }
-
-    // Decryption round keys: equivalent-inverse-cipher form is not
-    // needed; the simple inverse cipher uses the encryption keys in
-    // reverse order, so just mirror them.
-    for (int i = 0; i < 4 * (kRounds + 1); i++)
-        dk_[i] = ek_[i];
 }
 
 void
@@ -193,7 +187,7 @@ Aes128::decryptBlock(const uint8_t in[16], uint8_t out[16]) const
 
     auto add_round_key = [&](int round) {
         for (int c = 0; c < 4; c++) {
-            uint32_t w = dk_[4 * round + c];
+            uint32_t w = ek_[4 * round + c];
             st[4 * c + 0] ^= static_cast<uint8_t>(w >> 24);
             st[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
             st[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);

@@ -45,8 +45,8 @@ class Aes128
     void exportRoundKeys(uint8_t rk[kRounds + 1][16]) const;
 
   private:
+    /** Round keys; the inverse cipher reads them in reverse order. */
     uint32_t ek_[4 * (kRounds + 1)];
-    uint32_t dk_[4 * (kRounds + 1)];
 };
 
 /**

@@ -97,6 +97,9 @@ class AesGcm
     /** Same, with an explicit kernel choice (tests/benches). */
     void setKey(ByteView key, CryptoImpl impl);
 
+    /** The block cipher under the key (raw CTR over GCM's layout). */
+    const Aes128 &aes() const { return aes_; }
+
     /** The kernel set this context is bound to. */
     CryptoImpl impl() const
     {

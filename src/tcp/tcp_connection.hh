@@ -17,7 +17,6 @@
 #ifndef ANIC_TCP_TCP_CONNECTION_HH
 #define ANIC_TCP_TCP_CONNECTION_HH
 
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -27,6 +26,7 @@
 #include "tcp/congestion.hh"
 #include "tcp/seq.hh"
 #include "tcp/socket.hh"
+#include "util/ring_fifo.hh"
 #include "util/slab.hh"
 
 namespace anic::tcp {
@@ -289,7 +289,7 @@ class TcpConnection : public StreamSocket
     uint32_t irs_ = 0;
     uint32_t rcvNxt_ = 0;
     uint64_t rcvStreamOff_ = 0;
-    std::deque<RxSegment> rxQueue_;
+    util::RingFifo<RxSegment> rxQueue_;
     size_t rxQueuedBytes_ = 0;
     struct OooSegment
     {

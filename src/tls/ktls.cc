@@ -41,15 +41,21 @@ metaSlice(const net::RxOffloadMeta &meta, size_t off, size_t len)
     return out;
 }
 
+/** Software AES-GCM for @p dir, keyed on its first use. */
+crypto::AesGcm &
+keyed(std::unique_ptr<crypto::AesGcm> &gcm, const DirectionKeys &dir)
+{
+    if (gcm == nullptr)
+        gcm = std::make_unique<crypto::AesGcm>(dir.key);
+    return *gcm;
+}
+
 } // namespace
 
 TlsSocket::TlsSocket(tcp::TcpConnection &conn, const SessionKeys &keys,
                      TlsConfig cfg)
     : conn_(conn), cfg_(cfg), keys_(keys)
 {
-    txGcm_.setKey(keys_.tx.key);
-    rxGcm_.setKey(keys_.rx.key);
-    rxCtrAes_.setKey(keys_.rx.key);
     rxHdrBuf_.reserve(kHeaderSize);
 
     conn_.setOnReadable([this] { onTcpReadable(); });
@@ -166,11 +172,12 @@ TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
                     plaintext.size());
     } else {
         auto nonce = recordNonce(keys_.tx.staticIv, txRecSeq_);
-        txGcm_.start(nonce, ByteView(wire.data(), kHeaderSize));
-        txGcm_.encryptUpdate(plaintext,
-                             ByteSpan(wire).subspan(kHeaderSize,
-                                                    plaintext.size()));
-        txGcm_.finishTag(
+        crypto::AesGcm &gcm = keyed(txGcm_, keys_.tx);
+        gcm.start(nonce, ByteView(wire.data(), kHeaderSize));
+        gcm.encryptUpdate(plaintext,
+                          ByteSpan(wire).subspan(kHeaderSize,
+                                                 plaintext.size()));
+        gcm.finishTag(
             ByteSpan(wire).subspan(kHeaderSize + plaintext.size(), kTagSize));
     }
 
@@ -347,6 +354,7 @@ TlsSocket::finishRecord()
         // is why partial offload costs more than no offload (§6.4).
         Bytes ct(plain_len + kTagSize);
         auto nonce = recordNonce(keys_.rx.staticIv, rxRecSeq_);
+        crypto::AesGcm &gcm = keyed(rxGcm_, keys_.rx);
         for (const Slice &s : rxSlices_) {
             size_t body_off = s.recOff - kHeaderSize;
             std::memcpy(ct.data() + body_off, s.data.data(), s.data.size());
@@ -357,18 +365,18 @@ TlsSocket::finishRecord()
                                                                  body_off));
                 if (body_off < plain_len && enc_len > 0) {
                     crypto::aesGcmCtrAtOffset(
-                        rxCtrAes_, nonce, enc_start,
+                        gcm.aes(), nonce, enc_start,
                         ByteSpan(ct).subspan(enc_start, enc_len));
                     cycles += m.aesCtrPerByte * static_cast<double>(enc_len);
                 }
             }
         }
 
-        rxGcm_.start(nonce, ByteView(rxHdrBuf_.data(), kHeaderSize));
+        gcm.start(nonce, ByteView(rxHdrBuf_.data(), kHeaderSize));
         Bytes plain(plain_len);
-        rxGcm_.decryptUpdate(ByteView(ct).subspan(0, plain_len), plain);
+        gcm.decryptUpdate(ByteView(ct).subspan(0, plain_len), plain);
         cycles += m.aesGcmDecryptPerByte * static_cast<double>(plain_len);
-        bool ok = rxGcm_.checkTag(ByteView(ct).subspan(plain_len, kTagSize));
+        bool ok = gcm.checkTag(ByteView(ct).subspan(plain_len, kTagSize));
         if (!ok) {
             conn_.core().charge(cycles);
             count(&TlsStats::tagFailures);

@@ -27,14 +27,13 @@
 #ifndef ANIC_TLS_KTLS_HH
 #define ANIC_TLS_KTLS_HH
 
-#include <deque>
-
 #include "core/offload_device.hh"
 #include "core/tx_msg_tracker.hh"
 #include "sim/registry.hh"
 #include "tcp/tcp_connection.hh"
 #include "tls/record.hh"
 #include "tls/tls_engine.hh"
+#include "util/ring_fifo.hh"
 
 namespace anic::tls {
 
@@ -140,6 +139,11 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     /** Index the next received record will get. */
     uint64_t nextRxRecordSeq() const { return rxRecSeq_; }
 
+    /** Whether software AES-GCM has been keyed for tx / rx. A
+     *  direction the NIC fully offloads never keys it. */
+    bool txCryptoKeyed() const { return txGcm_ != nullptr; }
+    bool rxCryptoKeyed() const { return rxGcm_ != nullptr; }
+
     /** Framed record bytes TCP has not yet accepted. Zero together
      *  with an all-acked connection means no in-flight record depends
      *  on this socket's keys or NIC contexts — the safe point for a
@@ -174,9 +178,10 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     tcp::TcpConnection &conn_;
     TlsConfig cfg_;
     SessionKeys keys_;
-    crypto::AesGcm txGcm_;
-    crypto::AesGcm rxGcm_;
-    crypto::Aes128 rxCtrAes_; ///< for partial-offload re-encryption
+    // Software crypto is keyed on first use: with the NIC doing a
+    // direction's crypto, its ~0.9 KiB context is never built.
+    std::unique_ptr<crypto::AesGcm> txGcm_;
+    std::unique_ptr<crypto::AesGcm> rxGcm_;
 
     core::L5Offload *l5o_ = nullptr;
 
@@ -204,7 +209,7 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     uint64_t rxStreamConsumed_ = 0; ///< next unconsumed TCP stream offset
     uint64_t rxRecSeq_ = 0;
     uint64_t rxPlainOff_ = 0;
-    std::deque<tcp::RxSegment> rxOut_;
+    util::RingFifo<tcp::RxSegment> rxOut_;
     bool rxError_ = false;
 
     bool resyncPending_ = false;

@@ -123,11 +123,6 @@ TlsTxEngine::onMsgAbort()
 
 // -------------------------------------------------------- receive
 
-TlsRxEngine::TlsRxEngine(const DirectionKeys &keys)
-    : TlsEngineBase(keys), ctrAes_(keys.key)
-{
-}
-
 void
 TlsRxEngine::installInner(
     std::unique_ptr<nic::L5Engine> inner,
@@ -286,7 +281,7 @@ TlsRxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                 std::min<uint64_t>(ctEnd_ - pos, data.size() - i));
             ByteSpan chunk = data.subspan(i, n);
             if (ctrOnly_) {
-                crypto::aesGcmCtrAtOffset(ctrAes_, nonce_,
+                crypto::aesGcmCtrAtOffset(gcm_.aes(), nonce_,
                                           pos - kHeaderSize, chunk);
             } else {
                 gcm_.decryptUpdate(chunk, chunk);

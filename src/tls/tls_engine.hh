@@ -94,7 +94,7 @@ class TlsTxEngine : public TlsEngineBase
 class TlsRxEngine : public TlsEngineBase
 {
   public:
-    explicit TlsRxEngine(const DirectionKeys &keys);
+    using TlsEngineBase::TlsEngineBase;
 
     bool resumeMidMessage() const override { return true; }
     void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) override;
@@ -129,7 +129,6 @@ class TlsRxEngine : public TlsEngineBase
     void innerNoteRecord(uint64_t msgIdx, uint64_t plainSkip);
     void innerResolveAbort(uint64_t resumeIdx, uint64_t resumeOff);
 
-    crypto::Aes128 ctrAes_;       ///< raw CTR for mid-record resume
     std::array<uint8_t, 12> nonce_{};
     bool ctrOnly_ = false;        ///< resumed mid-record: no ICV check
     uint64_t ctrPos_ = 0;         ///< unused; kept via onMsgData offsets

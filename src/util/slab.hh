@@ -11,9 +11,11 @@
  *  - churn (open/close storms) pounds malloc instead of popping a
  *    freelist.
  *
- * Objects are constructed in place inside slabs of kSlabObjects slots
- * and never move, so raw pointers/references handed out by get() stay
- * valid until free(). A Handle is {slot index, generation}; the
+ * Objects are constructed in place and never move, so raw
+ * pointers/references handed out by get() stay valid until free().
+ * The first slab has kFirstSlabObjects slots and each later one
+ * doubles, up to kSlabObjects, so a small world pays for a few slots,
+ * not a thousand. A Handle is {slot index, generation}; the
  * generation bumps on every free, so a stale handle held across a
  * recycle resolves to null instead of aliasing the new occupant
  * (use-after-free becomes a checkable condition, which the NIC and
@@ -30,6 +32,7 @@
 #ifndef ANIC_UTIL_SLAB_HH
 #define ANIC_UTIL_SLAB_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -76,7 +79,9 @@ class SlabArena
   public:
     using Handle = SlabHandle;
 
-    /** Slots per slab: large enough to amortize the slab allocation,
+    /** Slots in the first slab; each later slab doubles. */
+    static constexpr size_t kFirstSlabObjects = 16;
+    /** Largest slab: large enough to amortize the slab allocation,
      *  small enough that a mostly-idle arena stays compact. */
     static constexpr size_t kSlabObjects = 1024;
 
@@ -207,19 +212,23 @@ class SlabArena
     void
     grow()
     {
-        // One contiguous slab of kSlabObjects slots; the index table
-        // points into it so slot addresses are stable forever.
-        slabs_.push_back(std::make_unique<Slot[]>(kSlabObjects));
+        // One contiguous slab, twice the previous one up to
+        // kSlabObjects (slabs of 16, 32, ... sum to 16 less than the
+        // next); the index table points into it so slot addresses are
+        // stable forever. Slots are default-initialised: storage stays
+        // raw until alloc() constructs into it.
+        size_t n = std::min(slots_.size() + kFirstSlabObjects, kSlabObjects);
+        slabs_.push_back(std::make_unique_for_overwrite<Slot[]>(n));
         Slot *slab = slabs_.back().get();
-        slots_.reserve(slots_.size() + kSlabObjects);
+        slots_.reserve(slots_.size() + n);
         size_t base = slots_.size();
-        for (size_t i = 0; i < kSlabObjects; i++) {
+        for (size_t i = 0; i < n; i++) {
             slots_.push_back(&slab[i]);
             ANIC_SLAB_POISON(slab[i].storage, sizeof(T));
         }
         // Slot base+0 goes to the caller; the rest chain onto the
         // freelist so the next allocs pop in ascending slot order.
-        for (size_t i = kSlabObjects - 1; i >= 1; i--) {
+        for (size_t i = n - 1; i >= 1; i--) {
             slab[i].nextFree = freeHead_;
             freeHead_ = static_cast<uint32_t>(base + i);
         }

@@ -318,6 +318,61 @@ TEST(TlsBothOffloads, SmallRecords)
               p.server->stats().recordsRx);
 }
 
+// ------------------------------------------- lazily keyed software crypto
+
+TEST(TlsLazyCrypto, OffloadedServerNeverKeysSoftwareCrypto)
+{
+    core::Testbed w;
+    TlsConfig scfg;
+    scfg.txOffload = true;
+    scfg.rxOffload = true;
+    TlsPipe p(w, {}, scfg, 1 << 20);
+    w.sim.runUntil(500 * sim::kMillisecond);
+    ASSERT_EQ(p.received, 1u << 20);
+    EXPECT_FALSE(p.corrupt);
+    EXPECT_EQ(p.server->stats().rxFullyOffloaded,
+              p.server->stats().recordsRx);
+    // The NIC did every byte of the server's crypto.
+    EXPECT_FALSE(p.server->txCryptoKeyed());
+    EXPECT_FALSE(p.server->rxCryptoKeyed());
+    // The software client keyed tx on its first send and, having
+    // received nothing, never keyed rx.
+    EXPECT_TRUE(p.client->txCryptoKeyed());
+    EXPECT_FALSE(p.client->rxCryptoKeyed());
+}
+
+TEST(TlsLazyCrypto, OneLossKeysRxCryptoForThePartialRecord)
+{
+    core::Testbed w;
+    TlsConfig scfg;
+    scfg.rxOffload = true;
+    const uint64_t total = 4 << 20;
+    TlsPipe p(w, {}, scfg, total);
+    while (p.received < (1u << 20) && w.sim.now() < sim::kSecond)
+        w.sim.runUntil(w.sim.now() + 10 * sim::kMicrosecond);
+    ASSERT_GE(p.received, 1u << 20);
+    EXPECT_FALSE(p.server->rxCryptoKeyed());
+    EXPECT_EQ(p.server->stats().rxFullyOffloaded,
+              p.server->stats().recordsRx);
+
+    // Drop the client's next data packet, then heal the link.
+    net::Impairments blackhole;
+    blackhole.lossRate = 1.0;
+    w.link.setImpairments(0, blackhole);
+    while (w.link.stats(0).dropped == 0)
+        w.sim.runUntil(w.sim.now() + 10 * sim::kNanosecond);
+    w.link.setImpairments(0, net::Impairments{});
+
+    w.sim.runUntil(5 * sim::kSecond);
+    ASSERT_EQ(p.received, total);
+    EXPECT_FALSE(p.corrupt);
+    const tls::TlsStats &st = p.server->stats();
+    EXPECT_GT(st.rxPartiallyOffloaded, 0u);
+    EXPECT_EQ(st.tagFailures, 0u);
+    EXPECT_TRUE(p.server->rxCryptoKeyed());
+    EXPECT_FALSE(p.server->txCryptoKeyed());
+}
+
 TEST(TlsSendfile, AllVariantsDeliverIdenticalContent)
 {
     struct Variant

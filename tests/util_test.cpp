@@ -2,19 +2,21 @@
  * @file
  * Unit tests for util: byte codecs, hex, deterministic fill (known
  * answers, flipped bytes, wide kernel against portable), RNG,
- * slab arena handles, and the flat hash map (including a differential
- * check against std::unordered_map and a regression for sequential-id
- * clustering).
+ * slab arena handles and growth, the ring FIFO, and the flat hash map
+ * (including a differential check against std::unordered_map and a
+ * regression for sequential-id clustering).
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <unordered_map>
 
 #include "util/bytes.hh"
 #include "util/flat_map.hh"
 #include "util/panic.hh"
 #include "util/rand.hh"
+#include "util/ring_fifo.hh"
 #include "util/slab.hh"
 
 namespace anic {
@@ -258,6 +260,7 @@ struct Tracked
     int value;
 
     explicit Tracked(int v) : value(v) { liveInstances++; }
+    Tracked(const Tracked &o) : value(o.value) { liveInstances++; }
     ~Tracked() { liveInstances--; }
 };
 
@@ -306,12 +309,19 @@ TEST(SlabArena, AddressesStableAcrossGrowth)
     util::SlabArena<Tracked> arena;
     std::vector<util::SlabHandle> handles;
     std::vector<Tracked *> addrs;
-    // Span several slabs so growth happens mid-test.
+    // Cross every doubling boundary (16, 32, ... 1024 slots) and two
+    // full-size slabs after it, so growth happens mid-test.
     const int n = 3 * util::SlabArena<Tracked>::kSlabObjects + 7;
+    std::vector<size_t> capacities;
     for (int i = 0; i < n; i++) {
         handles.push_back(arena.alloc(i));
         addrs.push_back(arena.get(handles.back()));
+        EXPECT_EQ(handles.back().index, static_cast<uint32_t>(i));
+        if (capacities.empty() || capacities.back() != arena.capacity())
+            capacities.push_back(arena.capacity());
     }
+    EXPECT_EQ(capacities, (std::vector<size_t>{16, 48, 112, 240, 496, 1008,
+                                               2032, 3056, 4080}));
     for (int i = 0; i < n; i++) {
         EXPECT_EQ(arena.get(handles[i]), addrs[i]);
         EXPECT_EQ(addrs[i]->value, i);
@@ -348,6 +358,61 @@ TEST(SlabArena, ForEachVisitsOnlyLive)
     EXPECT_EQ(sum, 4);
     arena.free(a);
     arena.free(c);
+}
+
+// ------------------------------------------------------------- ring fifo
+
+TEST(RingFifo, KeepsOrderAcrossWrapAndGrowth)
+{
+    util::RingFifo<int> q;
+    std::deque<int> ref;
+    int next = 0;
+    // Interleave pushes and pops so the head wraps inside every
+    // capacity before the ring grows past it.
+    for (int round = 0; round < 200; round++) {
+        for (int i = 0; i < 3 + round % 5; i++) {
+            q.push_back(next);
+            ref.push_back(next++);
+        }
+        for (int i = 0; i < 2 + round % 3 && !ref.empty(); i++) {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        ASSERT_EQ(q.back(), ref.back());
+        for (size_t i = 0; i < ref.size(); i++)
+            ASSERT_EQ(q[i], ref[i]);
+    }
+    EXPECT_GT(q.size(), 64u); // grew several times
+}
+
+TEST(RingFifo, AllocatesNothingBeforeTheFirstPush)
+{
+    util::RingFifo<Bytes> q;
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.heapBytes(), 0u);
+    q.push_back(Bytes(3, 1));
+    EXPECT_GT(q.heapBytes(), 0u);
+    q.pop_front();
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(RingFifo, DestroysElementsAtPop)
+{
+    Tracked::liveInstances = 0;
+    {
+        util::RingFifo<Tracked> q;
+        for (int i = 0; i < 10; i++)
+            q.push_back(Tracked(i)); // grows 1, 2, 4, 8, 16
+        EXPECT_EQ(Tracked::liveInstances, 10);
+        q.pop_front();
+        q.pop_front();
+        EXPECT_EQ(Tracked::liveInstances, 8);
+        EXPECT_EQ(q.front().value, 2);
+        // The destructor destroys the rest.
+    }
+    EXPECT_EQ(Tracked::liveInstances, 0);
 }
 
 // -------------------------------------------------------------- flat map
