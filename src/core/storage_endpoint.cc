@@ -1,42 +1,113 @@
 #include "core/storage_endpoint.hh"
 
+#include <cstring>
+
+#include "crypto/crc32c.hh"
 #include "util/panic.hh"
 
 namespace anic::core {
 
+bool
+headerDigestOk(ByteView pdu, size_t hdrEnd)
+{
+    if (pdu.size() < hdrEnd + kDigestSize)
+        return false;
+    uint32_t wire = static_cast<uint32_t>(getLe32(pdu.data() + hdrEnd));
+    return crypto::Crc32c::compute(pdu.first(hdrEnd)) == wire;
+}
+
+namespace {
+
+/** Byte counts of one placement-aware copy. */
+struct CopyCounts
+{
+    uint64_t copied = 0; ///< bytes software copied
+    uint64_t placed = 0; ///< bytes the NIC had already placed
+};
+
+/**
+ * Placement-aware copy of the data region [dataOff, dataOff + dataLen)
+ * of @p pdu into @p dst at @p bufferOffset: NIC-placed ranges are
+ * skipped, the rest is memcpy'd (out-of-bounds ranges and a null
+ * @p dst are counted but not written).
+ */
+CopyCounts
+copyUnplaced(const RxMsg &pdu, uint64_t dataOff, uint32_t dataLen,
+             uint64_t bufferOffset, host::BlockBuffer *dst)
+{
+    std::vector<net::PlacedRange> placed; // PDU-relative
+    for (const MsgChunk &ch : pdu.chunks)
+        for (const net::PlacedRange &r : ch.meta.placed)
+            placed.push_back(net::PlacedRange{ch.off + r.payloadOff, r.len});
+    std::sort(placed.begin(), placed.end(),
+              [](const net::PlacedRange &a, const net::PlacedRange &b) {
+                  return a.payloadOff < b.payloadOff;
+              });
+    const uint64_t data_end = dataOff + dataLen;
+    CopyCounts c;
+    uint64_t cursor = dataOff;
+    auto copyRange = [&](uint64_t from, uint64_t to) {
+        if (from >= to)
+            return;
+        uint64_t at = bufferOffset + (from - dataOff);
+        if (dst != nullptr && at + (to - from) <= dst->data.size()) {
+            std::memcpy(dst->data.data() + at, pdu.bytes.data() + from,
+                        to - from);
+        }
+        c.copied += to - from;
+    };
+    for (const net::PlacedRange &r : placed) {
+        uint64_t ps = std::max<uint64_t>(r.payloadOff, dataOff);
+        uint64_t pe = std::min<uint64_t>(r.payloadOff + r.len, data_end);
+        if (ps >= pe)
+            continue;
+        copyRange(cursor, ps);
+        c.placed += pe - ps;
+        cursor = std::max(cursor, pe);
+    }
+    copyRange(cursor, data_end);
+    return c;
+}
+
+/** Software check of the data digest following the data region. */
+bool
+dataDigestOk(const RxMsg &pdu, uint64_t dataOff, uint32_t dataLen)
+{
+    ByteView data = ByteView(pdu.bytes).subspan(dataOff, dataLen);
+    uint32_t wire =
+        static_cast<uint32_t>(getLe32(pdu.bytes.data() + dataOff + dataLen));
+    return crypto::Crc32c::compute(data) == wire;
+}
+
+} // namespace
+
 StorageEndpoint::StorageEndpoint(tcp::StreamSocket &sock,
                                  const StorageWire &wire, Digests d,
                                  StorageOffloadConfig ocfg)
-    : sock_(sock), ocfg_(ocfg), assembler_(wire, d), wire_(wire), dg_(d)
+    : L5pStream(wire, d), sock_(sock), ocfg_(ocfg), wire_(wire), dg_(d)
 {
     sock_.setOnReadable([this] { onReadable(); });
     sock_.setOnWritable([this] { flushSendQueue(); });
 }
 
-StorageEndpoint::~StorageEndpoint()
-{
-    if (l5o_ != nullptr)
-        l5o_->destroy();
-}
-
 void
 StorageEndpoint::installOffload(OffloadDevice &dev, tcp::TcpConnection &conn)
 {
-    ANIC_ASSERT(l5o_ == nullptr);
-    conn_ = &conn;
-    if (!ocfg_.crcRx && !ocfg_.copyRx && !ocfg_.crcTx)
-        return;
-
     StorageStaticState st(wire_, dg_);
     unsigned dirs = ((ocfg_.crcRx || ocfg_.copyRx) ? kL5Rx : 0u) |
                     (ocfg_.crcTx ? kL5Tx : 0u);
-    if (ocfg_.crcTx)
-        conn.setOnAcked([this](uint32_t una) { txMap_.trimAcked(una); });
-    l5o_ = dev.l5oCreate(conn, st, dirs, this);
+    createOffload(dev, conn, st, dirs);
     if (dirs & kL5Rx)
         rxEngine_ = static_cast<StorageRxEngine *>(l5o_->rxEngine());
-    if (ocfg_.crcTx)
-        conn.setTxOffloadCtx(l5o_->txCtxId());
+}
+
+void
+StorageEndpoint::countEvent(StreamEvent e)
+{
+    if (e != StreamEvent::TxMsgStateUpcall)
+        count(e == StreamEvent::ResyncRequest
+                  ? &StorageCounters::resyncRequests
+                  : &StorageCounters::resyncConfirmed);
 }
 
 void
@@ -65,11 +136,9 @@ StorageEndpoint::flushSendQueue()
 {
     while (!sendq_.empty()) {
         SendEntry &e = sendq_.front();
-        if (!e.added && l5o_ != nullptr && l5o_->txCtxId() != 0) {
-            // All stream messages must be tracked when a tx context
-            // exists, so framing recovery can cross any message. The
-            // message is registered where its first byte actually lands
-            // in the stream (now, not at enqueue time).
+        if (!e.added && txOffloaded()) {
+            // Registered where its first byte actually lands in the
+            // stream (now, not at enqueue time).
             txMap_.add(conn_->sndNextByteSeq(),
                        static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
                        e.bytes);
@@ -94,8 +163,10 @@ StorageEndpoint::onReadable()
         tcp::RxSegment seg = sock_.pop();
         if (dead_)
             continue; // drain and discard; the session is over
-        assembler_.ingest(seg,
-                          [this](RxPdu &&pdu) { dispatch(std::move(pdu)); });
+        ingest(seg, [this](RxMsg &&pdu) {
+            dispatch(std::move(pdu));
+            return true;
+        });
         if (assembler_.error()) {
             // PDU framing lost (corrupted prefix): a fatal transport
             // error, handled instead of asserted so impairment fuzzing
@@ -103,7 +174,6 @@ StorageEndpoint::onReadable()
             transportError();
         }
     }
-    checkPendingResync();
 }
 
 void
@@ -116,20 +186,20 @@ StorageEndpoint::transportError()
 // ------------------------------------------------------- receive path
 
 bool
-StorageEndpoint::nicVerified(const RxPdu &pdu)
+StorageEndpoint::nicVerified(const RxMsg &pdu)
 {
-    bool nic = ocfg_.crcRx && pdu.digestFullyOffloaded();
+    bool nic = ocfg_.crcRx && pdu.verifiedByNic(wire_.kind);
     count(nic ? &StorageCounters::digestSkipped
               : &StorageCounters::digestSoftware);
     return nic;
 }
 
 void
-StorageEndpoint::dispatch(RxPdu &&pdu)
+StorageEndpoint::dispatch(RxMsg &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
-    const PduFrame &f = pdu.frame;
+    const MsgFrame &f = pdu.frame;
     core.charge(m.nvmePduCost);
 
     bool hdrOk = true;
@@ -193,14 +263,15 @@ StorageEndpoint::take(uint32_t tag)
 }
 
 StorageEndpoint::Command *
-StorageEndpoint::receiveData(RxPdu &pdu, uint32_t tag, uint32_t bufferOffset,
+StorageEndpoint::receiveData(const RxMsg &pdu, uint32_t tag,
+                             uint32_t bufferOffset,
                              uint64_t queueBytes)
 {
     count(&StorageCounters::dataPdus);
     Command *c = command(tag);
     if (c == nullptr)
         return nullptr; // stale / unknown tag
-    const PduFrame &f = pdu.frame;
+    const MsgFrame &f = pdu.frame;
     // limit == 0: the command takes no data (an initiator's write).
     if (c->limit == 0 || uint64_t{bufferOffset} + f.dataLen > c->limit) {
         transportError();
@@ -231,66 +302,6 @@ StorageEndpoint::receiveData(RxPdu &pdu, uint32_t tag, uint32_t bufferOffset,
     }
     c->received += f.dataLen;
     return c;
-}
-
-// ------------------------------------------------------------- resync
-
-void
-StorageEndpoint::checkPendingResync()
-{
-    if (!resyncPending_ || !resyncOffValid_)
-        return;
-    uint64_t cur = assembler_.boundaryOff();
-    if (cur < resyncOff_)
-        return; // not there yet
-    bool ok = cur == resyncOff_;
-    resyncPending_ = false;
-    resyncOffValid_ = false;
-    if (ok)
-        count(&StorageCounters::resyncConfirmed);
-    answerResync(ok);
-}
-
-void
-StorageEndpoint::answerResync(bool ok)
-{
-    // Confirm with software's PDU count: the NIC renumbers its messages
-    // from this index, and message identity across mid-message resumes
-    // rides on that numbering staying consistent with what the engine
-    // saw before the gap.
-    if (l5o_ != nullptr)
-        l5o_->resyncRxResp(resyncSeq_, ok, assembler_.pdusDelivered());
-}
-
-std::optional<L5pCallbacks::TxMsgState>
-StorageEndpoint::getTxMsgState(uint32_t tcpsn)
-{
-    const TxMsgTracker::Entry *e = txMap_.find(tcpsn);
-    if (e == nullptr)
-        return std::nullopt;
-    TxMsgState st;
-    st.msgStartSeq = e->startSeq;
-    st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    ANIC_ASSERT(e->bytes.size() >= n, "PDU bytes not retained");
-    st.rebuild = ByteView(e->bytes).first(n);
-    return st;
-}
-
-void
-StorageEndpoint::resyncRxReq(uint32_t tcpsn)
-{
-    ANIC_ASSERT(conn_ != nullptr);
-    count(&StorageCounters::resyncRequests);
-    resyncPending_ = true;
-    resyncSeq_ = tcpsn; // echoed in the response (stale-answer guard)
-    // Translate the sequence number into our stream-offset space.
-    uint64_t consumed = assembler_.streamConsumed();
-    int64_t delta =
-        static_cast<int32_t>(tcpsn - conn_->seqOfRcvStreamOff(consumed));
-    resyncOff_ = consumed + delta;
-    resyncOffValid_ = true;
-    checkPendingResync();
 }
 
 // ---------------------------------------------------------- initiator

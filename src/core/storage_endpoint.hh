@@ -2,18 +2,19 @@
  * @file
  * One end of a storage-L5P session (NVMe-TCP host queue or target,
  * iSCSI initiator or target): the data path every endpoint shares.
- * It owns
- *  - PDU reassembly and the digest policy, handing PDUs whose header
- *    can be trusted to the protocol's onPdu();
+ * It is a core::L5pStream, like TlsSocket, so PDU reassembly, the
+ * offload handle, the tx-message map (l5o_get_tx_msgstate) and rx
+ * resync with its one confirm rule are the stream layer's. On top of
+ * that it owns
+ *  - the digest policy, handing PDUs whose header can be trusted to
+ *    the protocol's onPdu();
  *  - the command table: an initiator's outstanding commands, a
  *    target's pending writes;
  *  - the data-PDU send loop and the receive step of a data PDU;
  *  - the send queue, which records every message in the tx-message
- *    map while a tx offload context exists (l5o_get_tx_msgstate);
- *  - offload install through the unified l5o_create binding, and the
- *    tag -> buffer placement state (l5o_add/del_rr_state);
- *  - rx resync: translating the NIC's speculated sequence number into
- *    a stream offset and confirming it once reassembly reaches it;
+ *    map while a tx offload context exists;
+ *  - offload install for the directions it asks for, and the tag ->
+ *    buffer placement state (l5o_add/del_rr_state);
  *  - the counts of all of the above (StorageCounters).
  * StorageInitiator adds tags, completion and failing every command on
  * a transport error. A protocol keeps its PDU build and parse and its
@@ -33,9 +34,7 @@
 #include <functional>
 #include <unordered_map>
 
-#include "core/offload_device.hh"
 #include "core/storage_engine.hh"
-#include "core/tx_msg_tracker.hh"
 #include "host/core.hh"
 #include "sim/registry.hh"
 #include "util/ring_fifo.hh"
@@ -62,26 +61,16 @@ struct StorageCounters
     sim::Counter *comparesCompleted = nullptr;
 };
 
-class StorageEndpoint : private L5pCallbacks
+class StorageEndpoint : public L5pStream
 {
   public:
     using ReadDone = std::function<void(bool ok, host::BlockBufferPtr)>;
     using WriteDone = std::function<void(bool ok)>;
 
-    StorageEndpoint(const StorageEndpoint &) = delete;
-    StorageEndpoint &operator=(const StorageEndpoint &) = delete;
-
     /** True once PDU framing, a header digest or a data range was
      *  lost: a fatal transport error after which the session is
      *  quiescent. */
     bool desynced() const { return dead_; }
-
-    /** FSM stats of the rx offload, if any. */
-    const nic::FsmStats *
-    rxFsmStats() const
-    {
-        return l5o_ != nullptr ? l5o_->rxFsmStats() : nullptr;
-    }
 
   protected:
     enum class Verb : uint8_t
@@ -110,7 +99,6 @@ class StorageEndpoint : private L5pCallbacks
 
     StorageEndpoint(tcp::StreamSocket &sock, const StorageWire &wire,
                     Digests d, StorageOffloadConfig ocfg);
-    ~StorageEndpoint() override;
 
     /** Points the shared counts at the endpoint's stats fields and,
      *  optionally, an aggregate's. Called once, by the constructor. */
@@ -179,7 +167,7 @@ class StorageEndpoint : private L5pCallbacks
      * error, since dropping the data would leave a hole in a command
      * that then completes "successfully".
      */
-    Command *receiveData(RxPdu &pdu, uint32_t tag, uint32_t bufferOffset,
+    Command *receiveData(const RxMsg &pdu, uint32_t tag, uint32_t bufferOffset,
                          uint64_t queueBytes = 0);
 
     /** l5o_add_rr_state (when placement is on) / l5o_del_rr_state. */
@@ -189,41 +177,23 @@ class StorageEndpoint : private L5pCallbacks
     /** Marks the session dead and lets the protocol fail its work. */
     void transportError();
 
-    /** Answers the pending resync once reassembly reaches its offset. */
-    void checkPendingResync();
-
-    virtual void onPdu(RxPdu &&pdu) = 0;
+    virtual void onPdu(RxMsg &&pdu) = 0;
     virtual void onTransportError() {}
-    /** Sends the resync verdict to the NIC (default: plain-TCP
-     *  l5o_resync_rx_resp with software's PDU count). */
-    virtual void answerResync(bool ok);
 
     tcp::StreamSocket &sock_;
     StorageOffloadConfig ocfg_;
-    L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
     StorageRxEngine *rxEngine_ = nullptr;
-    PduAssembler assembler_;
     std::unordered_map<uint32_t, Command> cmds_;
-
-    // Pending rx resync speculation (one outstanding).
-    bool resyncPending_ = false;
-    bool resyncOffValid_ = false; ///< resyncOff_ known (TLS: later)
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
   private:
     void onReadable();
     /** Charges a PDU's header processing, applies the digest policy's
      *  checks that precede dispatch and hands it to onPdu(). */
-    void dispatch(RxPdu &&pdu);
+    void dispatch(RxMsg &&pdu);
     /** Counts one digest verdict; true if the NIC made it. */
-    bool nicVerified(const RxPdu &pdu);
+    bool nicVerified(const RxMsg &pdu);
     void flushSendQueue();
-
-    // L5pCallbacks (plain-TCP transport).
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
+    void countEvent(StreamEvent e) override;
 
     const StorageWire &wire_;
     Digests dg_;
@@ -239,7 +209,6 @@ class StorageEndpoint : private L5pCallbacks
     };
     util::RingFifo<SendEntry> sendq_;
     size_t sendqOff_ = 0;
-    TxMsgTracker txMap_;
     uint64_t txMsgIdx_ = 0;
 };
 

@@ -25,7 +25,7 @@ makeTx(const L5StaticState &st)
     return std::make_unique<StorageTxEngine>(s.wire(), s.digests());
 }
 
-std::optional<PduFrame>
+std::optional<MsgFrame>
 parseFrame(const StorageWire &wire, Digests d, ByteView hdr)
 {
     if (hdr.size() < kPduPrefixSize)
@@ -54,16 +54,16 @@ StorageStaticState::StorageStaticState(const StorageWire &wire, Digests d)
 std::optional<nic::MsgInfo>
 StorageEngineBase::parseHeader(ByteView hdr) const
 {
-    std::optional<PduFrame> f = parseFrame(wire_, dg_, hdr);
+    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
     if (!f)
         return std::nullopt;
     return nic::MsgInfo{f->wireLen};
 }
 
-PduFrame
+MsgFrame
 StorageEngineBase::frameOf(ByteView hdr) const
 {
-    std::optional<PduFrame> f = parseFrame(wire_, dg_, hdr);
+    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
     ANIC_ASSERT(f.has_value(), "storage PDU start on an invalid header");
     return *f;
 }
@@ -109,7 +109,7 @@ StorageRxEngine::onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off)
     // restarted) L5P can recycle an index for a different PDU: the
     // shape the FSM hands us must also match the cached one before
     // per-PDU state is trusted.
-    std::optional<PduFrame> f = parseFrame(wire_, dg_, hdr);
+    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
     bool same_pdu = haveMsgIdx_ && msgIdx == curMsgIdx_ && subHdrValid_ &&
                     f.has_value() && f->sameShape(frame_);
     if (!same_pdu) {

@@ -64,11 +64,11 @@ class StorageEngineBase : public nic::L5Engine
 
   protected:
     /** Frame of a header the FSM already validated. */
-    PduFrame frameOf(ByteView hdr) const;
+    MsgFrame frameOf(ByteView hdr) const;
 
     const StorageWire &wire_;
     Digests dg_;
-    PduFrame frame_;
+    MsgFrame frame_;
 };
 
 /** Receive engine: digest verify + tag-keyed placement. */

@@ -151,7 +151,7 @@ verifyHdgst(const IscsiWireConfig &wc, ByteView pdu)
 
 namespace {
 
-std::optional<core::PduFrame>
+std::optional<core::MsgFrame>
 iscsiParsePrefix(const uint8_t *prefix, core::Digests d)
 {
     IscsiWireConfig wc;
@@ -160,7 +160,7 @@ iscsiParsePrefix(const uint8_t *prefix, core::Digests d)
     std::optional<uint64_t> len = parseBhsPrefix(wc, ByteView(prefix, 8));
     if (!len)
         return std::nullopt;
-    core::PduFrame f;
+    core::MsgFrame f;
     f.type = prefix[0];
     f.wireLen = static_cast<uint32_t>(*len);
     f.dataOff = static_cast<uint32_t>(kBhsSize + wc.hdgstLen());
@@ -180,8 +180,8 @@ iscsiParseTag(const uint8_t *sub)
 
 } // namespace
 
-const core::StorageWire kIscsiWire{net::L5Kind::Iscsi,
-                                   /*nicHeaderDigest=*/true,
-                                   iscsiParsePrefix, iscsiParseTag};
+const core::StorageWire kIscsiWire{
+    {net::L5Kind::Iscsi, core::kPduPrefixSize, iscsiParsePrefix},
+    /*nicHeaderDigest=*/true, iscsiParseTag};
 
 } // namespace anic::iscsi

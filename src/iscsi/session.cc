@@ -80,7 +80,7 @@ IscsiInitiator::write(uint64_t slba, uint32_t len, uint64_t contentSeed,
 }
 
 void
-IscsiInitiator::onPdu(core::RxPdu &&pdu)
+IscsiInitiator::onPdu(core::RxMsg &&pdu)
 {
     IscsiBhs bhs = parseBhs(pdu.bytes);
     if (bhs.opcode == kOpDataIn) {
@@ -110,7 +110,7 @@ IscsiTarget::IscsiTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
 }
 
 void
-IscsiTarget::onPdu(core::RxPdu &&pdu)
+IscsiTarget::onPdu(core::RxMsg &&pdu)
 {
     IscsiBhs bhs = parseBhs(pdu.bytes);
     switch (bhs.opcode) {

@@ -73,7 +73,7 @@ class IscsiInitiator : public core::StorageInitiator
   private:
     // StorageEndpoint. A lost framing, BHS digest or data range fails
     // every outstanding task and the session goes quiescent.
-    void onPdu(core::RxPdu &&pdu) override;
+    void onPdu(core::RxMsg &&pdu) override;
 
     IscsiWireConfig wc_;
     IscsiInitiatorStats stats_;
@@ -115,7 +115,7 @@ class IscsiTarget : public core::StorageEndpoint
   private:
     // StorageEndpoint. A lost framing, BHS digest or data range stops
     // serving.
-    void onPdu(core::RxPdu &&pdu) override;
+    void onPdu(core::RxMsg &&pdu) override;
 
     void serveRead(const IscsiBhs &bhs);
     void finishWrite(uint32_t itt);

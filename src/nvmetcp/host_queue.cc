@@ -67,40 +67,31 @@ NvmeHostQueue::enableOffloadOverTls(tls::TlsSocket &tlsSock)
             core->post([this, core, reqId, recIdx, recOff] {
                 core->charge(core->model().resyncUpcallCost);
                 count(&core::StorageCounters::resyncRequests);
-                resyncPending_ = true;
+                awaitResync(0); // answered by request id, not seq
                 resyncReqId_ = reqId;
-                resyncOffValid_ = false;
-                innerAnchorPending_ = true;
                 innerAnchorRecIdx_ = recIdx;
                 innerAnchorRecOff_ = recOff;
                 // Already behind us?
                 if (tlsSock_->nextRxRecordSeq() > recIdx) {
-                    innerAnchorPending_ = false;
-                    resyncPending_ = false;
+                    dropResync();
                     tlsRxEngine_->innerResyncResponse(reqId, false, 0);
                 }
             });
         },
         /*plaintextPos=*/0, /*innerMsgIdx=*/0);
 
-    tlsSock.setRecordObserver([this](uint64_t recIdx, uint64_t plainOff) {
-        handleInnerAnchor(recIdx, plainOff);
-    });
+    tlsSock.setRecordObserver(this);
 }
 
 void
-NvmeHostQueue::handleInnerAnchor(uint64_t recIdx, uint64_t plainOff)
+NvmeHostQueue::onRecord(uint64_t recIdx, uint64_t plainOff)
 {
-    if (!innerAnchorPending_)
+    if (!unplacedResync())
         return;
     if (recIdx == innerAnchorRecIdx_) {
-        innerAnchorPending_ = false;
-        resyncOff_ = plainOff + innerAnchorRecOff_;
-        resyncOffValid_ = true;
-        checkPendingResync();
+        placeResync(plainOff + innerAnchorRecOff_);
     } else if (recIdx > innerAnchorRecIdx_) {
-        innerAnchorPending_ = false;
-        resyncPending_ = false;
+        dropResync();
         tlsRxEngine_->innerResyncResponse(resyncReqId_, false, 0);
     }
 }
@@ -108,8 +99,10 @@ NvmeHostQueue::handleInnerAnchor(uint64_t recIdx, uint64_t plainOff)
 void
 NvmeHostQueue::answerResync(bool ok)
 {
+    // The inner FSM numbers PDUs in the plaintext stream as we do.
     if (tlsRxEngine_ != nullptr)
-        tlsRxEngine_->innerResyncResponse(resyncReqId_, ok, 0);
+        tlsRxEngine_->innerResyncResponse(resyncReqId_, ok,
+                                          assembler_.msgsDelivered());
     else
         StorageEndpoint::answerResync(ok);
 }
@@ -188,7 +181,7 @@ NvmeHostQueue::onR2t(const R2tHdr &r2t)
 }
 
 void
-NvmeHostQueue::onPdu(core::RxPdu &&pdu)
+NvmeHostQueue::onPdu(core::RxMsg &&pdu)
 {
     switch (pdu.frame.type) {
       case kPduC2HData: {

@@ -42,7 +42,8 @@ struct NvmeHostStats
     sim::Counter resyncConfirmed;
 };
 
-class NvmeHostQueue : public core::StorageInitiator
+class NvmeHostQueue : public core::StorageInitiator,
+                      private tls::TlsSocket::RecordObserver
 {
   public:
     /** @param aggregate optional owner-level stats (e.g. one per
@@ -94,10 +95,11 @@ class NvmeHostQueue : public core::StorageInitiator
     void issueDataOutCmd(uint8_t opcode, Verb verb, uint64_t slba,
                          uint32_t len, uint64_t contentSeed, WriteDone done);
     void onR2t(const R2tHdr &r2t);
-    void handleInnerAnchor(uint64_t recIdx, uint64_t plainOff);
+    /** Resolves a pending inner anchor as its record completes. */
+    void onRecord(uint64_t recIdx, uint64_t plainOff) override;
 
     // StorageEndpoint.
-    void onPdu(core::RxPdu &&pdu) override;
+    void onPdu(core::RxMsg &&pdu) override;
     void answerResync(bool ok) override;
 
     WireConfig wc_;
@@ -107,7 +109,6 @@ class NvmeHostQueue : public core::StorageInitiator
     tls::TlsSocket *tlsSock_ = nullptr;
     tls::TlsRxEngine *tlsRxEngine_ = nullptr;
     uint64_t resyncReqId_ = 0;
-    bool innerAnchorPending_ = false;
     uint64_t innerAnchorRecIdx_ = 0;
     uint32_t innerAnchorRecOff_ = 0;
 

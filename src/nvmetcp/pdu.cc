@@ -190,14 +190,14 @@ parseR2tHdr(ByteView pdu)
 
 namespace {
 
-std::optional<core::PduFrame>
+std::optional<core::MsgFrame>
 nvmeParsePrefix(const uint8_t *prefix, core::Digests)
 {
     std::optional<CommonHdr> ch =
         parseCommonHdr(ByteView(prefix, kCommonHdrSize));
     if (!ch)
         return std::nullopt;
-    core::PduFrame f;
+    core::MsgFrame f;
     f.type = ch->type;
     f.wireLen = ch->plen;
     f.dataOff = ch->pdo;
@@ -218,8 +218,8 @@ nvmeParseTag(const uint8_t *sub)
 
 } // namespace
 
-const core::StorageWire kNvmeWire{net::L5Kind::Nvme,
-                                  /*nicHeaderDigest=*/false,
-                                  nvmeParsePrefix, nvmeParseTag};
+const core::StorageWire kNvmeWire{
+    {net::L5Kind::Nvme, core::kPduPrefixSize, nvmeParsePrefix},
+    /*nicHeaderDigest=*/false, nvmeParseTag};
 
 } // namespace anic::nvmetcp

@@ -24,7 +24,7 @@ NvmeTarget::NvmeTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
 }
 
 void
-NvmeTarget::onPdu(core::RxPdu &&pdu)
+NvmeTarget::onPdu(core::RxMsg &&pdu)
 {
     switch (pdu.frame.type) {
       case kPduCapsuleCmd: {

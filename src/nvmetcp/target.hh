@@ -68,7 +68,7 @@ class NvmeTarget : public core::StorageEndpoint
   private:
     // StorageEndpoint. A lost framing or header digest stops serving
     // (a real controller resets the connection, NVMe/TCP §7.4.7).
-    void onPdu(core::RxPdu &&pdu) override;
+    void onPdu(core::RxMsg &&pdu) override;
 
     void serveRead(const CmdCapsule &cmd);
     void issueR2t(uint16_t cid, Command &w);

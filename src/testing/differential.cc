@@ -194,9 +194,11 @@ class TlsFlowDriver
                           ss->stats().recordsTx.value(), ss->txBacklog());
         if (rs != nullptr)
             out += fmtMsg(" | rrx rec=%" PRIu64 " tagfail=%" PRIu64
-                          " resync=%" PRIu64 "/%" PRIu64,
+                          " framingerr=%" PRIu64 " resync=%" PRIu64
+                          "/%" PRIu64,
                           rs->stats().recordsRx.value(),
                           rs->stats().tagFailures.value(),
+                          rs->stats().framingErrors.value(),
                           rs->stats().rxResyncRequests.value(),
                           rs->stats().rxResyncConfirmed.value());
         return out;

@@ -6,19 +6,20 @@
  * the NVMe-TCP L5P, for the NVMe-TLS composition) are oblivious to
  * whether crypto runs in software or on the NIC.
  *
- * Offload behaviour implemented from the paper:
+ * TlsSocket is a core::L5pStream over kTlsWire (the 5-byte record
+ * header), as the storage endpoints are over their 8-byte prefixes:
+ * record reassembly, the seq -> record map behind l5o_get_tx_msgstate
+ * and the rx resync answer with its one confirm rule live there. TLS
+ * keeps only the record crypto:
  *  - tx: records are framed with dummy ICVs and passed down in
- *    plaintext; the NIC encrypts in place. A seq->record map answers
- *    l5o_get_tx_msgstate for retransmissions, sourcing rebuild bytes
- *    from the plaintext records TxMsgTracker keeps until fully acked
- *    (TCP frees acked bytes mid-record, so it cannot serve them).
+ *    plaintext; the NIC encrypts in place.
  *  - rx: a record whose packets all carry the NIC's `decrypted` bit
  *    skips software crypto entirely; a partially-offloaded record is
  *    recovered by re-encrypting the NIC-decrypted ranges (CTR) and
  *    then running the normal software decrypt+authenticate path —
  *    which is why partial decryption is costlier than none (§6.4).
- *  - rx resync: answers the NIC's header speculation when in-order
- *    processing reaches the speculated sequence number.
+ *    Plaintext is delivered with the record's segment boundaries and
+ *    inner offload metadata, which NVMe-TLS depends on.
  *  - sendfile: software mode allocates a per-record encryption
  *    buffer; offload mode still allocates+copies; offload+zc hands
  *    page-cache bytes straight to the NIC (user must not modify).
@@ -27,8 +28,7 @@
 #ifndef ANIC_TLS_KTLS_HH
 #define ANIC_TLS_KTLS_HH
 
-#include "core/offload_device.hh"
-#include "core/tx_msg_tracker.hh"
+#include "core/l5p_stream.hh"
 #include "sim/registry.hh"
 #include "tcp/tcp_connection.hh"
 #include "tls/record.hh"
@@ -45,7 +45,8 @@ struct TlsStats
     sim::Counter rxFullyOffloaded;
     sim::Counter rxPartiallyOffloaded;
     sim::Counter rxNotOffloaded;
-    sim::Counter tagFailures;
+    sim::Counter tagFailures;   ///< AES-GCM tag mismatches
+    sim::Counter framingErrors; ///< unparseable record headers
     sim::Counter txMsgStateUpcalls;
     sim::Counter rxResyncRequests;
     sim::Counter rxResyncConfirmed;
@@ -78,7 +79,10 @@ enum class TxMode
     Sendfile, ///< sendfile(): page-cache source, no user copy
 };
 
-class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
+/** The TLS record framing the stream layer reassembles. */
+extern const core::MsgWire kTlsWire;
+
+class TlsSocket : public tcp::StreamSocket, public core::L5pStream
 {
   public:
     /**
@@ -87,7 +91,6 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
      */
     TlsSocket(tcp::TcpConnection &conn, const SessionKeys &keys,
               TlsConfig cfg);
-    ~TlsSocket() override;
 
     /**
      * Installs NIC offload contexts (l5o_create) per the config's
@@ -103,9 +106,13 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     bool readable() const override { return !rxOut_.empty(); }
     tcp::RxSegment pop() override;
     void setOnReadable(std::function<void()> cb) override { onReadable_ = std::move(cb); }
-    void setOnPeerClosed(std::function<void()> cb) override;
-    void close() override { conn_.close(); }
-    host::Core &core() override { return conn_.core(); }
+    void
+    setOnPeerClosed(std::function<void()> cb) override
+    {
+        conn_->setOnPeerClosed(std::move(cb));
+    }
+    void close() override { conn_->close(); }
+    host::Core &core() override { return conn_->core(); }
 
     /**
      * sendfile-style transmit: @p len bytes of file content
@@ -115,29 +122,26 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     size_t sendFile(uint64_t seed, uint64_t fileOff, size_t len);
 
     const TlsStats &stats() const { return stats_; }
-    tcp::TcpConnection &connection() { return conn_; }
-    core::L5Offload *offload() { return l5o_; }
-
-    /** Aggregated FSM stats of the NIC rx context (null w/o offload). */
-    const nic::FsmStats *rxFsmStats() const
-    {
-        return l5o_ ? l5o_->rxFsmStats() : nullptr;
-    }
+    tcp::TcpConnection &connection() { return *conn_; }
 
     /**
-     * Observer invoked as each rx record completes, with its index
-     * and the plaintext offset where its payload starts. The NVMe-TLS
+     * Told as each rx record completes, with its index and the
+     * plaintext offset where its payload starts. The NVMe-TLS
      * composition uses this to translate the NIC's inner-layer resync
      * anchors (record index, offset) into plaintext positions.
      */
-    void
-    setRecordObserver(std::function<void(uint64_t recIdx, uint64_t plainOff)> cb)
+    struct RecordObserver
     {
-        recordObserver_ = std::move(cb);
-    }
+        virtual void onRecord(uint64_t recIdx, uint64_t plainOff) = 0;
+
+      protected:
+        ~RecordObserver() = default;
+    };
+
+    void setRecordObserver(RecordObserver *o) { recordObserver_ = o; }
 
     /** Index the next received record will get. */
-    uint64_t nextRxRecordSeq() const { return rxRecSeq_; }
+    uint64_t nextRxRecordSeq() const { return assembler_.msgsDelivered(); }
 
     /** Whether software AES-GCM has been keyed for tx / rx. A
      *  direction the NIC fully offloads never keys it. */
@@ -152,19 +156,21 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
 
   private:
     // ------------------------------------------------------- tx
+    /** Charges the syscall and emits records of [0, len) through
+     *  @p emit(off, n) while TCP takes them; returns bytes consumed. */
+    template <typename Emit>
+    size_t sendRecords(size_t len, Emit &&emit);
     bool emitRecord(ByteView plaintext, TxMode mode);
     void flushStaging();
     void chargeTxRecord(size_t plainLen, TxMode mode);
 
     // ------------------------------------------------------- rx
     void onTcpReadable();
-    void ingestSegment(tcp::RxSegment seg);
-    void finishRecord();
-    void answerPendingResync(uint32_t recordStartSeq);
+    /** Authenticates and delivers one record; false on a tag
+     *  mismatch, a fatal error. */
+    bool finishRecord(core::RxMsg &rec);
 
-    // ---------------------------------------------- L5pCallbacks
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
+    void countEvent(StreamEvent e) override;
 
     /** Counts into the socket stats and the configured aggregate. */
     void
@@ -175,7 +181,6 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
             (cfg_.aggregate->*m) += n;
     }
 
-    tcp::TcpConnection &conn_;
     TlsConfig cfg_;
     SessionKeys keys_;
     // Software crypto is keyed on first use: with the NIC doing a
@@ -183,40 +188,18 @@ class TlsSocket : public tcp::StreamSocket, private core::L5pCallbacks
     std::unique_ptr<crypto::AesGcm> txGcm_;
     std::unique_ptr<crypto::AesGcm> rxGcm_;
 
-    core::L5Offload *l5o_ = nullptr;
-
     // --- tx state
     uint64_t txRecSeq_ = 0;
-    core::TxMsgTracker txMap_;
     Bytes staging_; ///< tail of a record TCP could not accept yet
     size_t stagingOff_ = 0;
     std::function<void()> onWritable_;
 
     // --- rx state
-    struct Slice
-    {
-        size_t recOff = 0;
-        Bytes data;
-        net::RxOffloadMeta meta;
-        bool decrypted = false;
-    };
-    RecordHeader rxHdr_;
-    Bytes rxHdrBuf_;
-    bool rxHdrComplete_ = false;
-    std::vector<Slice> rxSlices_;
-    size_t rxHave_ = 0; ///< record bytes collected (incl. header)
-    uint64_t rxRecStartOff_ = 0;
-    uint64_t rxStreamConsumed_ = 0; ///< next unconsumed TCP stream offset
-    uint64_t rxRecSeq_ = 0;
     uint64_t rxPlainOff_ = 0;
     util::RingFifo<tcp::RxSegment> rxOut_;
-    bool rxError_ = false;
-
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
 
     std::function<void()> onReadable_;
-    std::function<void(uint64_t, uint64_t)> recordObserver_;
+    RecordObserver *recordObserver_ = nullptr;
     TlsStats stats_;
 };
 

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hh"
-#include "core/tx_msg_tracker.hh"
+#include "core/l5p_stream.hh"
 #include "tls/ktls.hh"
 
 namespace anic {

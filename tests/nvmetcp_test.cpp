@@ -578,6 +578,77 @@ TEST(NvmeCrafted, H2CDataOutsideTheGrantIsFatal)
     EXPECT_EQ(target->stats().h2cBytesCopied, 0u);
 }
 
+TEST(NvmeCrafted, SpeculationPassedInOneBatchIsStillConfirmed)
+{
+    // The NIC's rx context is installed mid-PDU, so it loses framing
+    // and speculates on the next PDU header. One segment then carries
+    // the rest of the current PDU, the speculated PDU whole and the
+    // start of the one after it: software reaches the speculated
+    // position inside the batch and must confirm it there.
+    sim::TraceRing ring;
+    ring.enable();
+    core::Testbed::Config cfg;
+    cfg.b.trace = &ring;
+    core::Testbed w(cfg);
+    testing::RawPeer peer;
+    WireConfig wc;
+    NvmeOffloadConfig ocfg;
+    ocfg.crcRx = true;
+    tcp::TcpConnection *conn = nullptr;
+    std::unique_ptr<NvmeHostQueue> hostq;
+    testing::connectRawPeer(w, 4420, /*peerOnA=*/true, peer,
+                            [&](tcp::TcpConnection &c) {
+                                conn = &c;
+                                hostq = std::make_unique<NvmeHostQueue>(
+                                    c, wc, ocfg);
+                            });
+    int done = 0;
+    for (int i = 0; i < 2; i++)
+        hostq->read(uint64_t{4096} * i, 4096,
+                    [&](bool ok, host::BlockBufferPtr) { done += ok; });
+    w.sim.runFor(2 * sim::kMillisecond);
+
+    // PDU 0: cid 1's data, all-0xff so no window inside it parses as a
+    // header. Its first part lands before the offload is installed.
+    Bytes data(4096, 0xff);
+    Bytes pdu0 = buildDataPdu(wc, kPduC2HData, DataPduHdr{1, 0, 0}, data,
+                              true);
+    Bytes pdu1 = buildRespCapsule(wc, RespCapsule{1, 0});
+    Bytes pdu2 = buildRespCapsule(wc, RespCapsule{2, 0});
+    const size_t split = pdu0.size() - 64;
+    peer.send(Bytes(pdu0.begin(), pdu0.begin() + split));
+    w.sim.runFor(2 * sim::kMillisecond);
+    hostq->enableOffload(w.b.device(), *conn);
+
+    Bytes batch(pdu0.begin() + split, pdu0.end());
+    batch.insert(batch.end(), pdu1.begin(), pdu1.end());
+    batch.insert(batch.end(), pdu2.begin(), pdu2.begin() + 8);
+    peer.send(batch);
+    w.sim.runFor(2 * sim::kMillisecond);
+    peer.send(Bytes(pdu2.begin() + 8, pdu2.end()));
+    w.sim.runFor(2 * sim::kMillisecond);
+
+    EXPECT_FALSE(hostq->desynced());
+    EXPECT_EQ(done, 1);
+    const nic::FsmStats *fsm = hostq->rxFsmStats();
+    ASSERT_NE(fsm, nullptr);
+    EXPECT_EQ(fsm->resyncRequests, 1u);
+    EXPECT_EQ(hostq->stats().resyncRequests, 1u);
+    EXPECT_EQ(hostq->stats().resyncConfirmed, 1u);
+    EXPECT_EQ(fsm->resyncConfirmed, 1u);
+    EXPECT_EQ(fsm->resyncRefuted, 0u);
+    // Confirmed as message 1: the PDU that starts where the NIC
+    // speculated.
+    int confirms = 0;
+    for (const sim::TraceEvent &e : ring.events()) {
+        if (e.kind == sim::TraceKind::ResyncConfirmed) {
+            confirms++;
+            EXPECT_EQ(e.a, 1u);
+        }
+    }
+    EXPECT_EQ(confirms, 1);
+}
+
 // ------------------------------------------------- NVMe-TLS composition
 
 struct NvmeTlsFabric

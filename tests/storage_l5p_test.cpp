@@ -1,9 +1,11 @@
 /**
  * @file
- * Shared storage-L5P layer tests, run once per wire traits (NVMe-TCP
- * and iSCSI): streaming PDU reassembly, and the NIC rx/tx engine core
- * driven directly — mid-message resume identity, placement, verify
- * outcomes and tx digest fill.
+ * Shared L5P layer tests. The message-assembler cases run once per
+ * wire (NVMe-TCP, iSCSI and the TLS record layer): streaming
+ * reassembly, framing loss and the offload results each chunk keeps.
+ * The storage engine cases run once per storage wire traits: the NIC
+ * rx/tx engine core driven directly — mid-message resume identity,
+ * placement, verify outcomes and tx digest fill.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "core/storage_engine.hh"
 #include "iscsi/pdu.hh"
 #include "nvmetcp/pdu.hh"
+#include "tls/ktls.hh"
 #include "util/rand.hh"
 
 namespace anic {
@@ -65,18 +68,209 @@ const Proto kIscsi{
                                    iscsi::kOpDataIn, dh, data, fill);
     }};
 
+// ----------------------------------------------------------- message wires
+
+/** One wire's framing traits and a message constructor. */
+struct Wire
+{
+    const char *name;
+    const core::MsgWire *wire;
+    core::Digests digests;
+    /** Message @p i of a mixed stream, with @p n body bytes if it
+     *  carries data. */
+    Bytes (*msg)(uint32_t i, size_t n);
+};
+
+template <const Proto &P>
+Bytes
+storageMsg(uint32_t i, size_t n)
+{
+    if (i % 3 == 0)
+        return P.cmd(i);
+    Bytes data(n);
+    fillDeterministic(data, i, 0);
+    return P.data(i, 0, data, true);
+}
+
+Bytes
+tlsMsg(uint32_t i, size_t n)
+{
+    tls::RecordHeader h;
+    h.length = static_cast<uint16_t>(n + tls::kTagSize);
+    Bytes rec(h.wireLen());
+    h.encode(rec.data());
+    fillDeterministic(ByteSpan(rec).subspan(tls::kHeaderSize), i, 0);
+    return rec;
+}
+
+const Wire kWires[] = {
+    {"Nvme", &nvmetcp::kNvmeWire, kNvme.digests, storageMsg<kNvme>},
+    {"Iscsi", &iscsi::kIscsiWire, kIscsi.digests, storageMsg<kIscsi>},
+    {"Tls", &tls::kTlsWire, {}, tlsMsg},
+};
+
+class MsgWireTest : public ::testing::TestWithParam<Wire>
+{
+  protected:
+    const Wire &w() const { return GetParam(); }
+
+    core::MsgAssembler
+    assembler() const
+    {
+        return core::MsgAssembler(*w().wire, w().digests);
+    }
+};
+
+tcp::RxSegment
+segment(const Bytes &stream, uint64_t off, size_t n)
+{
+    tcp::RxSegment seg;
+    seg.streamOff = off;
+    seg.data.assign(stream.begin() + off, stream.begin() + off + n);
+    return seg;
+}
+
+auto noStart = [](uint64_t) {};
+
+TEST_P(MsgWireTest, AssemblerHandlesArbitrarySegmentation)
+{
+    // A stream of mixed messages, cut at random points.
+    Bytes stream;
+    std::vector<uint64_t> starts;
+    std::vector<size_t> lens;
+    Rng rng(5);
+    for (uint32_t i = 0; i < 20; i++) {
+        Bytes m = w().msg(i, rng.range(1, 5000));
+        starts.push_back(stream.size());
+        lens.push_back(m.size());
+        stream.insert(stream.end(), m.begin(), m.end());
+    }
+
+    core::MsgAssembler as = assembler();
+    std::vector<core::RxMsg> out;
+    std::vector<uint64_t> seen;
+    uint64_t off = 0;
+    while (off < stream.size()) {
+        size_t n = std::min<size_t>(rng.range(1, 1460), stream.size() - off);
+        as.ingest(
+            segment(stream, off, n),
+            [&](uint64_t start) { seen.push_back(start); },
+            [&](core::RxMsg &&m) {
+                EXPECT_EQ(as.msgsDelivered(), out.size()); // its index
+                out.push_back(std::move(m));
+                return true;
+            });
+        off += n;
+    }
+    ASSERT_FALSE(as.error());
+    ASSERT_EQ(out.size(), 20u);
+    EXPECT_EQ(as.msgsDelivered(), 20u);
+    EXPECT_EQ(seen, starts);
+    for (size_t i = 0; i < 20; i++) {
+        EXPECT_EQ(out[i].frame.wireLen, lens[i]);
+        EXPECT_TRUE(std::equal(out[i].bytes.begin(), out[i].bytes.end(),
+                               stream.begin() + starts[i]));
+    }
+}
+
+TEST_P(MsgWireTest, FramingLossStopsReassembly)
+{
+    Bytes stream = w().msg(1, 100);
+    Bytes bad(w().wire->prefixSize, 0xff); // no wire's magic pattern
+    stream.insert(stream.end(), bad.begin(), bad.end());
+    Bytes after = w().msg(2, 100);
+    stream.insert(stream.end(), after.begin(), after.end());
+
+    core::MsgAssembler as = assembler();
+    int delivered = 0;
+    auto sink = [&](core::RxMsg &&) { return ++delivered > 0; };
+    as.ingest(segment(stream, 0, stream.size()), noStart, sink);
+    EXPECT_TRUE(as.error());
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(as.msgsDelivered(), 1u);
+}
+
+TEST_P(MsgWireTest, RejectedMessageIsNotCountedAndStopsReassembly)
+{
+    Bytes stream;
+    for (uint32_t i = 1; i <= 4; i++) {
+        Bytes m = w().msg(i, 300);
+        stream.insert(stream.end(), m.begin(), m.end());
+    }
+    const size_t half = stream.size() / 2;
+    core::MsgAssembler as = assembler();
+    int calls = 0;
+    auto sink = [&](core::RxMsg &&) { return ++calls == 1; };
+    as.ingest(segment(stream, 0, half), noStart, sink);
+    as.ingest(segment(stream, half, stream.size() - half), noStart, sink);
+    EXPECT_EQ(calls, 2); // nothing after the rejected message
+    EXPECT_EQ(as.msgsDelivered(), 1u);
+    EXPECT_TRUE(as.stopped());
+    EXPECT_FALSE(as.error());
+}
+
+TEST_P(MsgWireTest, ChunksKeepTheirOffloadResultsAndPlacement)
+{
+    Bytes m = w().msg(1, 3000);
+    const size_t prefix = w().wire->prefixSize;
+    const net::L5Kind kind = w().wire->kind;
+    // Segment 1 holds only part of the prefix, segment 2 the rest of
+    // it and body bytes (offloaded, one placed range), segment 3 the
+    // remainder (not offloaded).
+    const size_t cut1 = prefix - 2;
+    const size_t cut2 = 1000;
+    core::MsgAssembler as = assembler();
+    std::vector<core::RxMsg> out;
+    auto sink = [&](core::RxMsg &&r) {
+        out.push_back(std::move(r));
+        return true;
+    };
+    as.ingest(segment(m, 0, cut1), noStart, sink);
+    EXPECT_EQ(as.boundaryOff(), 0u);
+    tcp::RxSegment s2 = segment(m, cut1, cut2 - cut1);
+    s2.meta.offloaded = true;
+    s2.meta.verify[static_cast<size_t>(kind)] = net::VerifyOutcome::Ok;
+    s2.meta.placed.push_back(net::PlacedRange{100, 50});
+    as.ingest(s2, noStart, sink);
+    EXPECT_EQ(as.streamConsumed(), cut2);
+    as.ingest(segment(m, cut2, m.size() - cut2), noStart, sink);
+
+    ASSERT_EQ(out.size(), 1u);
+    const core::RxMsg &r = out[0];
+    ASSERT_EQ(r.chunks.size(), 2u);
+    EXPECT_EQ(r.chunks[0].off, prefix); // chunks start past the prefix
+    EXPECT_EQ(r.chunks[0].len, cut2 - prefix);
+    EXPECT_TRUE(r.chunks[0].meta.offloaded);
+    EXPECT_EQ(r.chunks[1].off, cut2);
+    EXPECT_EQ(r.chunks[1].len, m.size() - cut2);
+    EXPECT_FALSE(r.chunks[1].meta.offloaded);
+    ASSERT_EQ(r.chunks[0].meta.placed.size(), 1u); // chunk-relative
+    EXPECT_EQ(r.chunks[0].meta.placed[0].payloadOff, cut1 + 100 - prefix);
+    EXPECT_EQ(r.chunks[0].meta.placed[0].len, 50u);
+    EXPECT_TRUE(r.chunks[1].meta.placed.empty());
+    EXPECT_FALSE(r.verifiedByNic(kind));
+    EXPECT_EQ(as.boundaryOff(), m.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Wires, MsgWireTest, ::testing::ValuesIn(kWires),
+                         [](const ::testing::TestParamInfo<Wire> &i) {
+                             return std::string(i.param.name);
+                         });
+
+// ------------------------------------------------------- storage engines
+
 class StorageWireTest : public ::testing::TestWithParam<Proto>
 {
   protected:
     const Proto &p() const { return GetParam(); }
 
-    core::PduFrame
+    core::MsgFrame
     frameOf(const Bytes &pdu) const
     {
-        std::optional<core::PduFrame> f =
+        std::optional<core::MsgFrame> f =
             p().wire->parsePrefix(pdu.data(), p().digests);
         EXPECT_TRUE(f.has_value());
-        return f.value_or(core::PduFrame{});
+        return f.value_or(core::MsgFrame{});
     }
 
     /** A data PDU for @p tag carrying @p n deterministic bytes. */
@@ -107,52 +301,12 @@ placedBytes(const nic::PacketResult &res)
     return n;
 }
 
-// ------------------------------------------------------------ assembler
-
-TEST_P(StorageWireTest, AssemblerHandlesArbitrarySegmentation)
-{
-    // A stream of mixed command and data PDUs, cut at random points.
-    Bytes stream;
-    std::vector<size_t> lens;
-    Rng rng(5);
-    for (int i = 0; i < 20; i++) {
-        Bytes pdu;
-        if (i % 3 == 0) {
-            pdu = p().cmd(static_cast<uint32_t>(i));
-        } else {
-            Bytes data(rng.range(1, 5000));
-            fillDeterministic(data, i, 0);
-            pdu = p().data(static_cast<uint32_t>(i), 0, data, true);
-        }
-        lens.push_back(pdu.size());
-        stream.insert(stream.end(), pdu.begin(), pdu.end());
-    }
-
-    core::PduAssembler as(*p().wire, p().digests);
-    std::vector<core::RxPdu> out;
-    uint64_t off = 0;
-    while (off < stream.size()) {
-        size_t n = std::min<size_t>(rng.range(1, 1460), stream.size() - off);
-        tcp::RxSegment seg;
-        seg.streamOff = off;
-        seg.data.assign(stream.begin() + off, stream.begin() + off + n);
-        as.ingest(seg,
-                  [&](core::RxPdu &&pdu) { out.push_back(std::move(pdu)); });
-        off += n;
-    }
-    ASSERT_FALSE(as.error());
-    ASSERT_EQ(out.size(), 20u);
-    EXPECT_EQ(as.pdusDelivered(), 20u);
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(out[i].bytes.size(), lens[i]);
-}
-
 // ------------------------------------------------------------ rx engine
 
 TEST_P(StorageWireTest, ResumeSamePduKeepsPlacingAndReportsIncomplete)
 {
     Bytes pdu = dataPdu(7, 8000, 3);
-    const core::PduFrame f = frameOf(pdu);
+    const core::MsgFrame f = frameOf(pdu);
     auto buf = std::make_shared<host::BlockBuffer>(8000);
     core::StorageRxEngine eng(*p().wire, p().digests);
     eng.addRrState(7, buf);
@@ -181,7 +335,7 @@ TEST_P(StorageWireTest, ResumeSamePduKeepsPlacingAndReportsIncomplete)
 TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
 {
     Bytes a = dataPdu(7, 8000, 3);
-    const core::PduFrame fa = frameOf(a);
+    const core::MsgFrame fa = frameOf(a);
     auto buf = std::make_shared<host::BlockBuffer>(8000);
     core::StorageRxEngine eng(*p().wire, p().digests);
     eng.addRrState(7, buf);
@@ -196,7 +350,7 @@ TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
     // length) and the engine adopts it past its sub-header: the cached
     // buffer of PDU A must not receive B's bytes.
     Bytes b = dataPdu(7, 4000, 9);
-    const core::PduFrame fb = frameOf(b);
+    const core::MsgFrame fb = frameOf(b);
     eng.onMsgResume(3, ByteView(b.data(), core::kPduPrefixSize),
                     fb.dataOff + 100);
     nic::PacketResult r = feed(eng, b, fb.dataOff + 100, b.size());
@@ -209,7 +363,7 @@ TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
 TEST_P(StorageWireTest, ResumePastSubHeaderPlacesNothing)
 {
     Bytes pdu = dataPdu(7, 8000, 3);
-    const core::PduFrame f = frameOf(pdu);
+    const core::MsgFrame f = frameOf(pdu);
     for (uint64_t resumeAt : {uint64_t{core::kPduPrefixSize + 4},
                               uint64_t{f.subHdrEnd},
                               uint64_t{f.dataOff} + 500}) {

@@ -2,13 +2,15 @@
  * @file
  * TLS layer tests: record codec, software path, NIC tx/rx offload
  * end-to-end over the full NIC + TCP stack, loss/reorder resilience,
- * tx context recovery, rx resynchronization, sendfile variants, and
- * context-cache pressure.
+ * tx context recovery, rx resynchronization and its confirm rule,
+ * crafted records, sendfile variants, context-cache pressure and
+ * incast fan-in.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/testbed.hh"
+#include "support/raw_peer.hh"
 #include "tls/ktls.hh"
 
 namespace anic {
@@ -554,6 +556,310 @@ TEST(TlsOffload, TinyContextCacheStillCorrect)
     EXPECT_GT(w.b.nicDev().stats().ctxCacheMisses, 8u);
     EXPECT_GT(w.b.nicDev().stats().ctxCacheEvictions, 0u);
 }
+
+// ---------------------------------------------------- crafted records
+
+/** A server socket whose resync verdicts a test can inject and read:
+ *  speculate() is the NIC's l5o_resync_rx_req, verdicts the answers
+ *  (with the index of the next record) in order. */
+struct ProbedTls : TlsSocket
+{
+    using TlsSocket::TlsSocket;
+
+    struct Verdict
+    {
+        bool ok;
+        uint64_t recIdx;
+        bool operator==(const Verdict &) const = default;
+    };
+    std::vector<Verdict> verdicts;
+
+    void
+    speculate(uint32_t tcpsn)
+    {
+        static_cast<core::L5pCallbacks &>(*this).resyncRxReq(tcpsn);
+    }
+
+    void
+    answerResync(bool ok) override
+    {
+        verdicts.push_back(Verdict{ok, nextRxRecordSeq()});
+    }
+};
+
+/** A TLS server on node b whose client is a raw peer on node a that
+ *  sends records a test seals (1000 plaintext bytes each). */
+struct CraftedClient
+{
+    static constexpr uint64_t kSecret = 0x5ea1;
+    static constexpr uint64_t kSeed = 77;
+    static constexpr size_t kPlain = 1000;
+    static constexpr size_t kWire = kPlain + tls::kHeaderSize + tls::kTagSize;
+
+    core::Testbed w;
+    testing::RawPeer peer;
+    std::unique_ptr<ProbedTls> server;
+    uint64_t received = 0;
+    bool corrupt = false;
+
+    explicit CraftedClient(bool rxOffload)
+    {
+        testing::connectRawPeer(
+            w, 443, /*peerOnA=*/true, peer, [this, rxOffload](auto &c) {
+                TlsConfig cfg;
+                cfg.rxOffload = rxOffload;
+                server = std::make_unique<ProbedTls>(
+                    c, SessionKeys::derive(kSecret, false), cfg);
+                server->enableOffload(w.b.device());
+                server->setOnReadable([this] {
+                    while (server->readable()) {
+                        tcp::RxSegment seg = server->pop();
+                        corrupt |= !checkDeterministic(seg.data, kSeed,
+                                                       seg.streamOff);
+                        received += seg.data.size();
+                    }
+                });
+            });
+    }
+
+    /** Record @p idx of the stream, sealed with the client's keys. */
+    static Bytes
+    record(uint64_t idx)
+    {
+        tls::DirectionKeys k = SessionKeys::derive(kSecret, true).tx;
+        Bytes plain(kPlain);
+        fillDeterministic(plain, kSeed, idx * kPlain);
+        RecordHeader h;
+        h.length = static_cast<uint16_t>(kPlain + tls::kTagSize);
+        Bytes rec(h.wireLen());
+        h.encode(rec.data());
+        crypto::AesGcm gcm(k.key);
+        gcm.start(tls::recordNonce(k.staticIv, idx),
+                  ByteView(rec).first(tls::kHeaderSize));
+        gcm.encryptUpdate(plain,
+                          ByteSpan(rec).subspan(tls::kHeaderSize, kPlain));
+        gcm.finishTag(ByteSpan(rec).subspan(tls::kHeaderSize + kPlain));
+        return rec;
+    }
+
+    /** Sends bytes [from, to) of records 0, 1, ... from the peer. */
+    void
+    send(uint64_t from, uint64_t to)
+    {
+        Bytes out;
+        for (uint64_t off = from; off < to;) {
+            Bytes rec = record(off / kWire);
+            size_t at = off % kWire;
+            size_t n = std::min<uint64_t>(kWire - at, to - off);
+            out.insert(out.end(), rec.begin() + at, rec.begin() + at + n);
+            off += n;
+        }
+        peer.send(std::move(out));
+        w.sim.runFor(1 * sim::kMillisecond);
+    }
+
+    /** TCP sequence number of stream offset @p off at the server. */
+    uint32_t
+    seqOf(uint64_t off)
+    {
+        return server->connection().seqOfRcvStreamOff(off);
+    }
+};
+
+TEST(TlsCrafted, BadHeaderIsAFramingErrorNotATagFailure)
+{
+    CraftedClient t(/*rxOffload=*/false);
+    t.send(0, CraftedClient::kWire);
+    t.peer.send(Bytes(tls::kHeaderSize, 0xff)); // no content type 0xff
+    t.w.sim.runFor(1 * sim::kMillisecond);
+    const tls::TlsStats &st = t.server->stats();
+    EXPECT_EQ(st.recordsRx, 1u);
+    EXPECT_EQ(st.framingErrors, 1u);
+    EXPECT_EQ(st.tagFailures, 0u);
+    EXPECT_EQ(t.received, CraftedClient::kPlain);
+}
+
+TEST(TlsCrafted, BadTagIsATagFailure)
+{
+    CraftedClient t(/*rxOffload=*/false);
+    Bytes rec = CraftedClient::record(0);
+    rec.back() ^= 1;
+    t.peer.send(rec);
+    t.w.sim.runFor(1 * sim::kMillisecond);
+    const tls::TlsStats &st = t.server->stats();
+    EXPECT_EQ(st.recordsRx, 0u);
+    EXPECT_EQ(st.tagFailures, 1u);
+    EXPECT_EQ(st.framingErrors, 0u);
+    EXPECT_EQ(t.received, 0u);
+}
+
+TEST(TlsResync, EachBranchOfTheConfirmRule)
+{
+    using V = ProbedTls::Verdict;
+    constexpr uint64_t W = CraftedClient::kWire;
+    CraftedClient t(/*rxOffload=*/true);
+    ProbedTls &s = *t.server;
+
+    // Record 1 is in progress.
+    t.send(0, W + 100);
+    // A speculation at the record in progress: confirmed at request
+    // time, as record 1.
+    s.speculate(t.seqOf(W));
+    EXPECT_EQ(s.verdicts, (std::vector<V>{{true, 1}}));
+    // One behind it: refuted at request time.
+    s.speculate(t.seqOf(W) - 1);
+    EXPECT_EQ(s.verdicts.size(), 2u);
+    EXPECT_FALSE(s.verdicts.back().ok);
+
+    // At the next record's start: pending until that start arrives,
+    // then confirmed there as record 2, even though the same segment
+    // goes on into record 3.
+    s.speculate(t.seqOf(2 * W));
+    EXPECT_EQ(s.verdicts.size(), 2u);
+    t.send(W + 100, 3 * W + 10);
+    ASSERT_EQ(s.verdicts.size(), 3u);
+    EXPECT_EQ(s.verdicts.back(), (V{true, 2}));
+
+    // Inside record 3: pending until a record start passes it, then
+    // refuted.
+    s.speculate(t.seqOf(3 * W + 7));
+    EXPECT_EQ(s.verdicts.size(), 3u);
+    t.send(3 * W + 10, 4 * W - 1);
+    EXPECT_EQ(s.verdicts.size(), 3u);
+    t.send(4 * W - 1, 5 * W);
+    ASSERT_EQ(s.verdicts.size(), 4u);
+    EXPECT_FALSE(s.verdicts.back().ok);
+
+    // Between records: the next unconsumed byte is the boundary.
+    s.speculate(t.seqOf(5 * W));
+    EXPECT_EQ(s.verdicts.back(), (V{true, 5}));
+
+    const tls::TlsStats &st = s.stats();
+    EXPECT_EQ(st.rxResyncRequests, 5u);
+    EXPECT_EQ(st.rxResyncConfirmed, 3u);
+    EXPECT_EQ(st.recordsRx, 5u);
+    EXPECT_EQ(t.received, 5 * CraftedClient::kPlain);
+    EXPECT_FALSE(t.corrupt);
+}
+
+// ------------------------------------------------------------- incast
+
+/**
+ * 32 TLS senders converge on one rx-offloaded receiver in two released
+ * burst rounds, over a link with mild loss and reordering toward the
+ * receiver (plus step CE marking for DCTCP). Every drop or reorder in a
+ * burst makes the NIC resync on live traffic; with the offload
+ * installed at accept time, nearly every record still stays fully
+ * offloaded.
+ */
+class TlsIncast : public ::testing::TestWithParam<tcp::CcAlgo>
+{
+};
+
+TEST_P(TlsIncast, FanInKeepsRecordsFullyOffloaded)
+{
+    constexpr int kSenders = 32;
+    constexpr int kRounds = 2;
+    constexpr uint64_t kPerRound = 32 << 10;
+    constexpr size_t kRecordSize = 4096;
+    constexpr uint64_t kSecret = 0x1ca57;
+    const tcp::CcAlgo cc = GetParam();
+
+    core::Testbed::Config cfg;
+    cfg.a.tcpCfg.cc = cfg.b.tcpCfg.cc = cc;
+    cfg.link.seed = 0x11ca57;
+    net::Impairments &toSrv = cfg.link.dir[0];
+    toSrv.lossRate = 0.001;
+    toSrv.reorderRate = 0.003;
+    toSrv.reorderExtraDelay = 10 * sim::kMicrosecond;
+    if (cc == tcp::CcAlgo::Dctcp) {
+        toSrv.ecnMarkThresholdBytes = 4 << 10;
+        toSrv.ecnMarkRate = 0.02;
+    }
+    core::Testbed w(cfg);
+
+    tls::TlsStats agg;
+    TlsConfig scfg;
+    scfg.recordSize = kRecordSize;
+    scfg.rxOffload = true;
+    scfg.aggregate = &agg;
+    TlsConfig ccfg;
+    ccfg.recordSize = kRecordSize;
+
+    uint64_t delivered = 0;
+    std::vector<std::unique_ptr<TlsSocket>> servers;
+    w.b.stack().listen(443, w.b.tcpConfig(), [&](tcp::TcpConnection &c) {
+        // Installed on the SYN, so the NIC starts in sync with record 0.
+        auto s = std::make_unique<TlsSocket>(
+            c, SessionKeys::derive(kSecret, false), scfg);
+        s->enableOffload(w.b.device());
+        TlsSocket *sp = s.get();
+        sp->setOnReadable([&delivered, sp] {
+            while (sp->readable())
+                delivered += sp->pop().data.size();
+        });
+        servers.push_back(std::move(s));
+    });
+
+    struct Sender
+    {
+        std::unique_ptr<TlsSocket> tls;
+        uint64_t sent = 0;
+    };
+    std::vector<Sender> senders(kSenders);
+    int roundsOpen = 1;
+    auto pump = [&](Sender &sn) {
+        uint64_t target = roundsOpen * kPerRound;
+        while (sn.tls != nullptr && sn.sent < target) {
+            Bytes buf(std::min<uint64_t>(kRecordSize, target - sn.sent), 0x5a);
+            size_t acc = sn.tls->send(buf);
+            sn.sent += acc;
+            if (acc < buf.size())
+                return;
+        }
+    };
+    const sim::Tick start = 1 * sim::kMillisecond;
+    for (Sender &sn : senders) {
+        w.sim.schedule(start, [&] {
+            tcp::TcpConnection &c = w.a.stack().connect(
+                core::Testbed::kIpA, core::Testbed::kIpB, 443,
+                w.a.tcpConfig());
+            c.setOnConnected([&, &c2 = c] {
+                sn.tls = std::make_unique<TlsSocket>(
+                    c2, SessionKeys::derive(kSecret, true), ccfg);
+                sn.tls->setOnWritable([&] { pump(sn); });
+                pump(sn);
+            });
+        });
+    }
+    w.sim.schedule(start + 2 * sim::kMillisecond, [&] {
+        roundsOpen = kRounds;
+        for (Sender &sn : senders)
+            pump(sn);
+    });
+
+    const uint64_t expected = uint64_t{kSenders} * kRounds * kPerRound;
+    while (w.sim.now() < 4 * sim::kSecond && delivered < expected)
+        w.sim.runFor(100 * sim::kMicrosecond);
+
+    EXPECT_EQ(delivered, expected);
+    uint64_t classified = agg.rxFullyOffloaded.value() +
+                          agg.rxPartiallyOffloaded.value() +
+                          agg.rxNotOffloaded.value();
+    ASSERT_GT(classified, 0u);
+    EXPECT_GE(static_cast<double>(agg.rxFullyOffloaded.value()),
+              0.95 * static_cast<double>(classified))
+        << agg.rxFullyOffloaded.value() << " of " << classified;
+    EXPECT_EQ(agg.tagFailures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cc, TlsIncast,
+                         ::testing::Values(tcp::CcAlgo::Reno,
+                                           tcp::CcAlgo::Cubic,
+                                           tcp::CcAlgo::Dctcp),
+                         [](const ::testing::TestParamInfo<tcp::CcAlgo> &i) {
+                             return std::string(tcp::ccAlgoName(i.param));
+                         });
 
 } // namespace
 } // namespace anic
