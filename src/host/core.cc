@@ -4,17 +4,23 @@
 
 namespace anic::host {
 
+Core::~Core()
+{
+    for (; !queue_.empty(); queue_.pop_front())
+        sim_.callbacks().free(queue_.front());
+}
+
 void
 Core::post(Work w)
 {
-    queue_.push_back(std::move(w));
+    queue_.push_back(sim_.callbacks().alloc(std::move(w)));
     schedulePump();
 }
 
 void
 Core::postUrgent(Work w)
 {
-    queue_.push_front(std::move(w));
+    queue_.push_front(sim_.callbacks().alloc(std::move(w)));
     schedulePump();
 }
 
@@ -62,13 +68,13 @@ Core::pump()
 void
 Core::runOne()
 {
-    Work w = std::move(queue_.front());
+    util::SlabHandle w = queue_.front();
     queue_.pop_front();
     executing_ = true;
     Core *prev = sCurrent_;
     sCurrent_ = this;
     pendingCycles_ = 0.0;
-    w();
+    sim_.callbacks().at(w)(); // in place; freed once the item is done
     sCurrent_ = prev;
     executing_ = false;
     items_++;
@@ -84,6 +90,7 @@ Core::runOne()
         pumpScheduled_ = true;
         sim_.scheduleAt(freeAt_, [this] { pump(); });
     }
+    sim_.callbacks().free(w);
 }
 
 } // namespace anic::host

@@ -13,17 +13,19 @@
  * item's side effects (e.g. posting a response packet) conceptually
  * happen at item start; the inaccuracy is bounded by one item's
  * duration and is irrelevant at the millisecond horizons benches use.
+ *
+ * A posted item is parked in the simulator's callback arena and runs
+ * there, in place; the core's queue holds only its 8-byte handle, so
+ * posting moves the item once and allocates nothing in steady state.
  */
 
 #ifndef ANIC_HOST_CORE_HH
 #define ANIC_HOST_CORE_HH
 
-#include <deque>
-#include <functional>
-
 #include "host/cycle_model.hh"
 #include "sim/registry.hh"
 #include "sim/simulator.hh"
+#include "util/ring_fifo.hh"
 
 namespace anic::host {
 
@@ -45,6 +47,9 @@ class Core
         scope_.link("busyNs", busyNs_);
         scope_.link("itemsExecuted", items_);
     }
+
+    /** Destroys the items still queued, unrun. */
+    ~Core();
 
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
@@ -121,7 +126,7 @@ class Core
     const CycleModel &model_;
     int id_;
 
-    std::deque<Work> queue_;
+    util::RingFifo<util::SlabHandle> queue_; ///< into sim_.callbacks()
     bool executing_ = false;
     bool pumpScheduled_ = false;
     sim::Tick freeAt_ = 0;

@@ -8,7 +8,7 @@ Simulator::scheduleAt(Tick when, Callback cb)
     ANIC_ASSERT(when >= now_, "scheduling into the past: %llu < %llu",
                 static_cast<unsigned long long>(when),
                 static_cast<unsigned long long>(now_));
-    insert(Event{when, nextSeq_++, std::move(cb)});
+    insert(Event{when, nextSeq_++, callbacks_.alloc(std::move(cb))});
 }
 
 void
@@ -16,12 +16,12 @@ Simulator::insert(Event ev)
 {
     size_++;
     if (ev.when < wheelBase_ + kBucketWidth)
-        near_.push(std::move(ev));
+        near_.push(ev);
     else if (ev.when < windowEnd()) {
-        buckets_[bucketIndex(ev.when)].push_back(std::move(ev));
+        buckets_[bucketIndex(ev.when)].push_back(ev);
         bucketed_++;
     } else
-        far_.push(std::move(ev));
+        far_.push(ev);
 }
 
 bool
@@ -49,17 +49,17 @@ Simulator::settle()
         std::vector<Event> &b = buckets_[bucketIndex(wheelBase_)];
         if (!b.empty()) {
             bucketed_ -= b.size();
-            for (Event &ev : b)
-                near_.push(std::move(ev));
+            for (const Event &ev : b)
+                near_.push(ev);
             b.clear(); // keeps capacity for reuse
         }
         // Far events uncovered by the advancing horizon migrate in.
         while (!far_.empty() && far_.top().when < windowEnd()) {
             Event ev = far_.pop();
             if (ev.when < wheelBase_ + kBucketWidth)
-                near_.push(std::move(ev));
+                near_.push(ev);
             else {
-                buckets_[bucketIndex(ev.when)].push_back(std::move(ev));
+                buckets_[bucketIndex(ev.when)].push_back(ev);
                 bucketed_++;
             }
         }
@@ -73,7 +73,10 @@ Simulator::execute(Event ev)
     size_--;
     now_ = ev.when;
     executed_++;
-    ev.cb();
+    // In place: the slot cannot move or be reused while it runs, even
+    // if the callback grows the arena.
+    callbacks_.at(ev.cb)();
+    callbacks_.free(ev.cb);
 }
 
 void

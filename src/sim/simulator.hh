@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/inline_function.hh"
 #include "util/panic.hh"
+#include "util/slab.hh"
 
 namespace anic::sim {
 
@@ -50,17 +52,27 @@ ticksToSeconds(Tick t)
  * monotonic sequence number breaks ties), which keeps runs
  * deterministic: execution follows the (when, seq) total order.
  *
- * The queue is a two-tier calendar queue. A wheel of kBucketCount
+ * Every pending callback lives in one util::SlabArena, from
+ * scheduleAt() (or host::Core::post()) until it has run, and never
+ * moves: the queue orders 24-byte {when, seq, handle} keys, and
+ * execute() runs the callback in its slot and frees the slot only
+ * after it returns, so a callback that schedules enough to grow the
+ * arena still runs on its own captures. Cores park their work items
+ * in the same arena (callbacks()).
+ *
+ * The key queue is a two-tier calendar queue. A wheel of kBucketCount
  * unsorted buckets, each kBucketWidth ticks wide, covers the near
  * future (~67 us at the default geometry: enough for propagation
  * delays, serialization times, NIC latencies and core work); events
  * beyond the wheel horizon (RTOs, delayed acks, measurement windows)
- * sit in a small min-heap and migrate into buckets as the window
- * advances. Events inside the current bucket are kept in a min-heap
+ * sit in a min-heap and migrate into buckets as the window advances.
+ * That heap is not small at scale: 10^5 TCP flows keep ~2x10^5 timers
+ * in it. Events inside the current bucket are kept in a min-heap
  * ("near") so extraction stays exactly ordered. Insert and extract
- * are O(1) amortized instead of the O(log n) of one big heap whose n
- * is dominated by far-future timers. tests/sim_test.cpp checks the
- * order against a plain (when, seq) priority queue.
+ * are O(1) amortized in the near future instead of the O(log n) of
+ * one big heap whose n is dominated by far-future timers.
+ * tests/sim_test.cpp checks the order against a plain (when, seq)
+ * priority queue.
  *
  * Callbacks are InlineFunction<kCallbackBytes>: captures never heap
  * allocate, and capture sets that would are rejected at compile time.
@@ -74,6 +86,7 @@ class Simulator
     static constexpr size_t kCallbackBytes = 64;
 
     using Callback = InlineFunction<kCallbackBytes>;
+    using CallbackArena = util::SlabArena<Callback>;
 
     Simulator() = default;
     Simulator(const Simulator &) = delete;
@@ -103,13 +116,20 @@ class Simulator
     /** True if no events remain. */
     bool idle() const { return size_ == 0; }
 
+    /** The arena that holds every pending callback. Cores park work
+     *  items here too; whoever allocates a slot frees it. Pending
+     *  events' slots are destroyed with the simulator. */
+    CallbackArena &callbacks() { return callbacks_; }
+
   private:
+    /** Queue key: the callback stays in its arena slot. */
     struct Event
     {
         Tick when;
         uint64_t seq;
-        Callback cb;
+        util::SlabHandle cb;
     };
+    static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
 
     /** a runs after b in the (when, seq) total order. */
     static bool
@@ -120,7 +140,7 @@ class Simulator
         return a.seq > b.seq;
     }
 
-    /** Min-heap of events supporting move-only callbacks. */
+    /** Min-heap of keys. */
     class EventHeap
     {
       public:
@@ -129,7 +149,7 @@ class Simulator
         void
         push(Event ev)
         {
-            v_.push_back(std::move(ev));
+            v_.push_back(ev);
             std::push_heap(v_.begin(), v_.end(), later);
         }
 
@@ -137,7 +157,7 @@ class Simulator
         pop()
         {
             std::pop_heap(v_.begin(), v_.end(), later);
-            Event ev = std::move(v_.back());
+            Event ev = v_.back();
             v_.pop_back();
             return ev;
         }
@@ -171,6 +191,7 @@ class Simulator
 
     void execute(Event ev);
 
+    CallbackArena callbacks_;
     Tick now_ = 0;
     uint64_t nextSeq_ = 0;
     uint64_t executed_ = 0;

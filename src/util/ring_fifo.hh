@@ -8,7 +8,9 @@
  * queue) that are empty most of their life. A RingFifo allocates
  * nothing until its first push, grows by doubling, and pops in place:
  * an element is destroyed when it is popped, and the survivors never
- * move except when the buffer grows.
+ * move except when the buffer grows. A core's work queue is one too
+ * (of arena handles; push_front() serves urgent items), because a
+ * deque allocates a chunk every few pushes even at a steady depth.
  *
  * Growth moves every element, so a pointer or reference to an element
  * is valid only until the next push (pop invalidates only the popped
@@ -70,6 +72,17 @@ class RingFifo
         if (size_ == cap_)
             grow();
         new (&buf_[(head_ + size_) & (cap_ - 1)]) T(std::move(v));
+        size_++;
+    }
+
+    /** Inserts ahead of every queued element. */
+    void
+    push_front(T v)
+    {
+        if (size_ == cap_)
+            grow();
+        head_ = (head_ - 1) & (cap_ - 1);
+        new (&buf_[head_]) T(std::move(v));
         size_++;
     }
 

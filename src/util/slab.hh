@@ -220,7 +220,9 @@ class SlabArena
         size_t n = std::min(slots_.size() + kFirstSlabObjects, kSlabObjects);
         slabs_.push_back(std::make_unique_for_overwrite<Slot[]>(n));
         Slot *slab = slabs_.back().get();
-        slots_.reserve(slots_.size() + n);
+        // The index table grows geometrically through push_back; a
+        // reserve(size + n) here would copy it whole on every slab,
+        // quadratic in the slot count.
         size_t base = slots_.size();
         for (size_t i = 0; i < n; i++) {
             slots_.push_back(&slab[i]);

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the host substrate: core work-item accounting,
- * urgent posting, cycle model, page cache, drive model, file store.
+ * urgent posting, the allocation-free event and work-item path, cycle
+ * model, page cache, drive model, file store.
  */
 
 #include <gtest/gtest.h>
 
 #include "host/core.hh"
 #include "host/storage.hh"
+#include "support/alloc_counter.hh"
 
 namespace anic::host {
 namespace {
@@ -109,6 +111,47 @@ TEST(Core, UtilizationOverWindow)
     core.post([&] { core.charge(10000); }); // 5 us busy
     sim.runUntil(10 * sim::kMicrosecond);
     EXPECT_NEAR(core.utilization(0, 10 * sim::kMicrosecond), 0.5, 1e-9);
+}
+
+TEST(Core, SteadyStateEventPathDoesZeroHeapAllocation)
+{
+    // Each round schedules 1000 events (near, bucketed and far) and
+    // posts 1000 work items (a quarter urgent), then drains. Rounds
+    // start on multiples of 2^32 ticks, a whole number of turns of the
+    // calendar's 2^26-tick wheel, so every round after the first two
+    // reuses the buckets, heaps, arena slots and ring they grew.
+    sim::Simulator sim;
+    CycleModel m;
+    Core core(sim, m, 0);
+    constexpr sim::Tick kRound = sim::Tick(1) << 32;
+    uint64_t ran = 0;
+    auto round = [&](uint64_t r) {
+        sim.runUntil(r * kRound);
+        for (int i = 0; i < 1000; i++) {
+            sim::Tick d = i % 10 == 0 ? sim::kMillisecond + i
+                                      : (i * 7919u) % (80 * sim::kMicrosecond);
+            sim.schedule(d, [&ran] { ran++; });
+            auto item = [&core, &ran] {
+                core.charge(100);
+                ran++;
+            };
+            if (i % 4 == 0)
+                core.postUrgent(item);
+            else
+                core.post(item);
+        }
+        sim.run();
+    };
+    round(0);
+    round(1);
+    testing::AllocCounter::start();
+    for (uint64_t r = 2; r < 1002; r++)
+        round(r);
+    testing::AllocCounter::stop();
+    EXPECT_EQ(testing::AllocCounter::calls, 0u)
+        << "1M events and 1M work items must not touch the heap";
+    EXPECT_EQ(ran, 2000u * 1002);
+    EXPECT_EQ(sim.callbacks().liveCount(), 0u);
 }
 
 TEST(Drive, BandwidthBoundService)

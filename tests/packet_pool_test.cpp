@@ -8,50 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
-
 #include "net/packet_pool.hh"
+#include "support/alloc_counter.hh"
 #include "util/rand.hh"
-
-// The replaced global operator new below allocates with malloc, so
-// pairing it with free() is correct; GCC cannot see that and warns.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace anic::net {
-namespace {
-
-// Global operator new instrumentation: counts every heap allocation
-// made while g_countAllocs is set, so the steady-state loop below can
-// assert the pool performs none.
-bool g_countAllocs = false;
-uint64_t g_allocs = 0;
-
-} // namespace
-} // namespace anic::net
-
-void *
-operator new(std::size_t n)
-{
-    if (anic::net::g_countAllocs)
-        anic::net::g_allocs++;
-    void *p = std::malloc(n);
-    if (p == nullptr)
-        throw std::bad_alloc();
-    return p;
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace anic::net {
 namespace {
@@ -105,17 +64,17 @@ TEST(PacketPool, SteadyStateDoesZeroHeapAllocation)
     }
     uint64_t missesAfterWarmup = pool.misses();
 
-    g_allocs = 0;
-    g_countAllocs = true;
+    testing::AllocCounter::start();
     for (int round = 0; round < 1000; round++) {
         PacketPtr a = pool.makeTcp(ip4(1, 2), tcpHdr(1, 2, round), 1460);
         PacketPtr b = pool.alloc(512);
         a.reset();
         b.reset();
     }
-    g_countAllocs = false;
+    testing::AllocCounter::stop();
 
-    EXPECT_EQ(g_allocs, 0u) << "steady-state churn must not touch the heap";
+    EXPECT_EQ(testing::AllocCounter::calls, 0u)
+        << "steady-state churn must not touch the heap";
     EXPECT_EQ(pool.misses(), missesAfterWarmup);
     EXPECT_EQ(pool.liveCount(), 0u);
 }

@@ -1,17 +1,24 @@
 /**
  * @file
  * Unit tests for the discrete-event simulator and statistics:
- * ordering semantics, the InlineFunction inline callback, and a
- * randomized differential of the calendar queue against a plain
- * (when, seq) priority queue.
+ * ordering semantics, callbacks that stay in their arena slot while
+ * they run and are destroyed exactly once (run, or pending when the
+ * simulator or their core dies), the InlineFunction inline callback,
+ * and a randomized differential of the calendar queue and the cores
+ * that post into it against a plain (when, seq) priority queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
+#include <utility>
 
+#include "host/core.hh"
 #include "sim/simulator.hh"
 #include "sim/registry.hh"
 #include "util/rand.hh"
@@ -108,6 +115,100 @@ TEST(Simulator, FarEventsBeyondCalendarHorizonStayOrdered)
     EXPECT_EQ(sim.now(), 5 * kSecond);
 }
 
+TEST(Simulator, CallbackThatGrowsTheArenaKeepsItsCaptures)
+{
+    // One callback schedules three full slabs' worth of events, so the
+    // callback arena grows while it runs; it still reads its own
+    // captures afterwards, and every event runs in (when, seq) order.
+    Simulator sim;
+    constexpr int kEvents = 3 * Simulator::CallbackArena::kSlabObjects;
+    auto delay = [](int i) -> Tick {
+        return i % 5 == 0 ? (i % 3 + 1) * kMillisecond : (i * 7919u) % 100000;
+    };
+    std::vector<std::pair<Tick, int>> log;
+    bool intact = false;
+    const std::array<uint32_t, 4> pattern{0xa5a5a5a5u, 1, 2, 0xdeadbeefu};
+    sim.schedule(5, [&sim, &log, &intact, &delay, pattern,
+                     token = std::make_shared<int>(42)] {
+        for (int i = 0; i < kEvents; i++)
+            sim.schedule(delay(i), [&sim, &log, i] {
+                log.emplace_back(sim.now(), i);
+            });
+        intact = pattern == std::array<uint32_t, 4>{0xa5a5a5a5u, 1, 2,
+                                                    0xdeadbeefu} &&
+                 *token == 42 && token.use_count() == 1;
+    });
+    sim.run();
+    EXPECT_TRUE(intact);
+    std::vector<std::pair<Tick, int>> expected;
+    for (int i = 0; i < kEvents; i++)
+        expected.emplace_back(5 + delay(i), i);
+    std::sort(expected.begin(), expected.end()); // seq order == i
+    EXPECT_EQ(log, expected);
+    EXPECT_GE(sim.callbacks().capacity(), size_t(kEvents));
+    EXPECT_EQ(sim.callbacks().liveCount(), 0u);
+}
+
+/** Move-only capture that counts destructions of its live instance
+ *  (moved-from shells do not count). */
+struct Counted
+{
+    explicit Counted(int *destroyed) : destroyed_(destroyed) {}
+    Counted(Counted &&o) noexcept : destroyed_(std::exchange(o.destroyed_, nullptr)) {}
+    Counted(const Counted &) = delete;
+    Counted &operator=(const Counted &) = delete;
+    ~Counted()
+    {
+        if (destroyed_ != nullptr)
+            ++*destroyed_;
+    }
+
+    int *destroyed_;
+};
+
+TEST(Simulator, CapturesAreDestroyedExactlyOnce)
+{
+    int destroyed = 0;
+    {
+        Simulator sim;
+        int seenWhileRunning = -1;
+        sim.schedule(10, [c = Counted(&destroyed), &destroyed,
+                          &seenWhileRunning] {
+            seenWhileRunning = destroyed;
+        });
+        sim.run();
+        EXPECT_EQ(seenWhileRunning, 0); // alive while it runs
+        EXPECT_EQ(destroyed, 1);        // then destroyed once
+        // Still pending when the simulator dies: one near, one far.
+        sim.schedule(10, [c = Counted(&destroyed)] {});
+        sim.schedule(kSecond, [c = Counted(&destroyed)] {});
+        EXPECT_EQ(destroyed, 1);
+    }
+    EXPECT_EQ(destroyed, 3);
+}
+
+TEST(Simulator, CoreWorkIsDestroyedExactlyOnce)
+{
+    int destroyed = 0;
+    Simulator sim;
+    host::CycleModel m;
+    {
+        host::Core core(sim, m, 0);
+        core.post([c = Counted(&destroyed)] {});
+        core.postUrgent([c = Counted(&destroyed)] {});
+        sim.run();
+        EXPECT_EQ(destroyed, 2);
+        // Queued, never run: destroyed with the core.
+        core.post([c = Counted(&destroyed)] {});
+        core.postUrgent([c = Counted(&destroyed)] {});
+        EXPECT_EQ(destroyed, 2);
+    }
+    EXPECT_EQ(destroyed, 4);
+    // The dead core's pump event is still pending; the simulator
+    // destroys it unrun. Only it holds a slot now.
+    EXPECT_EQ(sim.callbacks().liveCount(), 1u);
+}
+
 /** Reference order for the differential below: one binary heap of
  *  (when, seq), ties broken by scheduling order. */
 class ReferenceQueue
@@ -115,10 +216,12 @@ class ReferenceQueue
   public:
     Tick now() const { return now_; }
 
+    void schedule(Tick delay, std::function<void()> cb) { scheduleAt(now_ + delay, std::move(cb)); }
+
     void
-    schedule(Tick delay, std::function<void()> cb)
+    scheduleAt(Tick when, std::function<void()> cb)
     {
-        q_.push(Ev{now_ + delay, seq_++, std::move(cb)});
+        q_.push(Ev{when, seq_++, std::move(cb)});
     }
 
     void
@@ -153,21 +256,112 @@ class ReferenceQueue
     uint64_t seq_ = 0;
 };
 
-/** Runs the randomized workload on @p sim and logs (tick, id) per
- *  executed event. */
-template <typename Queue>
-std::vector<std::pair<Tick, int>>
-randomizedTrace(Queue &sim)
+/** host::Core's scheduling over the reference queue, written with a
+ *  plain std::deque of std::function: items run FIFO (urgent ones
+ *  first), one at a time, each starting once the previous one's
+ *  charged cycles have elapsed. */
+class ReferenceCore
 {
+  public:
+    ReferenceCore(ReferenceQueue &q, const host::CycleModel &m) : q_(q), m_(m) {}
+
+    void
+    post(std::function<void()> w)
+    {
+        queue_.push_back(std::move(w));
+        schedulePump();
+    }
+
+    void
+    postUrgent(std::function<void()> w)
+    {
+        queue_.push_front(std::move(w));
+        schedulePump();
+    }
+
+    /** Only called from inside an item. */
+    void charge(double cycles) { pending_ += cycles; }
+
+  private:
+    void
+    schedulePump()
+    {
+        if (!pumpScheduled_ && !executing_) {
+            pumpScheduled_ = true;
+            q_.scheduleAt(std::max(q_.now(), freeAt_), [this] { pump(); });
+        }
+    }
+
+    void
+    pump()
+    {
+        pumpScheduled_ = false;
+        if (executing_ || queue_.empty())
+            return;
+        if (q_.now() < freeAt_) {
+            pumpScheduled_ = true;
+            q_.scheduleAt(freeAt_, [this] { pump(); });
+            return;
+        }
+        std::function<void()> w = std::move(queue_.front());
+        queue_.pop_front();
+        executing_ = true;
+        pending_ = 0.0;
+        w();
+        executing_ = false;
+        freeAt_ = q_.now() + m_.cyclesToTicks(pending_);
+        if (!queue_.empty()) {
+            pumpScheduled_ = true;
+            q_.scheduleAt(freeAt_, [this] { pump(); });
+        }
+    }
+
+    ReferenceQueue &q_;
+    const host::CycleModel &m_;
+    std::deque<std::function<void()>> queue_;
+    bool executing_ = false;
+    bool pumpScheduled_ = false;
+    Tick freeAt_ = 0;
+    double pending_ = 0.0;
+};
+
+/** Runs the randomized workload on @p sim and cores @p a, @p b and
+ *  logs (tick, id) per executed callback or work item. */
+template <typename Queue, typename CoreT>
+std::vector<std::pair<Tick, int>>
+randomizedTrace(Queue &sim, CoreT &a, CoreT &b)
+{
+    constexpr int kIds = 6000;
     std::vector<std::pair<Tick, int>> log;
     anic::Rng rng(0x5eed);
+    int next = 3;
     std::function<void(int)> spawn = [&](int id) {
         log.emplace_back(sim.now(), id);
-        if (id < 4000) {
+        // Every callback and item reenters the queues: one child, two
+        // now and then, until kIds ids exist.
+        int children = rng.next() % 8 == 0 ? 2 : 1;
+        for (int k = 0; k < children && next < kIds; k++) {
+            int child = next++;
             uint64_t r = rng.next();
-            Tick d = r % 7 == 0 ? (r % 3) * kMillisecond // far timer
-                                : r % 50000;             // near burst
-            sim.schedule(d, [&spawn, id] { spawn(id + 3); });
+            CoreT &core = (r >> 4) & 1 ? a : b;
+            double cycles = static_cast<double>(r % 4000);
+            auto item = [&spawn, &core, child, cycles] {
+                core.charge(cycles);
+                spawn(child);
+            };
+            switch ((r >> 8) % 6) {
+            case 0:
+                core.post(item);
+                break;
+            case 1:
+                core.postUrgent(item);
+                break;
+            default: {
+                Tick d = r % 7 == 0 ? (r % 3) * kMillisecond // far timer
+                                    : r % 50000;             // near burst
+                sim.schedule(d, [&spawn, child] { spawn(child); });
+            }
+            }
         }
     };
     for (int i = 0; i < 3; i++)
@@ -179,13 +373,20 @@ randomizedTrace(Queue &sim)
 TEST(Simulator, CalendarMatchesHeapOnRandomizedSchedule)
 {
     // Differential: the same randomized workload (dense near ticks,
-    // sparse far timers, same-tick bursts, events scheduling events)
-    // must execute in the (when, seq) order of the reference queue.
+    // sparse far timers, same-tick bursts, events scheduling events,
+    // work items posting normal and urgent work to two cores) must
+    // execute in the order of the reference queue and cores.
     Simulator sim;
+    host::CycleModel m;
+    host::Core a(sim, m, 0);
+    host::Core b(sim, m, 1);
     ReferenceQueue ref;
-    auto calendar = randomizedTrace(sim);
-    auto reference = randomizedTrace(ref);
-    EXPECT_FALSE(calendar.empty());
+    ReferenceCore refA(ref, m);
+    ReferenceCore refB(ref, m);
+    auto calendar = randomizedTrace(sim, a, b);
+    auto reference = randomizedTrace(ref, refA, refB);
+    EXPECT_EQ(calendar.size(), 6000u);
+    EXPECT_GT(a.itemsExecuted() + b.itemsExecuted(), 1000u);
     EXPECT_EQ(calendar, reference);
 }
 

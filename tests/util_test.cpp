@@ -2,7 +2,8 @@
  * @file
  * Unit tests for util: byte codecs, hex, deterministic fill (known
  * answers, flipped bytes, wide kernel against portable), RNG,
- * slab arena handles and growth, the ring FIFO, and the flat hash map
+ * slab arena handles and growth (including the bytes its index
+ * table allocates), the ring FIFO, and the flat hash map
  * (including a differential check against std::unordered_map and a
  * regression for sequential-id clustering).
  */
@@ -12,6 +13,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "support/alloc_counter.hh"
 #include "util/bytes.hh"
 #include "util/flat_map.hh"
 #include "util/panic.hh"
@@ -332,6 +334,21 @@ TEST(SlabArena, AddressesStableAcrossGrowth)
     EXPECT_EQ(arena.liveCount(), 0u);
 }
 
+TEST(SlabArena, IndexTableGrowsGeometrically)
+{
+    // 2x10^5 slots, the NIC's flow contexts at 10^5 flows. Besides the
+    // slabs and the final table (both in heapBytes()), growth may
+    // allocate only the table's earlier geometric steps; reserving
+    // each slab's slots would copy the whole table ~200 times.
+    util::SlabArena<uint64_t> arena;
+    testing::AllocCounter::start();
+    for (uint64_t i = 0; i < 200000; i++)
+        arena.alloc(i);
+    testing::AllocCounter::stop();
+    uint64_t table = arena.capacity() * sizeof(void *);
+    EXPECT_LE(testing::AllocCounter::bytes, arena.heapBytes() + 2 * table);
+}
+
 TEST(SlabArena, DestructorDestroysStragglers)
 {
     Tracked::liveInstances = 0;
@@ -385,6 +402,35 @@ TEST(RingFifo, KeepsOrderAcrossWrapAndGrowth)
             ASSERT_EQ(q[i], ref[i]);
     }
     EXPECT_GT(q.size(), 64u); // grew several times
+}
+
+TEST(RingFifo, PushFrontKeepsOrderAcrossWrapAndGrowth)
+{
+    util::RingFifo<int> q;
+    std::deque<int> ref;
+    int next = 0;
+    // Mixed ends: push_front steps the head back across index 0 and
+    // must survive a grow that re-bases the ring.
+    for (int round = 0; round < 200; round++) {
+        for (int i = 0; i < 3 + round % 5; i++) {
+            if ((next + round) % 3 == 0) {
+                q.push_front(next);
+                ref.push_front(next++);
+            } else {
+                q.push_back(next);
+                ref.push_back(next++);
+            }
+        }
+        for (int i = 0; i < 2 + round % 3 && !ref.empty(); i++) {
+            ASSERT_EQ(q.front(), ref.front());
+            q.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        for (size_t i = 0; i < ref.size(); i++)
+            ASSERT_EQ(q[i], ref[i]);
+    }
+    EXPECT_GT(q.size(), 64u);
 }
 
 TEST(RingFifo, AllocatesNothingBeforeTheFirstPush)
