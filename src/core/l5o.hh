@@ -35,9 +35,13 @@ class L5pCallbacks
     {
         uint32_t msgStartSeq = 0; ///< TCP seq of the enclosing message
         uint64_t msgIdx = 0;      ///< index of that message
-        /** Message bytes [msgStartSeq, tcpsn): a view into the L5P's
-         *  retained copy, valid only during the upcall. */
-        ByteView rebuild;
+        /** The L5P's retained message, the same immutable buffer it
+         *  sent and holds until the message is acked. Holding it pins
+         *  it, so the driver passes it on to a resync descriptor that
+         *  drains after the upcall returns, without copying. */
+        SharedBytes msg;
+        /** Bytes of msg the NIC replays: [msgStartSeq, tcpsn). */
+        uint32_t rebuildLen = 0;
     };
 
     /**

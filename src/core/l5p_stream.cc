@@ -105,9 +105,11 @@ L5pStream::getTxMsgState(uint32_t tcpsn)
     TxMsgState st;
     st.msgStartSeq = e->startSeq;
     st.msgIdx = e->msgIdx;
-    uint32_t n = tcpsn - e->startSeq;
-    ANIC_ASSERT(e->bytes.size() >= n, "message bytes not retained");
-    st.rebuild = ByteView(e->bytes).first(n);
+    st.msg = e->msg;
+    st.rebuildLen = tcpsn - e->startSeq;
+    ANIC_ASSERT(st.rebuildLen == 0 ||
+                    (st.msg != nullptr && st.msg->size() >= st.rebuildLen),
+                "message bytes not retained");
     return st;
 }
 

@@ -173,7 +173,10 @@ class MsgAssembler
 /**
  * Map from TCP sequence numbers to in-flight messages, trimmed as
  * cumulative ACKs arrive: "the L5P software must maintain a map from
- * TCP sequence numbers to their corresponding L5P messages".
+ * TCP sequence numbers to their corresponding L5P messages". Each
+ * entry shares its message's buffer with the L5P's send path; a trim
+ * drops this reference, and a resync descriptor still in the NIC's
+ * ring keeps its own.
  */
 class TxMsgTracker
 {
@@ -183,21 +186,22 @@ class TxMsgTracker
         uint32_t startSeq = 0;
         uint32_t wireLen = 0;
         uint64_t msgIdx = 0;
-        /** Pre-offload message bytes, kept until the whole message is
+        /** Pre-offload message bytes, held until the whole message is
          *  acked: the NIC reads its context-recovery rebuild from here.
-         *  TCP cannot serve it, since it releases acked bytes. */
-        Bytes bytes;
+         *  TCP cannot serve it, since it releases acked bytes. It is
+         *  the buffer the L5P built and sent, shared, not a copy. */
+        SharedBytes msg;
     };
 
     /** Records a message; messages must be added in stream order. */
     void
     add(uint32_t startSeq, uint32_t wireLen, uint64_t msgIdx,
-        Bytes bytes = {})
+        SharedBytes msg = nullptr)
     {
         ANIC_ASSERT(msgs_.empty() ||
                         startSeq == msgs_.back().startSeq + msgs_.back().wireLen,
                     "messages must be contiguous in sequence space");
-        msgs_.push_back(Entry{startSeq, wireLen, msgIdx, std::move(bytes)});
+        msgs_.push_back(Entry{startSeq, wireLen, msgIdx, std::move(msg)});
     }
 
     /** Drops messages fully acknowledged below @p una. */

@@ -30,19 +30,15 @@ struct CopyCounts
  * of @p pdu into @p dst at @p bufferOffset: NIC-placed ranges are
  * skipped, the rest is memcpy'd (out-of-bounds ranges and a null
  * @p dst are counted but not written).
+ *
+ * The placed ranges are walked where they lie. Chunks follow in
+ * stream order, each is clipped to its own bytes, and each lists its
+ * ranges in packet order, so their PDU offsets ascend already.
  */
 CopyCounts
 copyUnplaced(const RxMsg &pdu, uint64_t dataOff, uint32_t dataLen,
              uint64_t bufferOffset, host::BlockBuffer *dst)
 {
-    std::vector<net::PlacedRange> placed; // PDU-relative
-    for (const MsgChunk &ch : pdu.chunks)
-        for (const net::PlacedRange &r : ch.meta.placed)
-            placed.push_back(net::PlacedRange{ch.off + r.payloadOff, r.len});
-    std::sort(placed.begin(), placed.end(),
-              [](const net::PlacedRange &a, const net::PlacedRange &b) {
-                  return a.payloadOff < b.payloadOff;
-              });
     const uint64_t data_end = dataOff + dataLen;
     CopyCounts c;
     uint64_t cursor = dataOff;
@@ -56,14 +52,24 @@ copyUnplaced(const RxMsg &pdu, uint64_t dataOff, uint32_t dataLen,
         }
         c.copied += to - from;
     };
-    for (const net::PlacedRange &r : placed) {
-        uint64_t ps = std::max<uint64_t>(r.payloadOff, dataOff);
-        uint64_t pe = std::min<uint64_t>(r.payloadOff + r.len, data_end);
-        if (ps >= pe)
-            continue;
-        copyRange(cursor, ps);
-        c.placed += pe - ps;
-        cursor = std::max(cursor, pe);
+    uint64_t prev = 0;
+    for (const MsgChunk &ch : pdu.chunks) {
+        for (const net::PlacedRange &r : ch.meta.placed) {
+            const uint64_t start = uint64_t{ch.off} + r.payloadOff;
+            ANIC_ASSERT(start >= prev,
+                        "placed range at PDU offset %llu (chunk at %u, "
+                        "%u bytes) follows one at %llu",
+                        static_cast<unsigned long long>(start), ch.off,
+                        ch.len, static_cast<unsigned long long>(prev));
+            prev = start;
+            uint64_t ps = std::max(start, dataOff);
+            uint64_t pe = std::min(start + r.len, data_end);
+            if (ps >= pe)
+                continue;
+            copyRange(cursor, ps);
+            c.placed += pe - ps;
+            cursor = std::max(cursor, pe);
+        }
     }
     copyRange(cursor, data_end);
     return c;
@@ -127,7 +133,7 @@ StorageEndpoint::delRrState(uint32_t tag)
 void
 StorageEndpoint::enqueue(Bytes pdu)
 {
-    sendq_.push_back(SendEntry{std::move(pdu)});
+    sendq_.push_back(SendEntry{std::make_shared<const Bytes>(std::move(pdu))});
     flushSendQueue();
 }
 
@@ -140,12 +146,12 @@ StorageEndpoint::flushSendQueue()
             // Registered where its first byte actually lands in the
             // stream (now, not at enqueue time).
             txMap_.add(conn_->sndNextByteSeq(),
-                       static_cast<uint32_t>(e.bytes.size()), txMsgIdx_++,
-                       e.bytes);
+                       static_cast<uint32_t>(e.msg->size()), txMsgIdx_++,
+                       e.msg);
             e.added = true;
         }
         // e is not touched past send(): a push may move ring elements.
-        ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
+        ByteView rest = ByteView(*e.msg).subspan(sendqOff_);
         size_t sent = sock_.send(rest);
         if (sent < rest.size()) {
             sendqOff_ += sent;

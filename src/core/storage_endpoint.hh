@@ -204,7 +204,7 @@ class StorageEndpoint : public L5pStream
 
     struct SendEntry
     {
-        Bytes bytes;
+        SharedBytes msg; ///< shared with its txMap_ entry, if any
         bool added = false; ///< registered in txMap_
     };
     util::RingFifo<SendEntry> sendq_;

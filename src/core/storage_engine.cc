@@ -270,21 +270,34 @@ void
 StorageTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                            nic::PacketResult &)
 {
-    if (dryRun || !frame_.isData || !dg_.data)
+    if (!dryRun)
+        digest(off, data, data.data());
+}
+
+void
+StorageTxEngine::onMsgReplay(uint64_t off, ByteView data)
+{
+    digest(off, data, nullptr);
+}
+
+void
+StorageTxEngine::digest(uint64_t off, ByteView in, uint8_t *out)
+{
+    if (!frame_.isData || !dg_.data)
         return;
     const uint64_t pdo = frame_.dataOff;
     const uint64_t data_end = frame_.dataEnd();
 
     size_t i = 0;
-    while (i < data.size()) {
+    while (i < in.size()) {
         const uint64_t pos = off + i;
-        const size_t left = data.size() - i;
+        const size_t left = in.size() - i;
         if (pos < pdo) {
             i += static_cast<size_t>(std::min<uint64_t>(pdo - pos, left));
         } else if (pos < data_end) {
             size_t n =
                 static_cast<size_t>(std::min<uint64_t>(data_end - pos, left));
-            crc_.update(ByteView(data.data() + i, n));
+            crc_.update(in.subspan(i, n));
             count(&nic::EngineStats::bytesChecked, n);
             i += n;
         } else {
@@ -297,7 +310,8 @@ StorageTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
             if (tail_off >= kDigestSize)
                 break; // framing disagreement; never write past wireLen
             size_t n = std::min(kDigestSize - tail_off, left);
-            std::memcpy(data.data() + i, ddgst_ + tail_off, n);
+            if (out != nullptr)
+                std::memcpy(out + i, ddgst_ + tail_off, n);
             i += n;
         }
     }

@@ -134,11 +134,18 @@ class StorageTxEngine : public StorageEngineBase
     void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
     void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                    nic::PacketResult &res) override;
+    void onMsgReplay(uint64_t off, ByteView data) override;
     void onMsgEnd(bool, nic::PacketResult &) override {}
     void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) override;
     void onMsgAbort() override {}
 
   private:
+    /** Runs the CRC over the data region of message bytes [off,
+     *  off + in.size()) and writes the digest over the trailer bytes
+     *  at @p out, the same bytes in place; a replay passes null and
+     *  the digest is only computed. */
+    void digest(uint64_t off, ByteView in, uint8_t *out);
+
     crypto::Crc32c crc_;
     uint8_t ddgst_[kDigestSize] = {};
     bool ddgstReady_ = false;

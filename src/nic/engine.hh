@@ -21,6 +21,7 @@
 #include "net/packet.hh"
 #include "sim/registry.hh"
 #include "util/bytes.hh"
+#include "util/panic.hh"
 
 namespace anic::nic {
 
@@ -172,6 +173,21 @@ class L5Engine
      */
     virtual void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                            PacketResult &res) = 0;
+
+    /**
+     * Tx context recovery: message bytes at offset @p off that this
+     * context already sent, replayed to rebuild the state the first
+     * pass left (running crypto or CRC, counters). @p data is the
+     * L5P's retained message, read in place and never written: an
+     * engine keeps what it would have written (tag, digest) for the
+     * data bytes that follow. Only tx engines are recovered this way.
+     */
+    virtual void
+    onMsgReplay(uint64_t off, ByteView data)
+    {
+        (void)off, (void)data;
+        panic("engine kind %s has no tx replay", net::l5KindName(kind()));
+    }
 
     /**
      * The message completed (all bytes seen since the engine's last

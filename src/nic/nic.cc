@@ -209,7 +209,7 @@ Nic::transmit(net::PacketPtr pkt, int queue)
         return false;
     pcie_.txDataBytes += pkt->bytes.size();
     pcie_.descriptorBytes += cfg_.descriptorBytes;
-    q.txRing.push_back(TxEntry{std::move(pkt), nullptr});
+    q.txRing.push_back(std::move(pkt));
     txPendingTotal_++;
     pumpTx();
     return true;
@@ -217,18 +217,19 @@ Nic::transmit(net::PacketPtr pkt, int queue)
 
 void
 Nic::postTxResync(uint64_t ctxId, uint32_t tcpsn, uint64_t msgIdx,
-                  ByteView rebuild, int queue)
+                  SharedBytes msg, uint32_t rebuildLen, int queue)
 {
-    auto cmd = std::make_unique<TxResyncCmd>();
-    cmd->ctxId = ctxId;
-    cmd->tcpsn = tcpsn;
-    cmd->msgIdx = msgIdx;
-    cmd->rebuild.assign(rebuild.begin(), rebuild.end());
+    size_t have = msg != nullptr ? msg->size() : 0;
+    ANIC_ASSERT(rebuildLen <= have,
+                "tx resync rebuild of %u bytes past its %zu-byte message",
+                rebuildLen, have);
     pcie_.descriptorBytes += cfg_.descriptorBytes;
     // Special descriptors ride the same ring as the flow's data so
     // ordering with surrounding packets is preserved.
-    queues_[static_cast<size_t>(queue)]->txRing.push_back(
-        TxEntry{nullptr, std::move(cmd)});
+    QueueState &q = *queues_[static_cast<size_t>(queue)];
+    q.txResyncs.push_back(
+        TxResyncCmd{ctxId, msgIdx, tcpsn, rebuildLen, std::move(msg)});
+    q.txRing.push_back(nullptr);
     txPendingTotal_++;
     pumpTx();
 }
@@ -256,8 +257,9 @@ Nic::drainOne()
     for (int scanned = 0; scanned < n; scanned++, qi = (qi + 1) % n) {
         QueueState &q = *queues_[static_cast<size_t>(qi)];
         // Apply special descriptors preceding this ring's next packet.
-        while (!q.txRing.empty() && q.txRing.front().resync != nullptr) {
-            applyTxResync(*q.txRing.front().resync);
+        while (!q.txRing.empty() && q.txRing.front() == nullptr) {
+            applyTxResync(q.txResyncs.front());
+            q.txResyncs.pop_front();
             q.txRing.pop_front();
             txPendingTotal_--;
         }
@@ -270,7 +272,7 @@ Nic::drainOne()
         return;
     rrNext_ = (qi + 1) % n;
 
-    net::PacketPtr pkt = std::move(qs->txRing.front().pkt);
+    net::PacketPtr pkt = std::move(qs->txRing.front());
     qs->txRing.pop_front();
     txPendingTotal_--;
 
@@ -605,7 +607,7 @@ Nic::rxResyncResponse(uint64_t ctxId, uint64_t reqId, bool ok, uint64_t msgIdx)
 }
 
 void
-Nic::applyTxResync(TxResyncCmd &cmd)
+Nic::applyTxResync(const TxResyncCmd &cmd)
 {
     TxCtx *tc = txById_.find(cmd.ctxId);
     if (tc == nullptr)
@@ -613,23 +615,22 @@ Nic::applyTxResync(TxResyncCmd &cmd)
     FlowContext &ctx = ctxArena_.at(tc->ctx);
     stats_.txResyncs++;
     trace_->record(sim_.now(), sim::TraceKind::TxResync, name_, cmd.ctxId,
-                   cmd.tcpsn, cmd.rebuild.size());
+                   cmd.tcpsn, cmd.rebuildLen);
     touchContext(ctx);
 
     // The NIC re-reads the message bytes preceding the retransmitted
     // packet from host memory to rebuild the engine state (the PCIe
     // overhead Figure 16b measures).
-    pcie_.ctxRecoveryBytes += cmd.rebuild.size();
+    pcie_.ctxRecoveryBytes += cmd.rebuildLen;
 
-    uint32_t msg_start =
-        cmd.tcpsn - static_cast<uint32_t>(cmd.rebuild.size());
+    uint32_t msg_start = cmd.tcpsn - cmd.rebuildLen;
     ctx.arm(msg_start, cmd.msgIdx);
-    if (!cmd.rebuild.empty()) {
-        // Replay the snapshot through the engine in place: same
-        // transforms as the original pass; the command is discarded
-        // after this, so the transformed bytes go with it.
-        PacketResult res;
-        ctx.fsm().segment(ctx.posOf(msg_start), cmd.rebuild, res);
+    if (cmd.rebuildLen > 0) {
+        // Replay the pinned message's prefix where it lies: the
+        // engine redoes the original pass's state updates and writes
+        // nothing.
+        ctx.fsm().replay(ctx.posOf(msg_start),
+                         ByteView(*cmd.msg).first(cmd.rebuildLen));
     }
     tc->expectedSeq = cmd.tcpsn;
     ctx.advanceTo(cmd.tcpsn);

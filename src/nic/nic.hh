@@ -21,7 +21,6 @@
 #ifndef ANIC_NIC_NIC_HH
 #define ANIC_NIC_NIC_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "sim/simulator.hh"
 #include "sim/trace.hh"
 #include "util/flat_map.hh"
+#include "util/ring_fifo.hh"
 #include "util/slab.hh"
 
 namespace anic::nic {
@@ -249,15 +249,18 @@ class Nic
      * ring as a special descriptor so it is processed in order with
      * the data descriptors around it ("offload-related commands are
      * passed to the NIC via special descriptors, which are placed
-     * into the flow's usual send ring to ensure ordering"). The NIC
-     * DMA-reads @p rebuild (the message bytes from the message start
-     * up to @p tcpsn) to reconstruct the engine state, then expects
-     * the next data descriptor at @p tcpsn. The descriptor keeps its
-     * own copy of @p rebuild, so the caller's buffer need not outlive
-     * this call.
+     * into the flow's usual send ring to ensure ordering"). When the
+     * descriptor drains, the NIC DMA-reads the first @p rebuildLen
+     * bytes of @p msg (the message bytes from its start up to
+     * @p tcpsn) to reconstruct the engine state, then expects the
+     * next data descriptor at @p tcpsn. The descriptor pins @p msg,
+     * the L5P's retained message, until then and replays it in place:
+     * no copy, and the bytes are only read. Posting it does not
+     * allocate: the command waits in a per-ring FIFO that keeps its
+     * capacity. @p msg may be null when @p rebuildLen is 0.
      */
     void postTxResync(uint64_t ctxId, uint32_t tcpsn, uint64_t msgIdx,
-                      ByteView rebuild, int queue = 0);
+                      SharedBytes msg, uint32_t rebuildLen, int queue = 0);
 
     /** The tx ring an outgoing packet of @p txFlow (src = us) rides:
      *  its rx queue's pair, so resync descriptors and data stay
@@ -320,17 +323,12 @@ class Nic
     struct TxResyncCmd
     {
         uint64_t ctxId = 0;
-        uint32_t tcpsn = 0;
         uint64_t msgIdx = 0;
-        /** Snapshot of the rebuild bytes, the one copy a resync
-         *  makes; the engine replays over it in place. */
-        Bytes rebuild;
-    };
-
-    struct TxEntry
-    {
-        net::PacketPtr pkt;                  // data descriptor, or
-        std::unique_ptr<TxResyncCmd> resync; // special descriptor
+        uint32_t tcpsn = 0;
+        uint32_t rebuildLen = 0;
+        /** The retained message, pinned until the command drains:
+         *  the engine replays its first rebuildLen bytes in place. */
+        SharedBytes msg;
     };
 
     /** Rx handoffs due at one tick, drained by one event. The queue
@@ -347,12 +345,16 @@ class Nic
     /** One TX/RX queue pair. */
     struct QueueState
     {
-        std::deque<TxEntry> txRing;
+        /** Descriptors in ring order: a data packet, or null where a
+         *  special descriptor sits, the next command in txResyncs.
+         *  Entries stay one pointer wide; a command is 40 bytes. */
+        util::RingFifo<net::PacketPtr> txRing;
+        util::RingFifo<TxResyncCmd> txResyncs;
         QueueStats stats;
         sim::StatsScope scope;
     };
 
-    void applyTxResync(TxResyncCmd &cmd);
+    void applyTxResync(const TxResyncCmd &cmd);
     void pumpTx();
     void drainOne();
     void onWire(net::PacketPtr pkt);

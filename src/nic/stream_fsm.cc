@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "util/env.hh"
 #include "util/panic.hh"
@@ -143,6 +144,25 @@ StreamFsm::segment(uint64_t pos, ByteSpan data, PacketResult &res)
     return processed;
 }
 
+void
+StreamFsm::replay(uint64_t pos, ByteView prefix)
+{
+    ANIC_ASSERT(state_ == FsmState::Offloading && !skipMode_ &&
+                    pos == msgStart_ && pos == expected_ && inMsgOff_ == 0,
+                "tx replay at %llu, not where reset() armed a message",
+                static_cast<unsigned long long>(pos));
+    if (prefix.empty())
+        return;
+    PacketResult res;
+    bool processed = processSpan(pos, prefix, res);
+    ANIC_ASSERT(msgStart_ == pos && inMsgOff_ == prefix.size(),
+                "tx replay prefix of %zu bytes ran past its message",
+                prefix.size());
+    if (hooks_.probe != nullptr)
+        hooks_.probe->onSegment(hooks_.traceId, FsmState::Offloading, pos,
+                                pos, prefix.size(), processed);
+}
+
 bool
 StreamFsm::segmentImpl(uint64_t pos, ByteSpan data, PacketResult &res)
 {
@@ -182,8 +202,9 @@ StreamFsm::feedScan(uint64_t pos, ByteView data, PacketResult &res)
         trackSpan(pos, data, res);
 }
 
+template <typename Span>
 bool
-StreamFsm::processSpan(uint64_t pos, ByteSpan data, PacketResult &res,
+StreamFsm::processSpan(uint64_t pos, Span data, PacketResult &res,
                        bool allowResume)
 {
     ANIC_ASSERT(pos == expected_);
@@ -260,8 +281,11 @@ StreamFsm::processSpan(uint64_t pos, ByteSpan data, PacketResult &res,
                 static_cast<size_t>(std::min<uint64_t>(remaining, n - off));
             if (!skipMode_) {
                 res.spanPktOff = res.payloadBase + static_cast<uint32_t>(off);
-                engine_.onMsgData(inMsgOff_, data.subspan(off, take), false,
-                                  res);
+                if constexpr (std::is_same_v<Span, ByteView>)
+                    engine_.onMsgReplay(inMsgOff_, data.subspan(off, take));
+                else
+                    engine_.onMsgData(inMsgOff_, data.subspan(off, take),
+                                      false, res);
             }
             inMsgOff_ += take;
             off += take;

@@ -158,6 +158,14 @@ class StreamFsm
      */
     bool segment(uint64_t pos, ByteSpan data, PacketResult &res);
 
+    /**
+     * Tx context recovery: replays @p prefix, the first bytes of the
+     * message reset() just armed at @p pos, through the engine's
+     * read-only path (L5Engine::onMsgReplay). The prefix must end
+     * inside that message; its bytes are only read.
+     */
+    void replay(uint64_t pos, ByteView prefix);
+
     /** The caller lost track of stream positions (inner layer only):
      *  drop to Searching and accept the next segment position as a
      *  fresh continuity base. */
@@ -179,7 +187,11 @@ class StreamFsm
 
   private:
     bool segmentImpl(uint64_t pos, ByteSpan data, PacketResult &res);
-    bool processSpan(uint64_t pos, ByteSpan data, PacketResult &res,
+    /** In-sequence processing from the Offloading state. @p Span is
+     *  ByteSpan for packets (engines may write) and ByteView for a
+     *  replay (engines may only read). */
+    template <typename Span>
+    bool processSpan(uint64_t pos, Span data, PacketResult &res,
                      bool allowResume = true);
     void feedScan(uint64_t pos, ByteView data, PacketResult &res);
     void handleGap(uint64_t pos, ByteSpan data, PacketResult &res);

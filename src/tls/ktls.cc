@@ -85,7 +85,7 @@ TlsSocket::TlsSocket(tcp::TcpConnection &conn, const SessionKeys &keys,
     conn_->setOnReadable([this] { onTcpReadable(); });
     conn_->setOnWritable([this] {
         flushStaging();
-        if (staging_.empty() && onWritable_)
+        if (staging_ == nullptr && onWritable_)
             onWritable_();
     });
 }
@@ -120,11 +120,11 @@ TlsSocket::sendRecords(size_t len, Emit &&emit)
 {
     conn_->core().charge(conn_->core().model().syscallCost);
     flushStaging();
-    if (!staging_.empty())
+    if (staging_ != nullptr)
         return 0;
 
     size_t consumed = 0;
-    while (consumed < len && staging_.empty() && conn_->sendSpace() > 0) {
+    while (consumed < len && staging_ == nullptr && conn_->sendSpace() > 0) {
         size_t n = std::min(cfg_.recordSize, len - consumed);
         emit(consumed, n);
         consumed += n;
@@ -177,7 +177,7 @@ TlsSocket::chargeTxRecord(size_t plainLen, TxMode mode)
 bool
 TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
 {
-    ANIC_ASSERT(staging_.empty());
+    ANIC_ASSERT(staging_ == nullptr);
     ANIC_ASSERT(!plaintext.empty() && plaintext.size() <= kMaxPlaintext);
 
     RecordHeader h;
@@ -203,19 +203,26 @@ TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
             ByteSpan(wire).subspan(kHeaderSize + plaintext.size(), kTagSize));
     }
 
-    // The NIC may need the record's pre-encryption bytes for context
-    // recovery on retransmission; keep them until it is fully acked.
-    if (txOffloaded())
+    // The record is immutable from here on. The NIC may need its
+    // pre-encryption bytes for context recovery on retransmission, so
+    // the tx-message map shares it until it is fully acked.
+    SharedBytes shared;
+    if (txOffloaded()) {
+        shared = std::make_shared<const Bytes>(std::move(wire));
         txMap_.add(conn_->sndNextByteSeq(),
-                   static_cast<uint32_t>(wire.size()), txRecSeq_, wire);
+                   static_cast<uint32_t>(shared->size()), txRecSeq_, shared);
+    }
     txRecSeq_++;
     count(&TlsStats::recordsTx);
     count(&TlsStats::plaintextBytesTx, plaintext.size());
 
-    size_t acc = conn_->send(wire);
-    if (acc < wire.size()) {
-        staging_.assign(wire.begin() + acc, wire.end());
-        stagingOff_ = 0;
+    ByteView rec = shared != nullptr ? ByteView(*shared) : ByteView(wire);
+    size_t acc = conn_->send(rec);
+    if (acc < rec.size()) {
+        staging_ = shared != nullptr
+                       ? std::move(shared)
+                       : std::make_shared<const Bytes>(std::move(wire));
+        stagingOff_ = acc;
         return false;
     }
     return true;
@@ -224,14 +231,11 @@ TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
 void
 TlsSocket::flushStaging()
 {
-    if (staging_.empty())
+    if (staging_ == nullptr)
         return;
-    ByteView rest =
-        ByteView(staging_).subspan(stagingOff_, staging_.size() - stagingOff_);
-    size_t acc = conn_->send(rest);
-    stagingOff_ += acc;
-    if (stagingOff_ == staging_.size()) {
-        staging_.clear();
+    stagingOff_ += conn_->send(ByteView(*staging_).subspan(stagingOff_));
+    if (stagingOff_ == staging_->size()) {
+        staging_ = nullptr;
         stagingOff_ = 0;
     }
 }
@@ -239,7 +243,7 @@ TlsSocket::flushStaging()
 size_t
 TlsSocket::sendSpace() const
 {
-    if (!staging_.empty())
+    if (staging_ != nullptr)
         return 0;
     size_t sp = conn_->sendSpace();
     size_t per_record = kHeaderSize + kTagSize;

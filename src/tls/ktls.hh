@@ -152,7 +152,11 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pStream
      *  with an all-acked connection means no in-flight record depends
      *  on this socket's keys or NIC contexts — the safe point for a
      *  key-rotation style socket swap. */
-    size_t txBacklog() const { return staging_.size() - stagingOff_; }
+    size_t
+    txBacklog() const
+    {
+        return staging_ != nullptr ? staging_->size() - stagingOff_ : 0;
+    }
 
   private:
     // ------------------------------------------------------- tx
@@ -190,7 +194,9 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pStream
 
     // --- tx state
     uint64_t txRecSeq_ = 0;
-    Bytes staging_; ///< tail of a record TCP could not accept yet
+    /** A record TCP could not accept whole; [stagingOff_, end) is
+     *  still to send. Shared with txMap_ when the NIC encrypts. */
+    SharedBytes staging_;
     size_t stagingOff_ = 0;
     std::function<void()> onWritable_;
 

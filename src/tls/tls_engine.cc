@@ -81,18 +81,34 @@ void
 TlsTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                        nic::PacketResult &res)
 {
-    if (dryRun)
-        return;
+    if (!dryRun)
+        res.bytesTransformed += seal(off, data, data.data());
+}
+
+void
+TlsTxEngine::onMsgReplay(uint64_t off, ByteView data)
+{
+    seal(off, data, nullptr);
+}
+
+size_t
+TlsTxEngine::seal(uint64_t off, ByteView in, uint8_t *out)
+{
+    uint8_t scratch[4096];
+    size_t sealed = 0;
     size_t i = 0;
-    while (i < data.size()) {
+    while (i < in.size()) {
         uint64_t pos = off + i;
         if (pos < ctEnd_) {
             size_t n = static_cast<size_t>(
-                std::min<uint64_t>(ctEnd_ - pos, data.size() - i));
-            // Encrypt plaintext in place.
-            gcm_.encryptUpdate(data.subspan(i, n), data.subspan(i, n));
+                std::min<uint64_t>(ctEnd_ - pos, in.size() - i));
+            if (out == nullptr)
+                n = std::min(n, sizeof(scratch));
+            gcm_.encryptUpdate(in.subspan(i, n),
+                               out != nullptr ? ByteSpan(out + i, n)
+                                              : ByteSpan(scratch, n));
             count(&nic::EngineStats::bytesTransformed, n);
-            res.bytesTransformed += n;
+            sealed += n;
             i += n;
         } else {
             // ICV region: replace the dummy bytes with the tag.
@@ -101,11 +117,13 @@ TlsTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                 tagReady_ = true;
             }
             size_t tag_off = static_cast<size_t>(pos - ctEnd_);
-            size_t n = std::min(kTagSize - tag_off, data.size() - i);
-            std::memcpy(data.data() + i, tag_ + tag_off, n);
+            size_t n = std::min(kTagSize - tag_off, in.size() - i);
+            if (out != nullptr)
+                std::memcpy(out + i, tag_ + tag_off, n);
             i += n;
         }
     }
+    return sealed;
 }
 
 void

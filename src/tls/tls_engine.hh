@@ -67,10 +67,18 @@ class TlsTxEngine : public TlsEngineBase
     void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
     void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
                    nic::PacketResult &res) override;
+    void onMsgReplay(uint64_t off, ByteView data) override;
     void onMsgEnd(bool covered, nic::PacketResult &res) override;
     void onMsgAbort() override;
 
   private:
+    /** Encrypts record bytes [off, off + in.size()) into @p out and
+     *  writes the tag over the ICV bytes there; @p out is the same
+     *  bytes in place. A replay passes null: the ciphertext goes to a
+     *  stack scratch only to feed GHASH, and the tag is only computed.
+     *  Returns the bytes encrypted. */
+    size_t seal(uint64_t off, ByteView in, uint8_t *out);
+
     uint8_t tag_[kTagSize];
     bool tagReady_ = false;
 };

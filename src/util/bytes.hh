@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,11 @@ namespace anic {
 using Bytes = std::vector<uint8_t>;
 using ByteView = std::span<const uint8_t>;
 using ByteSpan = std::span<uint8_t>;
+
+/** An immutable buffer with shared ownership: a sent L5P message that
+ *  its send queue, its tx-message map entry and any NIC descriptor
+ *  reading it all hold, none of them copying it. */
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 /** Writes a big-endian integer of @p n bytes (n <= 8) at @p dst. */
 inline void

@@ -60,11 +60,14 @@ TEST(TxMsgTracker, RetainedBytesServeRebuilds)
     TxMsgTracker t;
     Bytes payload(300);
     fillDeterministic(payload, 5, 0);
-    t.add(5000, 300, 3, payload);
+    auto msg = std::make_shared<const Bytes>(std::move(payload));
+    t.add(5000, 300, 3, msg);
     const TxMsgTracker::Entry *e = t.find(5100);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(checkDeterministic(
-        ByteView(e->bytes).subspan(0, 100), 5, 0));
+    EXPECT_EQ(e->msg, msg) << "the map shares the sent buffer";
+    EXPECT_TRUE(checkDeterministic(ByteView(*e->msg).first(100), 5, 0));
+    t.trimAcked(5300);
+    EXPECT_EQ(msg.use_count(), 1) << "a trim drops the map's reference";
 }
 
 // ------------------------------------------------- driver behaviours

@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "net/packet_pool.hh"
+#include "support/alloc_counter.hh"
 #include "nic/nic.hh"
 #include "tls/tls_engine.hh"
 
@@ -286,6 +287,13 @@ struct TxRecordWorld
         w.nicA.transmit(p);
     }
 
+    /** The L5P's retained copy of the record (pre-encryption). */
+    SharedBytes
+    retained() const
+    {
+        return std::make_shared<const Bytes>(rec);
+    }
+
     /** Sends the record from @p off after the resync posted before. */
     void
     retransmitFrom(size_t off)
@@ -309,10 +317,11 @@ TEST(NicDevice, TxResyncDescriptorRebuildsState)
 {
     TxRecordWorld t;
     // Retransmission of the record's tail: the driver posts a resync
-    // descriptor with the rebuild prefix, then the packet.
+    // descriptor with the retained record and the rebuild length,
+    // then the packet.
     constexpr size_t kOff = 77;
     t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + kOff, 0,
-                          ByteView(t.rec).first(kOff));
+                          t.retained(), kOff);
     t.retransmitFrom(kOff);
 
     ASSERT_EQ(t.w.atB.size(), 2u);
@@ -321,23 +330,91 @@ TEST(NicDevice, TxResyncDescriptorRebuildsState)
     EXPECT_EQ(t.w.nicA.pcie().ctxRecoveryBytes, kOff);
 }
 
-TEST(NicDevice, TxResyncDescriptorOwnsItsSnapshot)
+TEST(NicDevice, TxResyncDescriptorPinsItsMessage)
 {
-    // The L5P hands the driver a view valid only during its upcall:
-    // the descriptor must snapshot the prefix, because the NIC reads
-    // it only when the ring drains. Scribble over and free the source
-    // before that.
+    // The descriptor gets the only reference to the retained message:
+    // the L5P may drop its own (the record acked) before the ring
+    // drains. The NIC reads the message only then, so the descriptor
+    // must keep it alive; under ASan a dangling view fails here.
     TxRecordWorld t;
     constexpr size_t kOff = 123;
-    auto src = std::make_unique<Bytes>(t.rec.begin(), t.rec.begin() + kOff);
-    t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + kOff, 0, *src);
-    std::fill(src->begin(), src->end(), 0xee);
-    src.reset();
+    SharedBytes msg = t.retained();
+    std::weak_ptr<const Bytes> watch = msg;
+    t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + kOff, 0,
+                          std::move(msg), kOff);
+    EXPECT_FALSE(watch.expired());
     t.retransmitFrom(kOff);
 
+    EXPECT_TRUE(watch.expired()) << "a drained descriptor releases it";
     ASSERT_EQ(t.w.atB.size(), 2u);
     EXPECT_TRUE(t.retransmissionMatches(kOff));
     EXPECT_EQ(t.w.nicA.pcie().ctxRecoveryBytes, kOff);
+}
+
+TEST(NicDevice, TxReplayEndingInsideTheTagWritesNothing)
+{
+    // The rebuild covers the whole ciphertext and 9 of the 16 tag
+    // bytes: the replay computes the tag but must not write it into
+    // the retained record, which stays the plaintext the L5P built.
+    TxRecordWorld t;
+    const size_t off = t.rec.size() - 7;
+    SharedBytes msg = t.retained();
+    t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq + off, 0, msg,
+                          static_cast<uint32_t>(off));
+    t.retransmitFrom(off);
+
+    ASSERT_EQ(t.w.atB.size(), 2u);
+    EXPECT_EQ(*msg, t.rec) << "the replay wrote into the retained record";
+    EXPECT_TRUE(t.retransmissionMatches(off));
+    EXPECT_EQ(t.w.nicA.pcie().ctxRecoveryBytes, off);
+}
+
+TEST(NicDevice, TxResyncAndRetransmitDoZeroHeapAllocation)
+{
+    // Steady-state tx recovery: each round posts a resync descriptor
+    // for a prefix of the record and retransmits the rest, then
+    // drains. Rounds start on multiples of 2^32 ticks, as in
+    // host_test's event-path gate, so after warm-up every round
+    // reuses the event buckets, ring slots and pooled packets it
+    // grew. The descriptor pins the message in a ring slot of its
+    // own; the replay reads the message in place.
+    TxRecordWorld t;
+    const SharedBytes msg = t.retained();
+    size_t delivered = 0;
+    size_t matched = 0;
+    size_t expectLen = 0;
+    t.w.link.attach(1, [&](net::PacketPtr p) {
+        ByteView pl = p->payload();
+        delivered++;
+        if (pl.size() == expectLen &&
+            std::equal(pl.begin(), pl.end(), t.first.end() - expectLen))
+            matched++;
+    });
+    constexpr sim::Tick kRound = sim::Tick(1) << 32;
+    auto round = [&](uint64_t r) {
+        t.w.sim.runUntil((r + 1) * kRound);
+        // Offsets sweep the header, the body and the tag.
+        size_t off = 1 + (r * 37) % (t.rec.size() - 1);
+        expectLen = t.rec.size() - off;
+        t.w.nicA.postTxResync(t.ctx, TxRecordWorld::kStartSeq +
+                                         static_cast<uint32_t>(off),
+                              0, msg, static_cast<uint32_t>(off));
+        t.send(TxRecordWorld::kStartSeq + static_cast<uint32_t>(off),
+               ByteView(t.rec).subspan(off));
+        t.w.sim.run();
+    };
+    for (uint64_t r = 0; r < 8; r++)
+        round(r);
+    testing::AllocCounter::start();
+    for (uint64_t r = 8; r < 1008; r++)
+        round(r);
+    testing::AllocCounter::stop();
+    EXPECT_EQ(testing::AllocCounter::calls, 0u)
+        << "tx resyncs and their retransmits must not touch the heap";
+    EXPECT_EQ(delivered, 1008u);
+    EXPECT_EQ(matched, 1008u);
+    EXPECT_EQ(t.w.nicA.stats().txResyncs, 1008u);
+    EXPECT_EQ(msg.use_count(), 1) << "every drained descriptor let go";
 }
 
 net::PacketPtr
@@ -550,7 +627,7 @@ struct CtxCacheWorld : NicWorld
     void
     touch(uint64_t ctx)
     {
-        nicA.postTxResync(ctx, 0, 0, {});
+        nicA.postTxResync(ctx, 0, 0, nullptr, 0);
         sim.run();
     }
 

@@ -5,7 +5,8 @@
  * reassembly, framing loss and the offload results each chunk keeps.
  * The storage engine cases run once per storage wire traits: the NIC
  * rx/tx engine core driven directly — mid-message resume identity,
- * placement, verify outcomes and tx digest fill.
+ * placement, verify outcomes and tx digest fill — and the tx engine's
+ * resync replay through a NIC.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 
 #include "core/storage_engine.hh"
 #include "iscsi/pdu.hh"
+#include "net/packet_pool.hh"
+#include "nic/nic.hh"
 #include "nvmetcp/pdu.hh"
 #include "tls/ktls.hh"
 #include "util/rand.hh"
@@ -403,6 +406,52 @@ TEST_P(StorageWireTest, TxDigestFillMatchesSoftwareCrcAcrossSplits)
         tx.onMsgEnd(true, res);
         EXPECT_EQ(wire, expect) << "trial " << trial << ", " << n << " bytes";
     }
+}
+
+TEST_P(StorageWireTest, TxReplayEndingInsideTheDigestWritesNothing)
+{
+    // A data PDU goes out once through a NIC tx context, which fills
+    // its data digest. The retransmission starts 2 bytes into the
+    // digest trailer, so the resync replays the whole data region and
+    // half the trailer: the replay computes the digest but must write
+    // nothing into the retained PDU, which keeps software's dummy.
+    sim::Simulator sim;
+    net::Link link(sim, {});
+    nic::Nic nic(sim, link, 0, {});
+    std::vector<Bytes> wire;
+    link.attach(1, [&](net::PacketPtr pkt) {
+        ByteView pl = pkt->payload();
+        wire.emplace_back(pl.begin(), pl.end());
+    });
+    constexpr uint32_t kSeq = 5000;
+    uint64_t ctx = nic.createTxContext(
+        std::make_unique<core::StorageTxEngine>(*p().wire, p().digests), kSeq,
+        0);
+    const Bytes pdu = dataPdu(7, 3000, 4, /*fill=*/false);
+    const SharedBytes msg = std::make_shared<const Bytes>(pdu);
+    auto sendFrom = [&](size_t off) {
+        net::Ipv4Header ip;
+        net::TcpHeader tcp;
+        tcp.seq = kSeq + static_cast<uint32_t>(off);
+        net::PacketPtr pkt = net::PacketPool::threadDefault().make(
+            ip, tcp, ByteView(pdu).subspan(off));
+        pkt->txCtx = ctx;
+        nic.transmit(std::move(pkt));
+        sim.run();
+    };
+    sendFrom(0);
+    const size_t off = frameOf(pdu).dataEnd() + 2;
+    nic.postTxResync(ctx, kSeq + static_cast<uint32_t>(off), 0, msg,
+                     static_cast<uint32_t>(off));
+    sendFrom(off);
+
+    ASSERT_EQ(wire.size(), 2u);
+    EXPECT_EQ(wire[0], dataPdu(7, 3000, 4, /*fill=*/true));
+    EXPECT_EQ(*msg, pdu) << "the replay wrote into the retained PDU";
+    ASSERT_EQ(wire[1].size(), pdu.size() - off);
+    EXPECT_TRUE(std::equal(wire[1].begin(), wire[1].end(),
+                           wire[0].begin() + static_cast<ptrdiff_t>(off)));
+    EXPECT_EQ(nic.pcie().ctxRecoveryBytes, off);
 }
 
 INSTANTIATE_TEST_SUITE_P(Wires, StorageWireTest,
