@@ -31,7 +31,7 @@ MsgAssembler::takePrefix(const tcp::RxSegment &seg, size_t off)
     consumed_ = seg.streamOff + off + take;
     if (have_ < size)
         return take;
-    std::optional<MsgFrame> f = wire_.parsePrefix(prefix_, dg_);
+    std::optional<net::MsgFrame> f = wire_.parsePrefix(prefix_, dg_);
     if (!f) {
         error_ = true;
         return take;

@@ -4,8 +4,8 @@
  * records and NVMe-TCP / iSCSI PDUs are all self-framing messages in
  * a TCP byte stream, so message reassembly, the seq -> message map
  * behind l5o_get_tx_msgstate and the answer to l5o_resync_rx_req are
- * written once here. A protocol plugs in with a MsgWire: its prefix
- * size, the prefix check (magic pattern -> MsgFrame) and its L5Kind.
+ * written once here. A protocol plugs in with its net::MsgWire: the
+ * same framing rule the NIC's stream FSM tracks it by.
  *
  * The one resync confirm rule: the NIC speculates that a message
  * starts at stream offset X. Software compares X with its message
@@ -22,57 +22,13 @@
 #include <vector>
 
 #include "core/offload_device.hh"
+#include "net/msg_wire.hh"
 #include "tcp/seq.hh"
 #include "tcp/socket.hh"
 #include "util/panic.hh"
 #include "util/ring_fifo.hh"
 
 namespace anic::core {
-
-/** Negotiated digest options (the storage wires' framing depends on
- *  them; TLS has none). */
-struct Digests
-{
-    bool header = true;
-    bool data = true;
-};
-
-/** Framing of one message, decoded from its prefix. */
-struct MsgFrame
-{
-    uint32_t wireLen = 0;   ///< whole message incl. digests or tag
-    uint32_t dataLen = 0;   ///< data region length (TLS: plaintext)
-    uint16_t dataOff = 0;   ///< start of the data region (TLS: body)
-    uint16_t subHdrEnd = 0; ///< end of the sub-header (hlen / BHS)
-    uint8_t type = 0;       ///< byte 0: PDU type / opcode / content type
-    bool isData = false;    ///< carries a tagged data region
-
-    uint64_t dataEnd() const { return uint64_t{dataOff} + dataLen; }
-
-    /** Same message shape: what the mid-message resume identity rule
-     *  compares besides the message index. */
-    bool
-    sameShape(const MsgFrame &o) const
-    {
-        return type == o.type && wireLen == o.wireLen &&
-               dataOff == o.dataOff && dataLen == o.dataLen;
-    }
-};
-
-/** Largest prefix any wire frames a message with. */
-constexpr size_t kMaxPrefixSize = 8;
-
-/** What one L5P supplies to the shared stream layer. */
-struct MsgWire
-{
-    net::L5Kind kind = net::L5Kind::None;
-    /** Bytes of the prefix that frame a message (<= kMaxPrefixSize). */
-    size_t prefixSize = 0;
-    /** Magic-pattern check of the prefix; nullopt if it fails or the
-     *  message exceeds the protocol's bound. */
-    std::optional<MsgFrame> (*parsePrefix)(const uint8_t *prefix,
-                                           Digests d) = nullptr;
-};
 
 /** One segment's share of a message past its prefix: message bytes
  *  [off, off + len) and its packet's offload results, placed ranges
@@ -87,7 +43,7 @@ struct MsgChunk
 /** A fully reassembled message. */
 struct RxMsg
 {
-    MsgFrame frame;
+    net::MsgFrame frame;
     Bytes bytes; ///< full wire bytes [0, wireLen)
     /** Segments that carried bytes past the prefix, in order. */
     std::vector<MsgChunk> chunks;
@@ -104,7 +60,10 @@ struct RxMsg
 class MsgAssembler
 {
   public:
-    MsgAssembler(const MsgWire &wire, Digests d) : wire_(wire), dg_(d) {}
+    MsgAssembler(const net::MsgWire &wire, net::Digests d)
+        : wire_(wire), dg_(d)
+    {
+    }
 
     /**
      * Feeds a segment. Calls @p onStart(streamOff) as each message's
@@ -159,10 +118,10 @@ class MsgAssembler
     size_t takePrefix(const tcp::RxSegment &seg, size_t off);
     size_t takeBody(const tcp::RxSegment &seg, size_t off);
 
-    const MsgWire &wire_;
+    const net::MsgWire &wire_;
     RxMsg cur_;
-    uint8_t prefix_[kMaxPrefixSize] = {};
-    Digests dg_;
+    uint8_t prefix_[net::kMaxPrefixSize] = {};
+    net::Digests dg_;
     bool error_ = false;
     bool rejected_ = false;
     uint32_t have_ = 0; ///< bytes of the current message collected
@@ -263,7 +222,7 @@ class L5pStream : protected L5pCallbacks
     };
 
     /** @param conn the TCP flow, if known before createOffload(). */
-    L5pStream(const MsgWire &wire, Digests d,
+    L5pStream(const net::MsgWire &wire, net::Digests d,
               tcp::TcpConnection *conn = nullptr)
         : conn_(conn), assembler_(wire, d)
     {

@@ -88,7 +88,7 @@ dataDigestOk(const RxMsg &pdu, uint64_t dataOff, uint32_t dataLen)
 } // namespace
 
 StorageEndpoint::StorageEndpoint(tcp::StreamSocket &sock,
-                                 const StorageWire &wire, Digests d,
+                                 const StorageWire &wire, net::Digests d,
                                  StorageOffloadConfig ocfg)
     : L5pStream(wire, d), sock_(sock), ocfg_(ocfg), wire_(wire), dg_(d)
 {
@@ -205,7 +205,7 @@ StorageEndpoint::dispatch(RxMsg &&pdu)
 {
     host::Core &core = sock_.core();
     const host::CycleModel &m = core.model();
-    const MsgFrame &f = pdu.frame;
+    const net::MsgFrame &f = pdu.frame;
     core.charge(m.nvmePduCost);
 
     bool hdrOk = true;
@@ -277,7 +277,7 @@ StorageEndpoint::receiveData(const RxMsg &pdu, uint32_t tag,
     Command *c = command(tag);
     if (c == nullptr)
         return nullptr; // stale / unknown tag
-    const MsgFrame &f = pdu.frame;
+    const net::MsgFrame &f = pdu.frame;
     // limit == 0: the command takes no data (an initiator's write).
     if (c->limit == 0 || uint64_t{bufferOffset} + f.dataLen > c->limit) {
         transportError();
@@ -325,7 +325,7 @@ constexpr sim::Counter *StorageCounters::*kCompleted[] = {
 } // namespace
 
 StorageInitiator::StorageInitiator(tcp::StreamSocket &sock,
-                                   const StorageWire &wire, Digests d,
+                                   const StorageWire &wire, net::Digests d,
                                    StorageOffloadConfig ocfg, uint32_t maxTag)
     : StorageEndpoint(sock, wire, d, ocfg), maxTag_(maxTag)
 {

@@ -34,6 +34,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "core/l5p_stream.hh"
 #include "core/storage_engine.hh"
 #include "host/core.hh"
 #include "sim/registry.hh"
@@ -98,7 +99,7 @@ class StorageEndpoint : public L5pStream
     };
 
     StorageEndpoint(tcp::StreamSocket &sock, const StorageWire &wire,
-                    Digests d, StorageOffloadConfig ocfg);
+                    net::Digests d, StorageOffloadConfig ocfg);
 
     /** Points the shared counts at the endpoint's stats fields and,
      *  optionally, an aggregate's. Called once, by the constructor. */
@@ -196,7 +197,7 @@ class StorageEndpoint : public L5pStream
     void countEvent(StreamEvent e) override;
 
     const StorageWire &wire_;
-    Digests dg_;
+    net::Digests dg_;
     bool dead_ = false;
     bool pduDataOk_ = true; ///< data verdict made before dispatch
     StorageCounters own_;
@@ -222,7 +223,7 @@ class StorageInitiator : public StorageEndpoint
   protected:
     /** @param maxTag the largest tag the wire carries. */
     StorageInitiator(tcp::StreamSocket &sock, const StorageWire &wire,
-                     Digests d, StorageOffloadConfig ocfg, uint32_t maxTag);
+                     net::Digests d, StorageOffloadConfig ocfg, uint32_t maxTag);
 
     /** Charges the issue half of a command and enters it under the
      *  next free tag (counting up from 1, wrapping past maxTag), which

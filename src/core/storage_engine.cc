@@ -3,8 +3,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "util/panic.hh"
-
 namespace anic::core {
 
 // -------------------------------------------- unified-binding state
@@ -25,17 +23,10 @@ makeTx(const L5StaticState &st)
     return std::make_unique<StorageTxEngine>(s.wire(), s.digests());
 }
 
-std::optional<MsgFrame>
-parseFrame(const StorageWire &wire, Digests d, ByteView hdr)
-{
-    if (hdr.size() < kPduPrefixSize)
-        return std::nullopt;
-    return wire.parsePrefix(hdr.data(), d);
-}
-
 } // namespace
 
-StorageStaticState::StorageStaticState(const StorageWire &wire, Digests d)
+StorageStaticState::StorageStaticState(const StorageWire &wire,
+                                       net::Digests d)
     : wire_(wire), dg_(d)
 {
     // Linking a protocol module and constructing its static state is
@@ -49,31 +40,12 @@ StorageStaticState::StorageStaticState(const StorageWire &wire, Digests d)
     });
 }
 
-// ------------------------------------------------------------ framing
-
-std::optional<nic::MsgInfo>
-StorageEngineBase::parseHeader(ByteView hdr) const
-{
-    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
-    if (!f)
-        return std::nullopt;
-    return nic::MsgInfo{f->wireLen};
-}
-
-MsgFrame
-StorageEngineBase::frameOf(ByteView hdr) const
-{
-    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
-    ANIC_ASSERT(f.has_value(), "storage PDU start on an invalid header");
-    return *f;
-}
-
 // ------------------------------------------------------------- receive
 
 void
-StorageRxEngine::beginPdu(ByteView hdr)
+StorageRxEngine::beginPdu(const net::MsgFrame &frame, ByteView prefix)
 {
-    frame_ = frameOf(hdr);
+    frame_ = frame;
     std::memset(subHdr_, 0, sizeof(subHdr_));
     subHdrHave_ = 0;
     subHdrValid_ = false;
@@ -81,7 +53,7 @@ StorageRxEngine::beginPdu(ByteView hdr)
     placeTarget_ = nullptr;
     hdrCrc_.reset();
     if (hdrDigest())
-        hdrCrc_.update(hdr.first(kPduPrefixSize));
+        hdrCrc_.update(prefix);
     hdgstHave_ = 0;
     hdrCovered_ = true;
     dataCrc_.reset();
@@ -89,16 +61,18 @@ StorageRxEngine::beginPdu(ByteView hdr)
 }
 
 void
-StorageRxEngine::onMsgStart(uint64_t msgIdx, ByteView hdr)
+StorageRxEngine::onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                            ByteView prefix)
 {
-    beginPdu(hdr);
+    beginPdu(frame, prefix);
     curMsgIdx_ = msgIdx;
     haveMsgIdx_ = true;
     crcValid_ = true;
 }
 
 void
-StorageRxEngine::onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off)
+StorageRxEngine::onMsgResume(uint64_t msgIdx, const net::MsgFrame &frame,
+                             ByteView prefix, uint64_t off)
 {
     // Either resuming the same PDU after a gap (sub-header known,
     // placement continues) or adopting a different PDU mid-way.
@@ -109,11 +83,10 @@ StorageRxEngine::onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off)
     // restarted) L5P can recycle an index for a different PDU: the
     // shape the FSM hands us must also match the cached one before
     // per-PDU state is trusted.
-    std::optional<MsgFrame> f = parseFrame(wire_, dg_, hdr);
     bool same_pdu = haveMsgIdx_ && msgIdx == curMsgIdx_ && subHdrValid_ &&
-                    f.has_value() && f->sameShape(frame_);
+                    frame.sameShape(frame_);
     if (!same_pdu) {
-        beginPdu(hdr);
+        beginPdu(frame, prefix);
         if (off > kPduPrefixSize) {
             // Sub-header bytes before the resume point will never be
             // seen: no tag (placement impossible), no header digest.
@@ -139,7 +112,7 @@ StorageRxEngine::takeSubHdr(uint64_t pos, ByteView bytes)
     }
     if (subHdrHave_ >= frame_.subHdrEnd - kPduPrefixSize && !subHdrValid_) {
         if (frame_.isData) {
-            tag_ = wire_.parseTag(subHdr_);
+            tag_ = traits().parseTag(subHdr_);
             auto it = rrState_.find(tag_.tag);
             placeTarget_ = it != rrState_.end() ? it->second : nullptr;
         }
@@ -148,11 +121,8 @@ StorageRxEngine::takeSubHdr(uint64_t pos, ByteView bytes)
 }
 
 void
-StorageRxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
-                           nic::PacketResult &res)
+StorageRxEngine::onMsgData(uint64_t off, ByteSpan data, nic::PacketResult &res)
 {
-    if (dryRun)
-        return;
     const uint64_t sub_end = frame_.subHdrEnd;
     const uint64_t pdo = frame_.dataOff;
     const uint64_t data_end = frame_.dataEnd();
@@ -231,7 +201,7 @@ StorageRxEngine::onMsgEnd(bool covered, nic::PacketResult &res)
         incomplete = true;
     if (incomplete) {
         // Incomplete coverage: report unchecked so software verifies.
-        res.setVerify(wire_.kind, net::VerifyOutcome::Incomplete);
+        res.setVerify(kind(), net::VerifyOutcome::Incomplete);
         return;
     }
     bool ok = true;
@@ -242,10 +212,10 @@ StorageRxEngine::onMsgEnd(bool covered, nic::PacketResult &res)
         dataCrc_.value() != static_cast<uint32_t>(getLe32(ddgstBuf_)))
         ok = false;
     if (ok) {
-        res.setVerify(wire_.kind, net::VerifyOutcome::Ok);
+        res.setVerify(kind(), net::VerifyOutcome::Ok);
         count(&nic::EngineStats::verifiedOk);
     } else {
-        res.setVerify(wire_.kind, net::VerifyOutcome::Failed);
+        res.setVerify(kind(), net::VerifyOutcome::Failed);
         count(&nic::EngineStats::verifyFailures);
     }
 }
@@ -253,25 +223,17 @@ StorageRxEngine::onMsgEnd(bool covered, nic::PacketResult &res)
 // ------------------------------------------------------------ transmit
 
 void
-StorageTxEngine::onMsgStart(uint64_t, ByteView hdr)
+StorageTxEngine::onMsgStart(uint64_t, const net::MsgFrame &frame, ByteView)
 {
-    frame_ = frameOf(hdr);
+    frame_ = frame;
     crc_.reset();
     ddgstReady_ = false;
 }
 
 void
-StorageTxEngine::onMsgResume(uint64_t, ByteView, uint64_t)
+StorageTxEngine::onMsgData(uint64_t off, ByteSpan data, nic::PacketResult &)
 {
-    panic("storage tx contexts are recovered via driver resync");
-}
-
-void
-StorageTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
-                           nic::PacketResult &)
-{
-    if (!dryRun)
-        digest(off, data, data.data());
+    digest(off, data, data.data());
 }
 
 void

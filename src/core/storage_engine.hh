@@ -38,37 +38,36 @@ namespace anic::core {
 class StorageStaticState : public L5StaticState
 {
   public:
-    StorageStaticState(const StorageWire &wire, Digests d);
+    StorageStaticState(const StorageWire &wire, net::Digests d);
 
     net::L5Kind kind() const override { return wire_.kind; }
     const StorageWire &wire() const { return wire_; }
-    Digests digests() const { return dg_; }
+    net::Digests digests() const { return dg_; }
 
   private:
     const StorageWire &wire_;
-    Digests dg_;
+    net::Digests dg_;
 };
 
-/** Framing shared by both directions. */
+/** State shared by both directions: the wire traits and the frame of
+ *  the current PDU. */
 class StorageEngineBase : public nic::L5Engine
 {
   public:
-    StorageEngineBase(const StorageWire &wire, Digests d)
-        : wire_(wire), dg_(d)
+    StorageEngineBase(const StorageWire &wire, net::Digests d)
+        : L5Engine(wire, d)
     {
     }
 
-    net::L5Kind kind() const override { return wire_.kind; }
-    size_t headerSize() const override { return kPduPrefixSize; }
-    std::optional<nic::MsgInfo> parseHeader(ByteView hdr) const override;
-
   protected:
-    /** Frame of a header the FSM already validated. */
-    MsgFrame frameOf(ByteView hdr) const;
+    /** The storage traits of the wire this engine was built with. */
+    const StorageWire &
+    traits() const
+    {
+        return static_cast<const StorageWire &>(wire());
+    }
 
-    const StorageWire &wire_;
-    Digests dg_;
-    MsgFrame frame_;
+    net::MsgFrame frame_;
 };
 
 /** Receive engine: digest verify + tag-keyed placement. */
@@ -88,19 +87,19 @@ class StorageRxEngine : public StorageEngineBase
     /** l5o_del_rr_state. */
     void delRrState(uint32_t tag) { rrState_.erase(tag); }
 
-    bool resumeMidMessage() const override { return true; }
-
-    void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
-    void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
+    void onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                    ByteView prefix) override;
+    void onMsgData(uint64_t off, ByteSpan data,
                    nic::PacketResult &res) override;
     void onMsgEnd(bool covered, nic::PacketResult &res) override;
-    void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) override;
+    void onMsgResume(uint64_t msgIdx, const net::MsgFrame &frame,
+                     ByteView prefix, uint64_t off) override;
     void onMsgAbort() override { crcValid_ = false; }
 
   private:
-    void beginPdu(ByteView hdr);
+    void beginPdu(const net::MsgFrame &frame, ByteView prefix);
     void takeSubHdr(uint64_t pos, ByteView bytes);
-    bool hdrDigest() const { return wire_.nicHeaderDigest && dg_.header; }
+    bool hdrDigest() const { return traits().nicHeaderDigest && dg_.header; }
 
     std::unordered_map<uint32_t, host::BlockBufferPtr> rrState_;
 
@@ -129,14 +128,12 @@ class StorageTxEngine : public StorageEngineBase
   public:
     using StorageEngineBase::StorageEngineBase;
 
-    bool resumeMidMessage() const override { return false; }
-
-    void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
-    void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
+    void onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                    ByteView prefix) override;
+    void onMsgData(uint64_t off, ByteSpan data,
                    nic::PacketResult &res) override;
     void onMsgReplay(uint64_t off, ByteView data) override;
     void onMsgEnd(bool, nic::PacketResult &) override {}
-    void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) override;
     void onMsgAbort() override {}
 
   private:

@@ -2,15 +2,15 @@
  * @file
  * The storage-L5P wire traits shared by NVMe-TCP and iSCSI. Both
  * frame digest-protected PDUs whose first 8 bytes fix the framing (a
- * MsgWire), and both name a data PDU's destination with a tag (NVMe
+ * net::MsgWire), and both name a data PDU's destination with a tag (NVMe
  * CID, iSCSI ITT) and a buffer offset in a fixed sub-header.
  */
 
 #ifndef ANIC_CORE_STORAGE_PDU_HH
 #define ANIC_CORE_STORAGE_PDU_HH
 
-#include "core/l5p_stream.hh"
 #include "host/storage.hh"
+#include "net/msg_wire.hh"
 
 namespace anic::core {
 
@@ -45,7 +45,7 @@ struct PduTag
 
 /** What one storage L5P supplies beyond its message framing. Storage
  *  wires frame with kPduPrefixSize bytes. */
-struct StorageWire : MsgWire
+struct StorageWire : net::MsgWire
 {
     /** The NIC verifies the header digest too (a fixed protocol
      *  property: iSCSI folds both digests into one verdict). */

@@ -77,7 +77,7 @@ struct IscsiWireConfig
         return kBhsSize + hdgstLen() + dsl + (dsl > 0 ? ddgstLen() : 0);
     }
 
-    core::Digests digests() const { return {headerDigest, dataDigest}; }
+    net::Digests digests() const { return {headerDigest, dataDigest}; }
 };
 
 /** Which offloads a session requests from the NIC. */

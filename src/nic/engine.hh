@@ -5,6 +5,10 @@
  * The autonomous-offload NIC separates *framing + resynchronization*
  * (generic across L5Ps, implemented once in StreamFsm) from the
  * *offloaded computation* (per-L5P, implemented by an L5Engine).
+ * Framing lives in the protocol's net::MsgWire, which the engine
+ * carries: StreamFsm parses every prefix through it and hands the
+ * engine the decoded MsgFrame, so engines only transform bytes and
+ * never parse a header.
  *
  * An engine instance is the per-flow hardware state for one protocol
  * layer and one direction: it holds the static state from l5o_create
@@ -16,8 +20,8 @@
 #define ANIC_NIC_ENGINE_HH
 
 #include <cstdint>
-#include <optional>
 
+#include "net/msg_wire.hh"
 #include "net/packet.hh"
 #include "sim/registry.hh"
 #include "util/bytes.hh"
@@ -117,14 +121,6 @@ struct PacketResult
     }
 };
 
-/** Framing information parsed from an L5P message header. */
-struct MsgInfo
-{
-    /** Total size of the message on the wire (header + payload +
-     *  trailer), in stream bytes at this engine's layer. */
-    uint64_t wireLen = 0;
-};
-
 /**
  * Per-flow, per-layer engine. All stream offsets are relative to the
  * layer's own logical byte stream (TCP payload for the outer layer,
@@ -133,46 +129,32 @@ struct MsgInfo
 class L5Engine
 {
   public:
+    L5Engine(const net::MsgWire &wire, net::Digests d) : wire_(wire), dg_(d) {}
     virtual ~L5Engine() = default;
+
+    /** The framing rule StreamFsm tracks this engine's stream by. */
+    const net::MsgWire &wire() const { return wire_; }
+    net::Digests digests() const { return dg_; }
 
     /** Protocol kind; selects the outcome slot and counter bank this
      *  engine reports into. */
-    virtual net::L5Kind kind() const = 0;
-
-    /** Fixed header size used for magic-pattern speculation. */
-    virtual size_t headerSize() const = 0;
-
-    /**
-     * Validates the magic pattern at @p hdr (headerSize() bytes) and
-     * extracts framing. Returns nullopt if the pattern does not match
-     * (used both for in-stream framing and speculative search).
-     */
-    virtual std::optional<MsgInfo> parseHeader(ByteView hdr) const = 0;
-
-    /**
-     * True if the engine can resume processing mid-message (e.g.
-     * NVMe-TCP placement); false if it must wait for the next message
-     * boundary (e.g. TLS record crypto).
-     */
-    virtual bool resumeMidMessage() const = 0;
+    net::L5Kind kind() const { return wire_.kind; }
 
     // ------------------------------------------------- data path
     /**
      * A new message starts. @p msgIdx counts messages from offload
      * creation (the "number of previous messages" the dynamic state
-     * may depend on); @p hdr is the complete header.
+     * may depend on); @p frame is its framing, decoded by StreamFsm
+     * from @p prefix (the wire's prefixSize bytes).
      */
-    virtual void onMsgStart(uint64_t msgIdx, ByteView hdr) = 0;
+    virtual void onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                            ByteView prefix) = 0;
 
     /**
-     * In-sequence message bytes (header bytes included, starting at
-     * message offset @p off). @p dryRun requests framing-only
-     * processing with no transform and no placement (used for the
-     * packet in which offload resumes mid-way, which must go up the
-     * stack unmodified). May modify bytes in place when !dryRun.
+     * In-sequence message bytes past the prefix, starting at message
+     * offset @p off. May modify bytes in place.
      */
-    virtual void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
-                           PacketResult &res) = 0;
+    virtual void onMsgData(uint64_t off, ByteSpan data, PacketResult &res) = 0;
 
     /**
      * Tx context recovery: message bytes at offset @p off that this
@@ -198,11 +180,19 @@ class L5Engine
 
     /**
      * Processing resumes mid-message after out-of-sequence traffic:
-     * the header was observed (possibly in a bypassed packet) and
+     * the prefix was observed (possibly in a bypassed packet) and
      * subsequent packets will be fed from @p off onward. Only called
-     * when resumeMidMessage() is true.
+     * when the wire's resumeMidMessage is set, and only on rx: tx
+     * contexts see their stream in sequence.
      */
-    virtual void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) = 0;
+    virtual void
+    onMsgResume(uint64_t msgIdx, const net::MsgFrame &frame, ByteView prefix,
+                uint64_t off)
+    {
+        (void)msgIdx, (void)frame, (void)prefix, (void)off;
+        panic("engine kind %s has no mid-message resume",
+              net::l5KindName(kind()));
+    }
 
     /** The current message was disrupted; discard transform state. */
     virtual void onMsgAbort() = 0;
@@ -224,6 +214,8 @@ class L5Engine
             engineStats_->bump(kind(), m, n);
     }
 
+    const net::MsgWire &wire_;
+    const net::Digests dg_;
     EngineStatsBank *engineStats_ = nullptr;
 };
 

@@ -79,7 +79,7 @@ struct WireConfig
     size_t maxR2tWindow = 128 << 10;
 
     size_t digestLen() const { return headerDigest ? kDigestSize : 0; }
-    core::Digests digests() const { return {headerDigest, dataDigest}; }
+    net::Digests digests() const { return {headerDigest, dataDigest}; }
 };
 
 /** Which offloads a session requests from the NIC. */

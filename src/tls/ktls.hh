@@ -80,7 +80,7 @@ enum class TxMode
 };
 
 /** The TLS record framing the stream layer reassembles. */
-extern const core::MsgWire kTlsWire;
+extern const net::MsgWire kTlsWire;
 
 class TlsSocket : public tcp::StreamSocket, public core::L5pStream
 {
@@ -164,7 +164,10 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pStream
      *  @p emit(off, n) while TCP takes them; returns bytes consumed. */
     template <typename Emit>
     size_t sendRecords(size_t len, Emit &&emit);
-    bool emitRecord(ByteView plaintext, TxMode mode);
+    /** Seals @p wire, a record with its header encoded, unless the NIC
+     *  encrypts, and sends it. @p plaintext is the body's source: the
+     *  user's buffer, or the body itself when sendfile filled it. */
+    bool emitRecord(Bytes &&wire, ByteView plaintext, TxMode mode);
     void flushStaging();
     void chargeTxRecord(size_t plainLen, TxMode mode);
 

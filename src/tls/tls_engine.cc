@@ -1,5 +1,6 @@
 #include "tls/tls_engine.hh"
 
+#include "tls/ktls.hh"
 #include "util/panic.hh"
 
 namespace anic::tls {
@@ -39,50 +40,34 @@ TlsStaticState::TlsStaticState(const SessionKeys &keys) : keys_(keys)
 // ----------------------------------------------------------- base
 
 TlsEngineBase::TlsEngineBase(const DirectionKeys &keys)
-    : staticIv_(keys.staticIv)
+    : L5Engine(kTlsWire, {}), staticIv_(keys.staticIv)
 {
     gcm_.setKey(keys.key);
 }
 
-std::optional<nic::MsgInfo>
-TlsEngineBase::parseHeader(ByteView hdr) const
-{
-    std::optional<RecordHeader> h = RecordHeader::parse(hdr);
-    if (!h)
-        return std::nullopt;
-    return nic::MsgInfo{h->wireLen()};
-}
-
 void
-TlsEngineBase::onMsgResume(uint64_t, ByteView, uint64_t)
-{
-    panic("TLS engines resume only at record boundaries");
-}
-
-void
-TlsEngineBase::startRecord(uint64_t recordSeq, ByteView hdr)
+TlsEngineBase::startRecord(uint64_t recordSeq, const net::MsgFrame &frame,
+                           ByteView hdr)
 {
     auto nonce = recordNonce(staticIv_, recordSeq);
     gcm_.start(nonce, hdr);
-    RecordHeader h = *RecordHeader::parse(hdr);
-    ctEnd_ = kHeaderSize + h.plaintextLen();
+    ctEnd_ = frame.dataEnd();
 }
 
 // ------------------------------------------------------- transmit
 
 void
-TlsTxEngine::onMsgStart(uint64_t msgIdx, ByteView hdr)
+TlsTxEngine::onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                        ByteView hdr)
 {
-    startRecord(msgIdx, hdr);
+    startRecord(msgIdx, frame, hdr);
     tagReady_ = false;
 }
 
 void
-TlsTxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
-                       nic::PacketResult &res)
+TlsTxEngine::onMsgData(uint64_t off, ByteSpan data, nic::PacketResult &res)
 {
-    if (!dryRun)
-        res.bytesTransformed += seal(off, data, data.data());
+    res.bytesTransformed += seal(off, data, data.data());
 }
 
 void
@@ -242,30 +227,30 @@ TlsRxEngine::innerNoteRecord(uint64_t msgIdx, uint64_t plainSkip)
 }
 
 void
-TlsRxEngine::onMsgStart(uint64_t msgIdx, ByteView hdr)
+TlsRxEngine::onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                        ByteView hdr)
 {
-    startRecord(msgIdx, hdr); // sets ctEnd_ for abort accounting below
+    // Sets ctEnd_ for abort accounting below.
+    startRecord(msgIdx, frame, hdr);
     innerResolveAbort(msgIdx, 0);
     innerNoteRecord(msgIdx, 0);
     ctrOnly_ = false;
     tagHave_ = 0;
-    recordOpen_ = true;
 }
 
 void
-TlsRxEngine::onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off)
+TlsRxEngine::onMsgResume(uint64_t msgIdx, const net::MsgFrame &frame,
+                         ByteView, uint64_t off)
 {
     // Mid-record resume: decrypt-only via CTR fast-forward; the ICV
     // cannot be verified (GHASH is incomplete), and software will
     // re-authenticate because at least one packet of this record
     // lacks the decrypted bit.
-    RecordHeader h = *RecordHeader::parse(hdr);
     size_t prev_ct_end = ctEnd_;
-    ctEnd_ = kHeaderSize + h.plaintextLen();
+    ctEnd_ = frame.dataEnd();
     nonce_ = recordNonce(staticIv_, msgIdx);
     ctrOnly_ = true;
     tagHave_ = 0;
-    recordOpen_ = true;
     if (inner_) {
         // Restore ctEnd_ briefly for abort bookkeeping of the prior
         // record if the abort belonged to a different record.
@@ -286,11 +271,8 @@ TlsRxEngine::onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off)
 }
 
 void
-TlsRxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
-                       nic::PacketResult &res)
+TlsRxEngine::onMsgData(uint64_t off, ByteSpan data, nic::PacketResult &res)
 {
-    if (dryRun)
-        return;
     size_t i = 0;
     while (i < data.size()) {
         uint64_t pos = off + i;
@@ -333,7 +315,6 @@ TlsRxEngine::onMsgData(uint64_t off, ByteSpan data, bool dryRun,
 void
 TlsRxEngine::onMsgEnd(bool covered, nic::PacketResult &res)
 {
-    recordOpen_ = false;
     if (!covered || ctrOnly_) {
         // Incomplete coverage: no ICV verification here; software's
         // partial-record fallback authenticates the record.
@@ -354,7 +335,6 @@ TlsRxEngine::onMsgEnd(bool covered, nic::PacketResult &res)
 void
 TlsRxEngine::onMsgAbort()
 {
-    recordOpen_ = false;
     ctrOnly_ = false;
     if (inner_) {
         // Defer the plaintext-gap accounting: if the same record is

@@ -38,20 +38,16 @@ class TlsStaticState : public core::L5StaticState
     SessionKeys keys_;
 };
 
-/** Shared framing logic: both engines parse the same headers. */
+/** State both directions share: the key and the current record's
+ *  ciphertext end. Records are framed by kTlsWire. */
 class TlsEngineBase : public nic::L5Engine
 {
   public:
     explicit TlsEngineBase(const DirectionKeys &keys);
 
-    net::L5Kind kind() const override { return net::L5Kind::Tls; }
-    size_t headerSize() const override { return kHeaderSize; }
-    std::optional<nic::MsgInfo> parseHeader(ByteView hdr) const override;
-    bool resumeMidMessage() const override { return false; }
-    void onMsgResume(uint64_t, ByteView, uint64_t) override;
-
   protected:
-    void startRecord(uint64_t recordSeq, ByteView hdr);
+    void startRecord(uint64_t recordSeq, const net::MsgFrame &frame,
+                     ByteView hdr);
 
     crypto::AesGcm gcm_;
     Bytes staticIv_;
@@ -64,8 +60,9 @@ class TlsTxEngine : public TlsEngineBase
   public:
     using TlsEngineBase::TlsEngineBase;
 
-    void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
-    void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
+    void onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                    ByteView hdr) override;
+    void onMsgData(uint64_t off, ByteSpan data,
                    nic::PacketResult &res) override;
     void onMsgReplay(uint64_t off, ByteView data) override;
     void onMsgEnd(bool covered, nic::PacketResult &res) override;
@@ -104,8 +101,8 @@ class TlsRxEngine : public TlsEngineBase
   public:
     using TlsEngineBase::TlsEngineBase;
 
-    bool resumeMidMessage() const override { return true; }
-    void onMsgResume(uint64_t msgIdx, ByteView hdr, uint64_t off) override;
+    void onMsgResume(uint64_t msgIdx, const net::MsgFrame &frame,
+                     ByteView hdr, uint64_t off) override;
 
     /**
      * Installs an inner engine (e.g. NVMe-TCP) that consumes the
@@ -127,8 +124,9 @@ class TlsRxEngine : public TlsEngineBase
 
     const nic::FsmStats *innerFsmStats() const;
 
-    void onMsgStart(uint64_t msgIdx, ByteView hdr) override;
-    void onMsgData(uint64_t off, ByteSpan data, bool dryRun,
+    void onMsgStart(uint64_t msgIdx, const net::MsgFrame &frame,
+                    ByteView hdr) override;
+    void onMsgData(uint64_t off, ByteSpan data,
                    nic::PacketResult &res) override;
     void onMsgEnd(bool covered, nic::PacketResult &res) override;
     void onMsgAbort() override;
@@ -139,10 +137,8 @@ class TlsRxEngine : public TlsEngineBase
 
     std::array<uint8_t, 12> nonce_{};
     bool ctrOnly_ = false;        ///< resumed mid-record: no ICV check
-    uint64_t ctrPos_ = 0;         ///< unused; kept via onMsgData offsets
     uint8_t tagBuf_[kTagSize];
     size_t tagHave_ = 0;
-    bool recordOpen_ = false;
     bool pendingAbort_ = false;
     uint64_t abortRecIdx_ = 0;
 

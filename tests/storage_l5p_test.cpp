@@ -2,7 +2,8 @@
  * @file
  * Shared L5P layer tests. The message-assembler cases run once per
  * wire (NVMe-TCP, iSCSI and the TLS record layer): streaming
- * reassembly, framing loss and the offload results each chunk keeps.
+ * reassembly, framing loss, the offload results each chunk keeps, and
+ * that the NIC's stream FSM frames a stream exactly as the host does.
  * The storage engine cases run once per storage wire traits: the NIC
  * rx/tx engine core driven directly — mid-message resume identity,
  * placement, verify outcomes and tx digest fill — and the tx engine's
@@ -13,11 +14,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 #include "core/storage_engine.hh"
 #include "iscsi/pdu.hh"
 #include "net/packet_pool.hh"
 #include "nic/nic.hh"
+#include "nic/stream_fsm.hh"
 #include "nvmetcp/pdu.hh"
 #include "tls/ktls.hh"
 #include "util/rand.hh"
@@ -30,7 +33,7 @@ struct Proto
 {
     const char *name;
     const core::StorageWire *wire;
-    core::Digests digests;
+    net::Digests digests;
     /** A data-less command PDU for @p tag. */
     Bytes (*cmd)(uint32_t tag);
     /** A data PDU placing @p data at @p bufOff of @p tag's buffer. */
@@ -77,8 +80,8 @@ const Proto kIscsi{
 struct Wire
 {
     const char *name;
-    const core::MsgWire *wire;
-    core::Digests digests;
+    const net::MsgWire *wire;
+    net::Digests digests;
     /** Message @p i of a mixed stream, with @p n body bytes if it
      *  carries data. */
     Bytes (*msg)(uint32_t i, size_t n);
@@ -255,6 +258,122 @@ TEST_P(MsgWireTest, ChunksKeepTheirOffloadResultsAndPlacement)
     EXPECT_EQ(as.boundaryOff(), m.size());
 }
 
+/** One framed message: stream offset, index and frame fields. */
+using Framed = std::tuple<uint64_t, uint64_t, uint32_t, uint32_t, uint16_t,
+                          uint16_t, uint8_t, bool>;
+
+Framed
+framed(uint64_t off, uint64_t idx, const net::MsgFrame &f)
+{
+    return {off,       idx,         f.wireLen, f.dataLen,
+            f.dataOff, f.subHdrEnd, f.type,    f.isData};
+}
+
+/** A NIC engine that only records what its StreamFsm frames. */
+class FramingRecorder : public nic::L5Engine
+{
+  public:
+    using L5Engine::L5Engine;
+
+    std::vector<Framed> msgs;
+    uint64_t spanPos = 0; ///< stream offset of the span being fed
+
+    void
+    onMsgStart(uint64_t idx, const net::MsgFrame &f, ByteView prefix) override
+    {
+        EXPECT_EQ(prefix.size(), wire().prefixSize);
+        start_ = f;
+        startIdx_ = idx;
+        placed_ = false;
+    }
+
+    void
+    onMsgData(uint64_t off, ByteSpan, nic::PacketResult &res) override
+    {
+        // The span's first byte is message byte off: place the start.
+        if (!placed_)
+            msgs.push_back(framed(spanPos + res.spanPktOff - off, startIdx_,
+                                  start_));
+        placed_ = true;
+    }
+
+    void
+    onMsgEnd(bool covered, nic::PacketResult &) override
+    {
+        EXPECT_TRUE(covered);
+    }
+
+    void
+    onMsgResume(uint64_t, const net::MsgFrame &, ByteView, uint64_t) override
+    {
+        ADD_FAILURE() << "resume on an in-sequence stream";
+    }
+
+    void onMsgAbort() override { ADD_FAILURE() << "abort in sequence"; }
+
+  private:
+    net::MsgFrame start_;
+    uint64_t startIdx_ = 0;
+    bool placed_ = true;
+};
+
+TEST_P(MsgWireTest, NicFsmFramesLikeTheHostAssembler)
+{
+    // One stream of mixed messages, framed by the host's assembler and
+    // by the NIC's stream FSM over the same wire. Packets end at every
+    // offset k of each prefix (k = 0: message-aligned), then at random.
+    Bytes stream;
+    std::vector<uint64_t> starts;
+    Rng rng(7);
+    for (uint32_t i = 0; i < 12; i++) {
+        Bytes m = w().msg(i, rng.range(1, 3000));
+        starts.push_back(stream.size());
+        stream.insert(stream.end(), m.begin(), m.end());
+    }
+    const size_t psize = w().wire->prefixSize;
+    for (size_t k = 0; k <= psize; k++) {
+        std::vector<uint64_t> ends;
+        if (k < psize) {
+            for (uint64_t s : starts)
+                if (s + k > 0)
+                    ends.push_back(s + k);
+        } else {
+            for (uint64_t e = rng.range(1, 1460); e < stream.size();
+                 e += rng.range(1, 1460))
+                ends.push_back(e);
+        }
+        ends.push_back(stream.size());
+
+        core::MsgAssembler as = assembler();
+        std::vector<uint64_t> hostStarts;
+        std::vector<Framed> host;
+        FramingRecorder eng(*w().wire, w().digests);
+        nic::StreamFsm fsm(eng, [](uint64_t, uint64_t) {
+            ADD_FAILURE() << "resync request on an in-sequence stream";
+        });
+        fsm.reset(0, 0);
+        uint64_t prev = 0;
+        for (uint64_t end : ends) {
+            as.ingest(
+                segment(stream, prev, end - prev),
+                [&](uint64_t s) { hostStarts.push_back(s); },
+                [&](core::RxMsg &&m) {
+                    host.push_back(framed(hostStarts.at(host.size()),
+                                          as.msgsDelivered(), m.frame));
+                    return true;
+                });
+            Bytes pkt(stream.begin() + prev, stream.begin() + end);
+            nic::PacketResult res;
+            eng.spanPos = prev;
+            EXPECT_TRUE(fsm.segment(prev, pkt, res)) << "k " << k;
+            prev = end;
+        }
+        EXPECT_EQ(host.size(), starts.size()) << "k " << k;
+        EXPECT_EQ(eng.msgs, host) << "k " << k;
+        EXPECT_EQ(fsm.stats().msgsCovered, starts.size()) << "k " << k;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Wires, MsgWireTest, ::testing::ValuesIn(kWires),
                          [](const ::testing::TestParamInfo<Wire> &i) {
                              return std::string(i.param.name);
@@ -267,13 +386,13 @@ class StorageWireTest : public ::testing::TestWithParam<Proto>
   protected:
     const Proto &p() const { return GetParam(); }
 
-    core::MsgFrame
-    frameOf(const Bytes &pdu) const
+    net::MsgFrame
+    pduFrame(const Bytes &pdu) const
     {
-        std::optional<core::MsgFrame> f =
+        std::optional<net::MsgFrame> f =
             p().wire->parsePrefix(pdu.data(), p().digests);
         EXPECT_TRUE(f.has_value());
-        return f.value_or(core::MsgFrame{});
+        return f.value_or(net::MsgFrame{});
     }
 
     /** A data PDU for @p tag carrying @p n deterministic bytes. */
@@ -291,7 +410,7 @@ nic::PacketResult
 feed(nic::L5Engine &eng, Bytes &pdu, size_t from, size_t to)
 {
     nic::PacketResult res;
-    eng.onMsgData(from, ByteSpan(pdu.data() + from, to - from), false, res);
+    eng.onMsgData(from, ByteSpan(pdu.data() + from, to - from), res);
     return res;
 }
 
@@ -309,19 +428,19 @@ placedBytes(const nic::PacketResult &res)
 TEST_P(StorageWireTest, ResumeSamePduKeepsPlacingAndReportsIncomplete)
 {
     Bytes pdu = dataPdu(7, 8000, 3);
-    const core::MsgFrame f = frameOf(pdu);
+    const net::MsgFrame f = pduFrame(pdu);
     auto buf = std::make_shared<host::BlockBuffer>(8000);
     core::StorageRxEngine eng(*p().wire, p().digests);
     eng.addRrState(7, buf);
     ByteView hdr(pdu.data(), core::kPduPrefixSize);
 
-    eng.onMsgStart(3, hdr);
+    eng.onMsgStart(3, f, hdr);
     nic::PacketResult r1 = feed(eng, pdu, core::kPduPrefixSize,
                                 f.dataOff + 1000);
     EXPECT_EQ(placedBytes(r1), 1000u);
 
     // Bytes [1000, 3000) of the data are lost; the same PDU resumes.
-    eng.onMsgResume(3, hdr, f.dataOff + 3000);
+    eng.onMsgResume(3, f, hdr, f.dataOff + 3000);
     nic::PacketResult r2 = feed(eng, pdu, f.dataOff + 3000, pdu.size());
     eng.onMsgEnd(/*covered=*/false, r2);
     EXPECT_EQ(placedBytes(r2), 5000u);
@@ -338,12 +457,12 @@ TEST_P(StorageWireTest, ResumeSamePduKeepsPlacingAndReportsIncomplete)
 TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
 {
     Bytes a = dataPdu(7, 8000, 3);
-    const core::MsgFrame fa = frameOf(a);
+    const net::MsgFrame fa = pduFrame(a);
     auto buf = std::make_shared<host::BlockBuffer>(8000);
     core::StorageRxEngine eng(*p().wire, p().digests);
     eng.addRrState(7, buf);
 
-    eng.onMsgStart(3, ByteView(a.data(), core::kPduPrefixSize));
+    eng.onMsgStart(3, fa, ByteView(a.data(), core::kPduPrefixSize));
     EXPECT_EQ(placedBytes(feed(eng, a, core::kPduPrefixSize,
                                fa.dataOff + 1000)),
               1000u);
@@ -353,8 +472,8 @@ TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
     // length) and the engine adopts it past its sub-header: the cached
     // buffer of PDU A must not receive B's bytes.
     Bytes b = dataPdu(7, 4000, 9);
-    const core::MsgFrame fb = frameOf(b);
-    eng.onMsgResume(3, ByteView(b.data(), core::kPduPrefixSize),
+    const net::MsgFrame fb = pduFrame(b);
+    eng.onMsgResume(3, fb, ByteView(b.data(), core::kPduPrefixSize),
                     fb.dataOff + 100);
     nic::PacketResult r = feed(eng, b, fb.dataOff + 100, b.size());
     eng.onMsgEnd(false, r);
@@ -366,14 +485,14 @@ TEST_P(StorageWireTest, RecycledIndexWithDifferentHeaderNeverWritesCache)
 TEST_P(StorageWireTest, ResumePastSubHeaderPlacesNothing)
 {
     Bytes pdu = dataPdu(7, 8000, 3);
-    const core::MsgFrame f = frameOf(pdu);
+    const net::MsgFrame f = pduFrame(pdu);
     for (uint64_t resumeAt : {uint64_t{core::kPduPrefixSize + 4},
                               uint64_t{f.subHdrEnd},
                               uint64_t{f.dataOff} + 500}) {
         auto buf = std::make_shared<host::BlockBuffer>(8000);
         core::StorageRxEngine eng(*p().wire, p().digests);
         eng.addRrState(7, buf);
-        eng.onMsgResume(0, ByteView(pdu.data(), core::kPduPrefixSize),
+        eng.onMsgResume(0, f, ByteView(pdu.data(), core::kPduPrefixSize),
                         resumeAt);
         nic::PacketResult r = feed(eng, pdu, resumeAt, pdu.size());
         eng.onMsgEnd(false, r);
@@ -395,12 +514,13 @@ TEST_P(StorageWireTest, TxDigestFillMatchesSoftwareCrcAcrossSplits)
         ASSERT_NE(wire, expect);
 
         core::StorageTxEngine tx(*p().wire, p().digests);
-        tx.onMsgStart(trial, ByteView(wire.data(), core::kPduPrefixSize));
+        tx.onMsgStart(trial, pduFrame(wire),
+                      ByteView(wire.data(), core::kPduPrefixSize));
         nic::PacketResult res;
         for (size_t off = core::kPduPrefixSize; off < wire.size();) {
             size_t take = std::min<size_t>(rng.range(1, 1460),
                                            wire.size() - off);
-            tx.onMsgData(off, ByteSpan(wire.data() + off, take), false, res);
+            tx.onMsgData(off, ByteSpan(wire.data() + off, take), res);
             off += take;
         }
         tx.onMsgEnd(true, res);
@@ -440,7 +560,7 @@ TEST_P(StorageWireTest, TxReplayEndingInsideTheDigestWritesNothing)
         sim.run();
     };
     sendFrom(0);
-    const size_t off = frameOf(pdu).dataEnd() + 2;
+    const size_t off = pduFrame(pdu).dataEnd() + 2;
     nic.postTxResync(ctx, kSeq + static_cast<uint32_t>(off), 0, msg,
                      static_cast<uint32_t>(off));
     sendFrom(off);
