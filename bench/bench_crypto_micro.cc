@@ -8,9 +8,9 @@
  * Every kernel variant compiled into the binary is registered (scalar
  * always; hw when the CPU supports AES-NI/PCLMUL/SSE4.2; each CRC32C
  * kernel the CPU runs: scalar, 3way, fold), and a summary at the end
- * reports hw-over-scalar speedups, the fold-over-3way CRC32C ratio
- * and JSON records, so the dispatch layer's win is visible in one
- * run. The payload generator's word kernels (util/bytes.hh), which
+ * reports hw-over-scalar speedups, the fold-over-3way CRC32C and
+ * vaes-over-aesni GCM ratios and JSON records, so the dispatch
+ * layer's win is visible in one run. The payload generator's word kernels (util/bytes.hh), which
  * every experiment runs over every delivered byte, are measured the
  * same way: wide over portable.
  */
@@ -51,11 +51,12 @@ crcCompute(const detail::Crc32cKernel &k, ByteView data)
     return ~k.update(0xffffffffu, data.data(), data.size());
 }
 
-/** The CRC32C kernel named @p name, or nullptr if this CPU lacks it. */
-const detail::Crc32cKernel *
-crcKernel(const char *name)
+/** The kernel named @p name, or nullptr if this CPU lacks it. */
+template <typename Kernel>
+const Kernel *
+kernelNamed(std::span<const Kernel> kernels, const char *name)
 {
-    for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
+    for (const Kernel &k : kernels) {
         if (std::strcmp(k.name, name) == 0)
             return &k;
     }
@@ -303,8 +304,10 @@ speedupSummary()
 void
 crcFoldSummary()
 {
-    const detail::Crc32cKernel *threeWay = crcKernel("3way");
-    const detail::Crc32cKernel *fold = crcKernel("fold");
+    const detail::Crc32cKernel *threeWay =
+        kernelNamed(detail::crc32cKernels(), "3way");
+    const detail::Crc32cKernel *fold =
+        kernelNamed(detail::crc32cKernels(), "fold");
     if (threeWay == nullptr || fold == nullptr) {
         std::printf("\ncrc32c fold kernel unavailable (needs AVX-512F/DQ/VL "
                     "+ VPCLMULQDQ)\n");
@@ -330,6 +333,64 @@ crcFoldSummary()
                     r.name, base / 1e9, fast / 1e9, ratio);
         anic::bench::jsonRecord("crypto_micro",
                                 (std::string(r.tag) + "_over_3way").c_str(),
+                                ratio);
+    }
+}
+
+void
+gcmKernelSummary()
+{
+    const detail::GcmKernel *aesni = kernelNamed(detail::gcmKernels(), "aesni");
+    const detail::GcmKernel *vaes = kernelNamed(detail::gcmKernels(), "vaes");
+    if (aesni == nullptr || vaes == nullptr) {
+        std::printf("\naes-gcm vaes kernel unavailable (needs AVX-512F/BW/VL "
+                    "+ VAES + VPCLMULQDQ)\n");
+        return;
+    }
+    std::printf("\n-- aes-gcm vaes vs aesni --\n");
+    Bytes key(16, 0x11);
+    Aes128 aes(key);
+    alignas(16) uint8_t rk[Aes128::kRounds + 1][16];
+    aes.exportRoundKeys(rk);
+    uint8_t h[16] = {0};
+    aes.encryptBlock(h, h);
+    alignas(16) uint8_t hpow[detail::kGhashPowers][16];
+    detail::hwOpsIfSupported()->ghashInit(h, hpow);
+
+    // The kernels' share of a seal: the message's whole blocks,
+    // encrypted in place.
+    auto seal = [&rk, &hpow](const detail::GcmKernel &k, size_t len) {
+        Bytes data(len);
+        fillDeterministic(data, 2, 0);
+        size_t nblk = len / 16;
+        return throughput(nblk * 16, [&] {
+            uint8_t ctr[16] = {0};
+            uint8_t y[16] = {0};
+            k.cryptBlocks(rk, hpow, ctr, y, data.data(), data.data(), nblk,
+                          true);
+            benchmark::DoNotOptimize(data.data());
+            benchmark::DoNotOptimize(y);
+            benchmark::ClobberMemory();
+        });
+    };
+    struct Row
+    {
+        const char *name;
+        const char *tag;
+        size_t len;
+    };
+    static const Row rows[] = {
+        {"aes-gcm seal 1460B", "gcm_vaes1460", 1460},
+        {"aes-gcm seal 16KiB", "gcm_vaes16k", 16384},
+    };
+    for (const Row &r : rows) {
+        double base = seal(*aesni, r.len);
+        double fast = seal(*vaes, r.len);
+        double ratio = base > 0 ? fast / base : 0;
+        std::printf("%-20s aesni %5.2f GB/s   vaes %5.2f GB/s   %5.2fx\n",
+                    r.name, base / 1e9, fast / 1e9, ratio);
+        anic::bench::jsonRecord("crypto_micro",
+                                (std::string(r.tag) + "_over_aesni").c_str(),
                                 ratio);
     }
 }
@@ -400,6 +461,7 @@ main(int argc, char **argv)
     benchmark::Shutdown();
     speedupSummary();
     crcFoldSummary();
+    gcmKernelSummary();
     payloadSummary();
     anic::bench::emitRegistrySnapshot("crypto_micro");
     return 0;

@@ -32,21 +32,24 @@ detectCpu()
         f.aesni = (c & bit_AES) != 0;
         f.pclmul = (c & bit_PCLMUL) != 0;
     }
-    if (__get_cpuid_count(7, 0, &a, &b, &c, &d))
-        f.avx2 = (b & bit_AVX2) != 0;
     // The builtin also checks that the OS saves the 512-bit state.
     __builtin_cpu_init();
     f.vpclmul512 = __builtin_cpu_supports("avx512f") &&
                    __builtin_cpu_supports("avx512dq") &&
                    __builtin_cpu_supports("avx512vl") &&
                    __builtin_cpu_supports("vpclmulqdq");
+    f.vaes512 = __builtin_cpu_supports("avx512f") &&
+                __builtin_cpu_supports("avx512bw") &&
+                __builtin_cpu_supports("avx512vl") &&
+                __builtin_cpu_supports("vaes") &&
+                __builtin_cpu_supports("vpclmulqdq");
 #endif
     return f;
 }
 
 #ifdef ANIC_HAVE_X86_CRYPTO
-/** The widest CRC32C kernel this CPU runs; the rest of the table is
- *  fixed. Built once, so no call branches on CPUID. */
+/** The widest CRC32C and bulk GCM kernels this CPU runs; the rest of
+ *  the table is fixed. Built once, so no call branches on CPUID. */
 const detail::HwOps &
 x86Ops()
 {
@@ -56,8 +59,8 @@ x86Ops()
         &detail::x86::aesEncryptBlock,
         &detail::x86::ghashInit,
         &detail::x86::ghashBlocks,
-        &detail::x86::gcmCryptBlocks,
-        &detail::x86::ctrBlocks,
+        detail::gcmKernels().back().cryptBlocks,
+        detail::gcmKernels().back().ctrBlocks,
     };
     return ops;
 }
@@ -170,6 +173,28 @@ crc32cKernels()
         return std::min(cpu, std::size(all));
     }();
     return {all, usable};
+}
+
+std::span<const GcmKernel>
+gcmKernels()
+{
+#ifdef ANIC_HAVE_X86_CRYPTO
+    static const GcmKernel all[] = {
+        {"aesni", &x86::gcmCryptBlocks, &x86::ctrBlocks},
+#ifdef ANIC_HAVE_VAES_GCM
+        {"vaes", &x86::vaesGcmCryptBlocks, &x86::vaesCtrBlocks},
+#endif
+    };
+    // As with CRC32C, the usable kernels are a prefix.
+    static const size_t usable = [] {
+        size_t cpu = hwCryptoSupported() ? (cpuFeatures().vaes512 ? 2 : 1)
+                                         : 0;
+        return std::min(cpu, std::size(all));
+    }();
+    return {all, usable};
+#else
+    return {};
+#endif
 }
 
 const HwOps *

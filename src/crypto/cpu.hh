@@ -11,9 +11,10 @@
  *     when the toolchain targets x86 and accepts the ISA flags
  *     (ANIC_HAVE_X86_CRYPTO);
  *   - run time: CPUID must report the extensions; within the hardware
- *     set, CRC32C folds with VPCLMULQDQ when CPUID also reports
- *     AVX-512 and VPCLMULQDQ, and runs the SSE4.2 3-way kernel
- *     otherwise;
+ *     set, bulk AES-GCM runs 16 blocks per step with VAES when CPUID
+ *     also reports AVX-512 VAES and VPCLMULQDQ (else the AES-NI
+ *     kernel), and CRC32C folds with VPCLMULQDQ when CPUID reports
+ *     AVX-512 and VPCLMULQDQ (else the SSE4.2 3-way kernel);
  *   - override: ANIC_CRYPTO_IMPL=scalar|hw forces a kernel (a forced
  *     "hw" on an unsupported machine warns and falls back to scalar).
  *
@@ -33,10 +34,12 @@ struct CpuFeatures
     bool aesni = false;
     bool pclmul = false;
     bool sse42 = false;
-    bool avx2 = false;
     /** AVX-512F/DQ/VL and VPCLMULQDQ, with OS support for the
      *  512-bit state: what the folding CRC32C kernel needs. */
     bool vpclmul512 = false;
+    /** AVX-512F/BW/VL, VAES and VPCLMULQDQ, with OS support for the
+     *  512-bit state: what the 16-block GCM kernel needs. */
+    bool vaes512 = false;
 };
 
 /** Detected once, cached for the process lifetime. */
@@ -45,7 +48,7 @@ const CpuFeatures &cpuFeatures();
 enum class CryptoImpl
 {
     Scalar, ///< portable reference kernels
-    Hw,     ///< AES-NI/PCLMUL GCM; SSE4.2 or VPCLMULQDQ CRC32C
+    Hw,     ///< AES-NI or VAES GCM; SSE4.2 or VPCLMULQDQ CRC32C
 };
 
 const char *cryptoImplName(CryptoImpl impl);

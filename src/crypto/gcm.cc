@@ -35,6 +35,7 @@ Ghash::setH(const uint8_t h[16])
 void
 Ghash::setH(const uint8_t h[16], CryptoImpl impl)
 {
+    static_assert(sizeof(hpow_) == detail::kGhashPowers * 16);
     hw_ = opsForImpl(impl);
     if (hw_ != nullptr) {
         hw_->ghashInit(h, hpow_);
@@ -42,27 +43,29 @@ Ghash::setH(const uint8_t h[16], CryptoImpl impl)
         return;
     }
 
+    uint64_t *hl = tab_.hl;
+    uint64_t *hh = tab_.hh;
     uint64_t vh = getBe64(h);
     uint64_t vl = getBe64(h + 8);
 
-    hl_[8] = vl;
-    hh_[8] = vh;
+    hl[8] = vl;
+    hh[8] = vh;
     // Entries 4, 2, 1: successive divisions by x (right shift with
     // reduction by the GCM polynomial).
     for (int i = 4; i > 0; i >>= 1) {
         uint32_t t = static_cast<uint32_t>(vl & 1);
         vl = (vh << 63) | (vl >> 1);
         vh = (vh >> 1) ^ (t ? (0xe1ull << 56) : 0);
-        hl_[i] = vl;
-        hh_[i] = vh;
+        hl[i] = vl;
+        hh[i] = vh;
     }
-    hl_[0] = 0;
-    hh_[0] = 0;
+    hl[0] = 0;
+    hh[0] = 0;
     // Remaining entries by linearity.
     for (int i = 2; i <= 8; i *= 2) {
         for (int j = 1; j < i; j++) {
-            hh_[i + j] = hh_[i] ^ hh_[j];
-            hl_[i + j] = hl_[i] ^ hl_[j];
+            hh[i + j] = hh[i] ^ hh[j];
+            hl[i + j] = hl[i] ^ hl[j];
         }
     }
     reset();
@@ -71,9 +74,11 @@ Ghash::setH(const uint8_t h[16], CryptoImpl impl)
 void
 Ghash::mulH(uint8_t x[16]) const
 {
+    const uint64_t *hl = tab_.hl;
+    const uint64_t *hh = tab_.hh;
     uint8_t lo = x[15] & 0xf;
-    uint64_t zh = hh_[lo];
-    uint64_t zl = hl_[lo];
+    uint64_t zh = hh[lo];
+    uint64_t zl = hl[lo];
 
     for (int i = 15; i >= 0; i--) {
         lo = x[i] & 0xf;
@@ -84,15 +89,15 @@ Ghash::mulH(uint8_t x[16]) const
             zl = (zh << 60) | (zl >> 4);
             zh = zh >> 4;
             zh ^= kLast4[rem] << 48;
-            zh ^= hh_[lo];
-            zl ^= hl_[lo];
+            zh ^= hh[lo];
+            zl ^= hl[lo];
         }
         uint8_t rem = static_cast<uint8_t>(zl & 0xf);
         zl = (zh << 60) | (zl >> 4);
         zh = zh >> 4;
         zh ^= kLast4[rem] << 48;
-        zh ^= hh_[hi];
-        zl ^= hl_[hi];
+        zh ^= hh[hi];
+        zl ^= hl[hi];
     }
     putBe64(x, zh);
     putBe64(x + 8, zl);

@@ -9,9 +9,11 @@
  *
  * Each context binds to a kernel set at setKey()/setH() time: the
  * portable scalar reference kernels, or (default, when the machine
- * supports it) the AES-NI/PCLMUL kernels dispatched through
- * crypto/cpu.hh. Both produce bit-identical output; tests force each
- * variant explicitly to cross-check them.
+ * supports it) the hardware kernels dispatched through crypto/cpu.hh,
+ * whose bulk path is the 16-block VAES kernel on CPUs with AVX-512
+ * VAES + VPCLMULQDQ and the 8-block AES-NI/PCLMUL one otherwise. All
+ * produce bit-identical output; tests force each variant explicitly
+ * to cross-check them.
  */
 
 #ifndef ANIC_CRYPTO_GCM_HH
@@ -31,9 +33,11 @@ struct HwOps;
 
 /**
  * GHASH over GF(2^128); scalar kernel uses 4-bit tables (mbedTLS-
- * style), hardware kernel uses PCLMULQDQ with aggregated reduction.
- * Exposed separately so tests can cross-check both implementations
- * against the bitwise reference.
+ * style), hardware kernels use carry-less multiplies against the
+ * powers H^1..H^16 with aggregated reduction. A context reads only
+ * its own kernel set's tables, so the two share storage. Exposed
+ * separately so tests can cross-check both implementations against
+ * the bitwise reference.
  */
 class Ghash
 {
@@ -66,11 +70,21 @@ class Ghash
 
     void mulH(uint8_t x[16]) const;
 
+    /** The scalar kernel's 4-bit multiples of H. */
+    struct Tables
+    {
+        uint64_t hl[16];
+        uint64_t hh[16];
+    };
+
     const detail::HwOps *hw_ = nullptr; // null: scalar tables
-    uint64_t hl_[16] = {0};
-    uint64_t hh_[16] = {0};
-    alignas(16) uint8_t hpow_[8][16] = {{0}}; // H^1..H^8 (hw kernels)
     uint8_t y_[16] = {0};
+    union
+    {
+        Tables tab_ = {};
+        /** Byte-reversed H^1..H^16 (hw kernels, detail::kGhashPowers). */
+        alignas(16) uint8_t hpow_[16][16];
+    };
 };
 
 /**

@@ -3,19 +3,21 @@
  * Internal kernel dispatch table shared by the crypto primitives.
  *
  * The scalar reference kernels live in aes.cc/gcm.cc/crc32c.cc; the
- * hardware kernels (AES-NI, PCLMULQDQ, SSE4.2, and AVX-512 VPCLMULQDQ
- * for CRC32C folding) live in aesni_gcm.cc and crc32c_hw.cc, which
- * are compiled with per-file ISA flags only on x86 toolchains. This
- * header is ISA-neutral so any translation unit (including tests and
- * benches) can include it; the function pointers are resolved once
- * at startup by cpu.cc.
+ * hardware kernels (AES-NI, PCLMULQDQ, SSE4.2, AVX-512 VAES +
+ * VPCLMULQDQ for 16-block GCM, and AVX-512 VPCLMULQDQ for CRC32C
+ * folding) live in aesni_gcm.cc and crc32c_hw.cc, which are compiled
+ * with per-file ISA flags only on x86 toolchains; the AVX-512 kernels
+ * add a target attribute on top. This header is ISA-neutral so any
+ * translation unit (including tests and benches) can include it; the
+ * function pointers are resolved once at startup by cpu.cc.
  *
  * Conventions shared by both kernel sets:
  *   - AES round keys are 11 x 16 bytes in wire order (the byte
  *     sequence XORed into the state), identical between the scalar
  *     key schedule and the AES-NI one.
- *   - GHASH powers are H^1..H^8, each stored byte-reversed (ready for
- *     carry-less multiplication); the accumulator `y` stays in the
+ *   - GHASH powers are H^1..H^16, each stored byte-reversed (ready for
+ *     carry-less multiplication); the AES-NI kernel reads H^1..H^8,
+ *     the VAES kernel all 16. The accumulator `y` stays in the
  *     same byte layout the scalar Ghash uses, so scalar and hardware
  *     absorbs can interleave within one message.
  *   - Counter blocks use GCM layout: 12-byte IV, 32-bit big-endian
@@ -32,7 +34,7 @@
 namespace anic::crypto::detail {
 
 constexpr size_t kAesRounds = 10;
-constexpr size_t kGhashPowers = 8;
+constexpr size_t kGhashPowers = 16;
 
 struct HwOps
 {
@@ -46,24 +48,24 @@ struct HwOps
     void (*aesEncryptBlock)(const uint8_t rk[11][16], const uint8_t in[16],
                             uint8_t out[16]);
 
-    /** Computes the byte-reversed powers H^1..H^8 from the subkey H. */
-    void (*ghashInit)(const uint8_t h[16], uint8_t hpow[8][16]);
+    /** Computes the byte-reversed powers H^1..H^16 from the subkey H. */
+    void (*ghashInit)(const uint8_t h[16], uint8_t hpow[kGhashPowers][16]);
 
     /** Absorbs @p nblk whole 16-byte blocks into accumulator @p y. */
-    void (*ghashBlocks)(const uint8_t hpow[8][16], uint8_t y[16],
+    void (*ghashBlocks)(const uint8_t hpow[kGhashPowers][16], uint8_t y[16],
                         const uint8_t *data, size_t nblk);
 
     /**
-     * Fused GCM bulk update over whole blocks: 8-way interleaved
-     * AES-CTR keystream, XOR with @p in, and aggregated-reduction
-     * GHASH over the ciphertext. Pre-increments the counter like
-     * AesGcm::ctrBlock and stores the advanced counter back into
-     * @p ctr. In-place (out == in) safe.
+     * Fused GCM bulk update over whole blocks: wide AES-CTR keystream,
+     * XOR with @p in, and aggregated-reduction GHASH over the
+     * ciphertext. Pre-increments the counter like AesGcm::ctrBlock and
+     * stores the advanced counter back into @p ctr. In-place
+     * (out == in) safe.
      */
     void (*gcmCryptBlocks)(const uint8_t rk[11][16],
-                           const uint8_t hpow[8][16], uint8_t ctr[16],
-                           uint8_t y[16], const uint8_t *in, uint8_t *out,
-                           size_t nblk, bool encrypt);
+                           const uint8_t hpow[kGhashPowers][16],
+                           uint8_t ctr[16], uint8_t y[16], const uint8_t *in,
+                           uint8_t *out, size_t nblk, bool encrypt);
 
     /**
      * CTR-only transform of whole blocks for the resync/partial-
@@ -101,6 +103,23 @@ struct Crc32cKernel
  * and "fold" (VPCLMULQDQ folding, 256 B per step).
  */
 std::span<const Crc32cKernel> crc32cKernels();
+
+/** One bulk GCM kernel, in HwOps' form. */
+struct GcmKernel
+{
+    const char *name;
+    decltype(HwOps::gcmCryptBlocks) cryptBlocks;
+    decltype(HwOps::ctrBlocks) ctrBlocks;
+};
+
+/**
+ * The bulk GCM kernels compiled in that this CPU runs, narrowest
+ * first: "aesni" (AES-NI + PCLMULQDQ, 8 blocks per step) and "vaes"
+ * (AVX-512 VAES + VPCLMULQDQ, 16 blocks per step). Empty when the
+ * hardware kernels are unavailable; the scalar reference is AesGcm
+ * bound to CryptoImpl::Scalar.
+ */
+std::span<const GcmKernel> gcmKernels();
 
 /**
  * x^e mod P for the CRC32C polynomial P = 0x11EDC6F41, as a 64-bit
@@ -167,15 +186,25 @@ uint32_t crc32cFoldUpdate(uint32_t crc, const uint8_t *p, size_t n);
 void aesKeyExpand(const uint8_t key[16], uint8_t rk[11][16]);
 void aesEncryptBlock(const uint8_t rk[11][16], const uint8_t in[16],
                      uint8_t out[16]);
-void ghashInit(const uint8_t h[16], uint8_t hpow[8][16]);
-void ghashBlocks(const uint8_t hpow[8][16], uint8_t y[16],
+void ghashInit(const uint8_t h[16], uint8_t hpow[kGhashPowers][16]);
+void ghashBlocks(const uint8_t hpow[kGhashPowers][16], uint8_t y[16],
                  const uint8_t *data, size_t nblk);
-void gcmCryptBlocks(const uint8_t rk[11][16], const uint8_t hpow[8][16],
-                    uint8_t ctr[16], uint8_t y[16], const uint8_t *in,
-                    uint8_t *out, size_t nblk, bool encrypt);
+void gcmCryptBlocks(const uint8_t rk[11][16],
+                    const uint8_t hpow[kGhashPowers][16], uint8_t ctr[16],
+                    uint8_t y[16], const uint8_t *in, uint8_t *out,
+                    size_t nblk, bool encrypt);
 void ctrBlocks(const uint8_t rk[11][16], const uint8_t iv[12],
                uint64_t counter, const uint8_t *in, uint8_t *out,
                size_t nblk);
+#ifdef ANIC_HAVE_VAES_GCM
+void vaesGcmCryptBlocks(const uint8_t rk[11][16],
+                        const uint8_t hpow[kGhashPowers][16],
+                        uint8_t ctr[16], uint8_t y[16], const uint8_t *in,
+                        uint8_t *out, size_t nblk, bool encrypt);
+void vaesCtrBlocks(const uint8_t rk[11][16], const uint8_t iv[12],
+                   uint64_t counter, const uint8_t *in, uint8_t *out,
+                   size_t nblk);
+#endif
 } // namespace x86
 #endif // ANIC_HAVE_X86_CRYPTO
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -646,6 +647,243 @@ TEST_P(Crc32cKernelTest, StreamingSplits)
 
 INSTANTIATE_TEST_SUITE_P(Kernels, Crc32cKernelTest,
                          ::testing::Values("scalar", "3way", "fold"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+// -------------------------------------------------- GCM kernels
+
+TEST(GcmKernels, ListsWhatThisCpuRuns)
+{
+    auto kernels = detail::gcmKernels();
+    EXPECT_EQ(kernels.empty(), !hwCryptoSupported());
+    if (!kernels.empty()) {
+        EXPECT_STREQ(kernels.front().name, "aesni");
+    }
+    // The hw table carries the widest kernel, unless forced scalar.
+    const detail::HwOps *ops = detail::hwOps();
+    const char *active = "scalar";
+    if (ops != nullptr) {
+        ASSERT_FALSE(kernels.empty());
+        EXPECT_EQ(ops->gcmCryptBlocks, kernels.back().cryptBlocks);
+        EXPECT_EQ(ops->ctrBlocks, kernels.back().ctrBlocks);
+        active = kernels.back().name;
+    }
+    std::string names;
+    for (const detail::GcmKernel &k : kernels)
+        names += std::string(names.empty() ? "" : " ") + k.name;
+    const std::string &knob = util::Env::cryptoImpl();
+    std::printf("gcm kernels on this CPU: %s; ANIC_CRYPTO_IMPL=%s "
+                "selects %s\n",
+                names.empty() ? "(none)" : names.c_str(),
+                knob.empty() ? "auto" : knob.c_str(), active);
+}
+
+TEST(GcmKernels, GhashInitPowersMatchBitwise)
+{
+    const detail::HwOps *ops = detail::hwOpsIfSupported();
+    if (ops == nullptr)
+        GTEST_SKIP() << "hw crypto kernels not available on this host";
+    Rng rng(71);
+    for (int trial = 0; trial < 20; trial++) {
+        uint8_t h[16];
+        for (auto &b : h)
+            b = static_cast<uint8_t>(rng.next());
+        alignas(16) uint8_t hpow[detail::kGhashPowers][16];
+        ops->ghashInit(h, hpow);
+        // H^(i+1) by repeated bitwise multiplies, stored byte-reversed.
+        uint8_t p[16];
+        std::memcpy(p, h, 16);
+        for (size_t i = 0; i < detail::kGhashPowers; i++) {
+            if (i > 0)
+                Ghash::gf128MulBitwise(p, h, p);
+            uint8_t want[16];
+            for (int k = 0; k < 16; k++)
+                want[k] = p[15 - k];
+            EXPECT_EQ(0, std::memcmp(hpow[i], want, 16))
+                << "trial " << trial << " H^" << i + 1;
+        }
+    }
+}
+
+/**
+ * One bulk GCM kernel by name, checked block for block against the
+ * scalar AES and GHASH; skips when this CPU or build lacks it.
+ */
+class GcmKernelTest : public ::testing::TestWithParam<const char *>
+{
+  protected:
+    static constexpr size_t kMaxBlocks = 64;
+    static constexpr uint32_t kFirstCounter = 0xfffffff0u;
+
+    void
+    SetUp() override
+    {
+        for (const detail::GcmKernel &k : detail::gcmKernels()) {
+            if (std::strcmp(k.name, GetParam()) == 0)
+                kernel_ = &k;
+        }
+        if (kernel_ == nullptr) {
+            if (!hwCryptoSupported())
+                GTEST_SKIP() << GetParam() << " kernel untested: hw crypto "
+                             << "kernels not compiled in or CPU lacks AES-NI/"
+                                "PCLMUL/SSE4.2";
+            if (std::strcmp(GetParam(), "vaes") == 0 &&
+                !cpuFeatures().vaes512)
+                GTEST_SKIP() << "vaes kernel untested: CPU lacks AVX-512F/"
+                                "BW/VL + VAES + VPCLMULQDQ";
+            GTEST_SKIP() << GetParam() << " kernel untested: not compiled in";
+        }
+        Bytes key(16);
+        fillDeterministic(key, 81, 0);
+        aes_.setKey(key);
+        aes_.exportRoundKeys(rk_);
+        uint8_t zero[16] = {0};
+        aes_.encryptBlock(zero, h_);
+        detail::hwOpsIfSupported()->ghashInit(h_, hpow_);
+        fillDeterministic(ByteSpan(iv_, 12), 82, 0);
+        src_.resize(kMaxBlocks * 16);
+        fillDeterministic(src_, 83, 0);
+    }
+
+    /** Scalar keystream block for 32-bit counter value @p c. */
+    void
+    keystream(uint32_t c, uint8_t ks[16]) const
+    {
+        uint8_t cb[16];
+        std::memcpy(cb, iv_, 12);
+        putBe32(cb + 12, c);
+        aes_.encryptBlock(cb, ks);
+    }
+
+    const detail::GcmKernel *kernel_ = nullptr;
+    Aes128 aes_;
+    alignas(16) uint8_t rk_[Aes128::kRounds + 1][16];
+    uint8_t h_[16];
+    alignas(16) uint8_t hpow_[detail::kGhashPowers][16];
+    uint8_t iv_[12];
+    Bytes src_; // kMaxBlocks blocks of input
+};
+
+TEST_P(GcmKernelTest, CryptBlocksMatchesScalar)
+{
+    // Scalar results for every start counter and direction, over all
+    // kMaxBlocks blocks: output bytes are a prefix property, the
+    // GHASH accumulator is kept after every block.
+    struct Ref
+    {
+        Bytes out;
+        uint8_t y[kMaxBlocks + 1][16];
+    };
+    std::vector<Ref> refs(32);
+    Ghash prefix;
+    prefix.setH(h_, CryptoImpl::Scalar);
+    uint8_t p[16];
+    fillDeterministic(ByteSpan(p, 16), 84, 0);
+    prefix.absorbBlock(p); // a nonzero starting accumulator
+    for (uint32_t k = 0; k < 16; k++) {
+        for (int enc = 0; enc < 2; enc++) {
+            Ref &r = refs[2 * k + enc];
+            r.out.resize(src_.size());
+            Ghash g = prefix;
+            g.digest(r.y[0]);
+            for (size_t j = 0; j < kMaxBlocks; j++) {
+                uint8_t ks[16];
+                keystream(kFirstCounter + k + 1 + static_cast<uint32_t>(j),
+                          ks);
+                for (int b = 0; b < 16; b++)
+                    r.out[16 * j + b] = src_[16 * j + b] ^ ks[b];
+                g.absorbBlock(enc ? &r.out[16 * j] : &src_[16 * j]);
+                g.digest(r.y[j + 1]);
+            }
+        }
+    }
+
+    // Every block count (each 16/12/8/4-block step and every tail
+    // under 4), every in and out offset 0-63, in place and out of
+    // place, both directions, and each start counter near the wrap.
+    // Buffers are sized exactly, so sanitizers see any overrun.
+    for (size_t nblk = 0; nblk <= kMaxBlocks; nblk++) {
+        const size_t len = 16 * nblk;
+        for (size_t off = 0; off < 64; off++) {
+            const uint32_t k = static_cast<uint32_t>((nblk + off) % 16);
+            for (int inPlace = 0; inPlace < 2; inPlace++) {
+                for (int enc = 0; enc < 2; enc++) {
+                    const Ref &r = refs[2 * k + enc];
+                    const size_t outOff = inPlace ? off : (off * 37 + 11) % 64;
+                    Bytes inBuf(off + len);
+                    std::copy_n(src_.begin(), len, inBuf.begin() + off);
+                    Bytes outBuf(inPlace ? 0 : outOff + len);
+                    uint8_t *out = inPlace ? inBuf.data() + off
+                                           : outBuf.data() + outOff;
+                    uint8_t ctr[16];
+                    std::memcpy(ctr, iv_, 12);
+                    putBe32(ctr + 12, kFirstCounter + k);
+                    uint8_t y[16];
+                    std::memcpy(y, r.y[0], 16);
+
+                    kernel_->cryptBlocks(rk_, hpow_, ctr, y,
+                                         inBuf.data() + off, out, nblk,
+                                         enc != 0);
+
+                    SCOPED_TRACE(::testing::Message()
+                                 << "nblk=" << nblk << " off=" << off
+                                 << " outOff=" << outOff << " inPlace="
+                                 << inPlace << " enc=" << enc << " ctr=0x"
+                                 << std::hex << kFirstCounter + k);
+                    // std::equal, not memcmp: out is null when len is 0.
+                    ASSERT_TRUE(std::equal(out, out + len, r.out.begin()));
+                    ASSERT_EQ(0, std::memcmp(y, r.y[nblk], 16));
+                    ASSERT_EQ(0, std::memcmp(ctr, iv_, 12));
+                    ASSERT_EQ(getBe32(ctr + 12),
+                              kFirstCounter + k +
+                                  static_cast<uint32_t>(nblk));
+                }
+            }
+        }
+    }
+}
+
+TEST_P(GcmKernelTest, CtrBlocksMatchesScalar)
+{
+    // Block j uses (uint32)(counter + j), so counters from 0xfffffff0
+    // wrap inside the first 16-block step.
+    std::vector<Bytes> refs(16);
+    for (uint32_t k = 0; k < 16; k++) {
+        refs[k].resize(src_.size());
+        for (size_t j = 0; j < kMaxBlocks; j++) {
+            uint8_t ks[16];
+            keystream(kFirstCounter + k + static_cast<uint32_t>(j), ks);
+            for (int b = 0; b < 16; b++)
+                refs[k][16 * j + b] = src_[16 * j + b] ^ ks[b];
+        }
+    }
+    for (size_t nblk = 0; nblk <= kMaxBlocks; nblk++) {
+        const size_t len = 16 * nblk;
+        for (size_t off = 0; off < 64; off++) {
+            const uint32_t k = static_cast<uint32_t>((nblk + off) % 16);
+            for (int inPlace = 0; inPlace < 2; inPlace++) {
+                const size_t outOff = inPlace ? off : (off * 37 + 11) % 64;
+                Bytes inBuf(off + len);
+                std::copy_n(src_.begin(), len, inBuf.begin() + off);
+                Bytes outBuf(inPlace ? 0 : outOff + len);
+                uint8_t *out =
+                    inPlace ? inBuf.data() + off : outBuf.data() + outOff;
+
+                kernel_->ctrBlocks(rk_, iv_, uint64_t{kFirstCounter} + k,
+                                   inBuf.data() + off, out, nblk);
+
+                ASSERT_TRUE(std::equal(out, out + len, refs[k].begin()))
+                    << "nblk=" << nblk << " off=" << off
+                    << " outOff=" << outOff << " inPlace=" << inPlace
+                    << " counter=0x" << std::hex << kFirstCounter + k;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GcmKernelTest,
+                         ::testing::Values("aesni", "vaes"),
                          [](const auto &info) {
                              return std::string(info.param);
                          });
