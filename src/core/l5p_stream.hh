@@ -205,6 +205,9 @@ class L5pStream : protected L5pCallbacks
     /** The l5o_create handle (null without offload). */
     L5Offload *offload() { return l5o_; }
 
+    /** The tx-message map (introspection). */
+    const TxMsgTracker &txMsgs() const { return txMap_; }
+
     /** FSM stats of the rx offload, if any. */
     const nic::FsmStats *
     rxFsmStats() const

@@ -150,10 +150,11 @@ StorageEndpoint::flushSendQueue()
                        e.msg);
             e.added = true;
         }
-        // e is not touched past send(): a push may move ring elements.
-        ByteView rest = ByteView(*e.msg).subspan(sendqOff_);
-        size_t sent = sock_.send(rest);
-        if (sent < rest.size()) {
+        // e is not touched past sendShared(): a push may move ring
+        // elements.
+        size_t rest = e.msg->size() - sendqOff_;
+        size_t sent = sock_.sendShared(e.msg, sendqOff_);
+        if (sent < rest) {
             sendqOff_ += sent;
             return; // transport full; resume on writable
         }

@@ -26,12 +26,12 @@ class Core;
 namespace anic::tcp {
 
 /**
- * Byte storage for an RxSegment. On the in-order fast path it is a
- * zero-copy view into the delivering packet's payload, pinning the
- * pooled packet alive for as long as the segment exists; reassembled
- * or transformed data (out-of-order drains, software TLS decrypt)
- * owns its bytes instead. The read interface mimics a const byte
- * vector so consumers are agnostic to which mode backs the data.
+ * Byte storage for an RxSegment. As TCP delivers it, in order or
+ * from its out-of-order queue, it is a zero-copy view into the
+ * arriving packet's payload, pinning the pooled packet alive for as
+ * long as the segment exists; transformed data (software TLS
+ * decrypt) owns its bytes instead. The read interface mimics a const
+ * byte vector so consumers are agnostic to which mode backs the data.
  */
 class SegmentBuffer
 {
@@ -56,22 +56,11 @@ class SegmentBuffer
         view_ = owned_;
     }
 
-    template <typename It>
+    /** Drops the first @p n bytes from the view. */
     void
-    assign(It first, It last)
+    dropFront(size_t n)
     {
-        owned_.assign(first, last);
-        pkt_.reset();
-        view_ = owned_;
-    }
-
-    /** Takes ownership of @p b without copying. */
-    void
-    adopt(Bytes &&b)
-    {
-        owned_ = std::move(b);
-        pkt_.reset();
-        view_ = owned_;
+        view_ = view_.subspan(n);
     }
 
     // Copies deep-copy owned bytes so the view never dangles; moves
@@ -138,6 +127,18 @@ class StreamSocket
      * many were accepted (0 when the send buffer is full).
      */
     virtual size_t send(ByteView data) = 0;
+
+    /**
+     * send() of @p msg from @p off, for a message its sender keeps
+     * unchanged until it is acked (an L5P message): a transport that
+     * holds unacked bytes may hold a reference to @p msg instead of a
+     * copy. The default copies.
+     */
+    virtual size_t
+    sendShared(const SharedBytes &msg, size_t off)
+    {
+        return send(ByteView(*msg).subspan(off));
+    }
 
     /** Free space in the send buffer. */
     virtual size_t sendSpace() const = 0;

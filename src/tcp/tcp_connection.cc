@@ -19,44 +19,78 @@ TcpConnection::count(sim::Counter TcpStats::*m, uint64_t n)
     (stack_.agg_.*m) += n;
 }
 
-// --------------------------------------------------------------- SendRing
+// -------------------------------------------------------------- SendQueue
 
 size_t
-SendRing::push(ByteView data)
+SendQueue::push(const SharedBytes &msg, size_t off)
 {
-    if (buf_.empty())
-        buf_.resize(capacity_); // lazy: idle connections stay small
+    ANIC_ASSERT(off <= msg->size());
+    size_t n = std::min(space(), msg->size() - off);
+    if (n > 0) {
+        q_.push_back(Piece{msg, static_cast<uint32_t>(off),
+                           static_cast<uint32_t>(n)});
+        size_ += static_cast<uint32_t>(n);
+    }
+    return n;
+}
+
+size_t
+SendQueue::pushCopy(ByteView data)
+{
     size_t n = std::min(space(), data.size());
-    size_t tail = (head_ + size_) % buf_.size();
-    size_t first = std::min(n, buf_.size() - tail);
-    std::memcpy(buf_.data() + tail, data.data(), first);
-    if (n > first)
-        std::memcpy(buf_.data(), data.data() + first, n - first);
-    size_ += n;
+    for (size_t done = 0; done < n;) {
+        ByteView part = data.subspan(done, std::min(n - done, kMaxCopyPiece));
+        done += push(std::make_shared<const Bytes>(part.begin(), part.end()),
+                     0);
+    }
     return n;
 }
 
 void
-SendRing::copyOut(size_t relOff, ByteSpan out) const
+SendQueue::gather(size_t relOff, ByteSpan out)
 {
-    ANIC_ASSERT(relOff + out.size() <= size_, "copyOut beyond ring data");
+    ANIC_ASSERT(relOff + out.size() <= size_, "gather beyond queued data");
     if (out.empty())
         return;
-    size_t pos = (head_ + relOff) % buf_.size();
-    size_t first = std::min(out.size(), buf_.size() - pos);
-    std::memcpy(out.data(), buf_.data() + pos, first);
-    if (out.size() > first)
-        std::memcpy(out.data() + first, buf_.data(), out.size() - first);
+    if (relOff < curStart_) {
+        curIdx_ = 0;
+        curStart_ = 0;
+    }
+    while (relOff >= curStart_ + q_[curIdx_].len)
+        curStart_ += q_[curIdx_++].len;
+    size_t pos = relOff - curStart_;
+    for (size_t i = curIdx_, done = 0; done < out.size(); i++, pos = 0) {
+        const Piece &p = q_[i];
+        size_t n = std::min<size_t>(p.len - pos, out.size() - done);
+        std::memcpy(out.data() + done, p.buf->data() + p.off + pos, n);
+        done += n;
+    }
 }
 
 void
-SendRing::popFront(size_t n)
+SendQueue::popFront(size_t n)
 {
     ANIC_ASSERT(n <= size_);
-    if (n == 0)
-        return;
-    head_ = (head_ + n) % buf_.size();
-    size_ -= n;
+    size_ -= static_cast<uint32_t>(n);
+    size_t popped = 0; // pieces released
+    for (size_t left = n; left > 0;) {
+        Piece &p = q_.front();
+        if (left < p.len) {
+            p.off += static_cast<uint32_t>(left);
+            p.len -= static_cast<uint32_t>(left);
+            break;
+        }
+        left -= p.len;
+        q_.pop_front();
+        popped++;
+    }
+    if (curIdx_ < popped) {
+        curIdx_ = 0;
+        curStart_ = 0;
+    } else {
+        curIdx_ -= popped;
+        curStart_ = curIdx_ == 0 ? 0 : curStart_ - static_cast<uint32_t>(n);
+    }
 }
 
 // --------------------------------------------------------- helper: meta
@@ -93,7 +127,7 @@ TcpConnection::TcpConnection(TcpStack &stack, host::Core &core,
       core_(core),
       cfg_(cfg),
       local_(local),
-      sndRing_(cfg.sndBufSize),
+      sndQueue_(cfg.sndBufSize),
       iss_(iss),
       sndUna_(iss),
       sndNxt_(iss),
@@ -116,19 +150,36 @@ TcpConnection::sndLimit() const
     return wnd;
 }
 
-size_t
-TcpConnection::send(ByteView data)
+bool
+TcpConnection::sendOpen() const
 {
     if (state_ != State::Established && state_ != State::CloseWait)
-        return 0;
+        return false;
     ANIC_ASSERT(!finQueued_, "send() after close()");
-    size_t n = sndRing_.push(data);
+    return true;
+}
+
+size_t
+TcpConnection::queued(size_t n)
+{
     bytesAccepted_ += n;
     size_t threshold = std::max<size_t>(cfg_.mss, cfg_.sndBufSize / 3);
-    writableSignaled_ = sndRing_.space() >= threshold;
+    writableSignaled_ = sndQueue_.space() >= threshold;
     if (n > 0)
         trySend();
     return n;
+}
+
+size_t
+TcpConnection::send(ByteView data)
+{
+    return sendOpen() ? queued(sndQueue_.pushCopy(data)) : 0;
+}
+
+size_t
+TcpConnection::sendShared(const SharedBytes &msg, size_t off)
+{
+    return sendOpen() ? queued(sndQueue_.push(msg, off)) : 0;
 }
 
 RxSegment
@@ -296,13 +347,13 @@ TcpConnection::processAck(const net::TcpHeader &h)
         }
 
         // The FIN, if sent and covered by this ack, consumed one
-        // sequence number that has no ring bytes behind it.
+        // sequence number that has no queued bytes behind it.
         uint32_t dataAcked = acked;
         bool finAcked = finSent_ && ack == sndNxt_;
         if (finAcked && dataAcked > 0)
             dataAcked--;
-        dataAcked = std::min<uint32_t>(dataAcked, sndRing_.size());
-        sndRing_.popFront(dataAcked);
+        dataAcked = std::min<uint32_t>(dataAcked, sndQueue_.size());
+        sndQueue_.popFront(dataAcked);
         sndUna_ = ack;
         rtoBackoff_ = 0;
         dupAcks_ = 0;
@@ -331,7 +382,7 @@ TcpConnection::processAck(const net::TcpHeader &h)
                 // NewReno partial ack: retransmit the next hole.
                 uint32_t len = std::min<uint32_t>(
                     cfg_.mss, std::min<uint32_t>(flightSize(),
-                                                 sndRing_.size()));
+                                                 sndQueue_.size()));
                 if (len > 0) {
                     sendSegment(sndUna_, len, true);
                 }
@@ -366,7 +417,7 @@ TcpConnection::processAck(const net::TcpHeader &h)
         // waking the writer on every ack would make it dribble tiny
         // sends with full per-call overhead.
         size_t threshold = std::max<size_t>(cfg_.mss, cfg_.sndBufSize / 3);
-        bool above = sndRing_.space() >= threshold;
+        bool above = sndQueue_.space() >= threshold;
         if (onWritable_ && above && !writableSignaled_) {
             writableSignaled_ = true;
             onWritable_();
@@ -396,7 +447,7 @@ TcpConnection::enterFastRecovery()
     count(&TcpStats::fastRetransmits);
     stack_.sampleCongestion(cc_->cwnd(), cc_->ssthresh(), cfg_.mss);
     uint32_t len = std::min<uint32_t>(
-        cfg_.mss, std::min<uint32_t>(flightSize(), sndRing_.size()));
+        cfg_.mss, std::min<uint32_t>(flightSize(), sndQueue_.size()));
     if (len > 0)
         sendSegment(sndUna_, len, true);
     else if (finSent_)
@@ -439,10 +490,10 @@ TcpConnection::trySend()
     for (;;) {
         uint32_t limit = sndLimit();
         uint32_t flight = flightSize();
-        uint32_t data_end = sndUna_ + static_cast<uint32_t>(sndRing_.size());
+        uint32_t data_end = sndUna_ + static_cast<uint32_t>(sndQueue_.size());
         uint32_t unsent = seqGt(data_end, sndNxt_) ? seqDiff(data_end, sndNxt_)
                                                    : 0;
-        // Retransmitted FIN occupies flight but is past ring data.
+        // Retransmitted FIN occupies flight but is past queued data.
         if (finSent_)
             unsent = 0;
         if (unsent == 0)
@@ -460,7 +511,7 @@ TcpConnection::trySend()
 
     // Send FIN once all data has been transmitted at least once.
     if (finQueued_ && !finSent_ &&
-        sndNxt_ == sndUna_ + static_cast<uint32_t>(sndRing_.size())) {
+        sndNxt_ == sndUna_ + static_cast<uint32_t>(sndQueue_.size())) {
         sendFlagsPacket(kTcpFin | kTcpAck, sndNxt_, true);
         sndNxt_ += 1;
         finSent_ = true;
@@ -513,7 +564,7 @@ TcpConnection::sendSegment(uint32_t seq, uint32_t len, bool retransmission)
     th.seq = seq;
     th.ack = rcvNxt_;
     th.flags = kTcpAck | ecnAckFlags(true);
-    uint32_t data_end = sndUna_ + static_cast<uint32_t>(sndRing_.size());
+    uint32_t data_end = sndUna_ + static_cast<uint32_t>(sndQueue_.size());
     if (seq + len == data_end)
         th.flags |= kTcpPsh;
     uint64_t queued = rxQueuedBytes_ + oooBytes_;
@@ -521,10 +572,10 @@ TcpConnection::sendSegment(uint32_t seq, uint32_t len, bool retransmission)
                     ? 0
                     : static_cast<uint32_t>(cfg_.rcvBufSize - queued);
 
-    // Pooled packet, payload copied straight from the retransmission
-    // ring into the wire buffer (no intermediate allocation).
+    // Pooled packet, payload gathered straight from the queued pieces
+    // into the wire buffer (no intermediate allocation).
     net::PacketPtr pkt = stack_.pool().makeTcp(ip, th, len);
-    sndRing_.copyOut(seqDiff(seq, sndUna_), pkt->payloadMut());
+    sndQueue_.gather(seqDiff(seq, sndUna_), pkt->payloadMut());
     pkt->txCtx = txOffloadCtx_;
 
     core_.charge(core_.model().tcpTxPerPacket);
@@ -700,7 +751,7 @@ TcpConnection::onRtoFire(uint64_t generation)
     rtoBackoff_++;
 
     uint32_t len = std::min<uint32_t>(
-        cfg_.mss, std::min<uint32_t>(flightSize(), sndRing_.size()));
+        cfg_.mss, std::min<uint32_t>(flightSize(), sndQueue_.size()));
     if (len > 0)
         sendSegment(sndUna_, len, true);
     else if (finSent_)
@@ -749,7 +800,7 @@ TcpConnection::processData(const net::PacketPtr &pkt, const net::TcpHeader &h)
             auto it = ooo_.find(pos);
             if (it == ooo_.end() || it->second.data.size() < payload.size()) {
                 OooSegment seg;
-                seg.data.assign(payload.begin(), payload.end());
+                seg.data.bind(pkt, payload);
                 seg.meta = pkt->rx;
                 seg.fin = fin;
                 if (it != ooo_.end()) {
@@ -829,14 +880,8 @@ TcpConnection::drainOoo()
             size_t trim = static_cast<size_t>(rcvStreamOff_ - pos);
             size_t keep = seg.data.size() - trim;
             net::RxOffloadMeta meta = trimMeta(seg.meta, trim, keep);
-            SegmentBuffer buf;
-            if (trim == 0) {
-                // Whole buffered segment: hand its bytes over without
-                // another copy.
-                buf.adopt(std::move(seg.data));
-            } else {
-                buf.assign(ByteView(seg.data).subspan(trim, keep));
-            }
+            SegmentBuffer buf = std::move(seg.data);
+            buf.dropFront(trim);
             deliverSegment(rcvNxt_, std::move(buf), std::move(meta),
                            seg.fin);
         }

@@ -33,29 +33,66 @@ namespace anic::tcp {
 
 class TcpStack;
 
-/** Ring buffer holding unacknowledged send-stream bytes. */
-class SendRing
+/**
+ * The unacknowledged send stream, held by reference: a FIFO of pieces,
+ * each a range of an immutable shared buffer. An L5P message joins as
+ * one piece of the buffer it already keeps for tx context recovery, so
+ * it is copied only into the packet; send(ByteView) bytes are copied
+ * into pieces of at most kMaxCopyPiece. Pieces cover exactly the bytes
+ * not yet acked: an ack narrows the head piece and releases the pieces
+ * it covers, so an idle connection pins no payload. The capacity
+ * bounds the queued bytes, as a socket send buffer does.
+ */
+class SendQueue
 {
   public:
-    explicit SendRing(size_t capacity) : capacity_(capacity) {}
+    /** Largest piece a copying push makes: bounds what an acked but
+     *  still referenced head piece can pin. */
+    static constexpr size_t kMaxCopyPiece = 16 << 10;
+
+    explicit SendQueue(size_t capacity)
+        : capacity_(static_cast<uint32_t>(capacity))
+    {
+        ANIC_ASSERT(capacity <= INT32_MAX, "send buffer beyond TCP's window");
+    }
 
     size_t size() const { return size_; }
     size_t space() const { return capacity_ - size_; }
 
-    /** Appends up to data.size() bytes; returns bytes accepted. */
-    size_t push(ByteView data);
+    /** Appends up to msg->size() - off bytes of @p msg from @p off,
+     *  by reference; returns bytes accepted. */
+    size_t push(const SharedBytes &msg, size_t off);
 
-    /** Copies @p len bytes starting @p relOff bytes past the head. */
-    void copyOut(size_t relOff, ByteSpan out) const;
+    /** Appends up to data.size() bytes, copied; returns bytes accepted. */
+    size_t pushCopy(ByteView data);
+
+    /** Copies the out.size() bytes starting @p relOff past the head. */
+    void gather(size_t relOff, ByteSpan out);
 
     /** Drops @p n bytes from the head (they were acked). */
     void popFront(size_t n);
 
+    /** Queued pieces, and the buffer the @p i-th one references. */
+    size_t pieces() const { return q_.size(); }
+    const SharedBytes &buffer(size_t i) const { return q_[i].buf; }
+
   private:
-    size_t capacity_;
-    Bytes buf_; // allocated on first use
-    size_t head_ = 0;
-    size_t size_ = 0;
+    struct Piece
+    {
+        SharedBytes buf;
+        uint32_t off = 0; ///< first unacked byte in buf
+        uint32_t len = 0;
+    };
+
+    // 32-bit counts, which TCP's sequence space bounds anyway: this
+    // is per-flow state (DESIGN §15).
+    util::RingFifo<Piece> q_;
+    uint32_t capacity_;
+    uint32_t size_ = 0;
+    // gather() resumes here: segments go out in stream order, so a
+    // walk from the head is needed only after a retransmission.
+    uint32_t curIdx_ = 0;   ///< a piece index
+    uint32_t curStart_ = 0; ///< its first byte's offset past the head
 };
 
 /** Counters exposed for tests and benches. */
@@ -122,7 +159,8 @@ class TcpConnection : public StreamSocket
 
     // ------------------------------------------------ StreamSocket
     size_t send(ByteView data) override;
-    size_t sendSpace() const override { return sndRing_.space(); }
+    size_t sendShared(const SharedBytes &msg, size_t off) override;
+    size_t sendSpace() const override { return sndQueue_.space(); }
     void setOnWritable(std::function<void()> cb) override { onWritable_ = std::move(cb); }
     bool readable() const override { return !rxQueue_.empty(); }
     RxSegment pop() override;
@@ -176,10 +214,15 @@ class TcpConnection : public StreamSocket
     uint32_t sndUna() const { return sndUna_; }
     uint32_t rcvNxt() const { return rcvNxt_; }
     size_t rxQueuedBytes() const { return rxQueuedBytes_; }
+    const SendQueue &sendQueue() const { return sndQueue_; }
     const Config &config() const { return cfg_; }
 
   private:
     // Transmit machinery.
+    /** Whether send() may queue data now. */
+    bool sendOpen() const;
+    /** Bookkeeping after @p n bytes joined the send queue. */
+    size_t queued(size_t n);
     void trySend();
     bool sendSegment(uint32_t seq, uint32_t len, bool retransmission);
     void sendFlagsPacket(uint8_t flags, uint32_t seq, bool withAck);
@@ -243,7 +286,7 @@ class TcpConnection : public StreamSocket
     State state_ = State::Closed;
 
     // --- send state
-    SendRing sndRing_;
+    SendQueue sndQueue_;
     uint32_t iss_ = 0;
     uint32_t sndUna_ = 0;
     uint32_t sndNxt_ = 0;
@@ -293,7 +336,7 @@ class TcpConnection : public StreamSocket
     size_t rxQueuedBytes_ = 0;
     struct OooSegment
     {
-        Bytes data;
+        SegmentBuffer data; ///< pins the packet it arrived in
         net::RxOffloadMeta meta;
         bool fin = false;
     };

@@ -212,25 +212,22 @@ TlsSocket::emitRecord(Bytes &&wire, ByteView plaintext, TxMode mode)
             ByteSpan(wire).subspan(kHeaderSize + plaintext.size(), kTagSize));
     }
 
-    // The record is immutable from here on. The NIC may need its
-    // pre-encryption bytes for context recovery on retransmission, so
-    // the tx-message map shares it until it is fully acked.
-    SharedBytes shared;
+    // The record is immutable from here on. TCP holds it by reference
+    // until it is acked, and the NIC may need its pre-encryption bytes
+    // for context recovery on retransmission, so the tx-message map
+    // shares it too.
+    SharedBytes rec = std::make_shared<const Bytes>(std::move(wire));
     if (txOffloaded()) {
-        shared = std::make_shared<const Bytes>(std::move(wire));
         txMap_.add(conn_->sndNextByteSeq(),
-                   static_cast<uint32_t>(shared->size()), txRecSeq_, shared);
+                   static_cast<uint32_t>(rec->size()), txRecSeq_, rec);
     }
     txRecSeq_++;
     count(&TlsStats::recordsTx);
     count(&TlsStats::plaintextBytesTx, plaintext.size());
 
-    ByteView rec = shared != nullptr ? ByteView(*shared) : ByteView(wire);
-    size_t acc = conn_->send(rec);
-    if (acc < rec.size()) {
-        staging_ = shared != nullptr
-                       ? std::move(shared)
-                       : std::make_shared<const Bytes>(std::move(wire));
+    size_t acc = conn_->sendShared(rec, 0);
+    if (acc < rec->size()) {
+        staging_ = std::move(rec);
         stagingOff_ = acc;
         return false;
     }
@@ -242,7 +239,7 @@ TlsSocket::flushStaging()
 {
     if (staging_ == nullptr)
         return;
-    stagingOff_ += conn_->send(ByteView(*staging_).subspan(stagingOff_));
+    stagingOff_ += conn_->sendShared(staging_, stagingOff_);
     if (stagingOff_ == staging_->size()) {
         staging_ = nullptr;
         stagingOff_ = 0;

@@ -198,7 +198,8 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pStream
     // --- tx state
     uint64_t txRecSeq_ = 0;
     /** A record TCP could not accept whole; [stagingOff_, end) is
-     *  still to send. Shared with txMap_ when the NIC encrypts. */
+     *  still to send. Shared with TCP's send queue, and with txMap_
+     *  when the NIC encrypts. */
     SharedBytes staging_;
     size_t stagingOff_ = 0;
     std::function<void()> onWritable_;

@@ -132,7 +132,7 @@ segment(const Bytes &stream, uint64_t off, size_t n)
 {
     tcp::RxSegment seg;
     seg.streamOff = off;
-    seg.data.assign(stream.begin() + off, stream.begin() + off + n);
+    seg.data.assign(ByteView(stream).subspan(off, n));
     return seg;
 }
 

@@ -29,6 +29,108 @@ TEST(SeqMath, WrapAroundComparisons)
     EXPECT_EQ(tcp::seqMin(0xfffffff0u, 0x10u), 0xfffffff0u);
 }
 
+// ----------------------------------------------------------- send queue
+
+/** A message holding stream bytes [off, off + n) of seed 91. */
+SharedBytes
+streamPart(uint64_t off, size_t n)
+{
+    Bytes b(n);
+    fillDeterministic(b, 91, off);
+    return std::make_shared<const Bytes>(std::move(b));
+}
+
+/** Whether gather(relOff) of @p n bytes reads the stream right, with
+ *  the first @p acked stream bytes popped. */
+bool
+gathersStream(tcp::SendQueue &q, uint64_t acked, size_t relOff, size_t n)
+{
+    Bytes out(n);
+    q.gather(relOff, out);
+    return checkDeterministic(out, 91, acked + relOff);
+}
+
+TEST(TcpSendQueue, GathersOneSegmentAcrossTwoPieces)
+{
+    tcp::SendQueue q(1 << 20);
+    SharedBytes a = streamPart(0, 1000);
+    EXPECT_EQ(q.push(a, 0), 1000u);
+    EXPECT_EQ(q.push(streamPart(1000, 700), 0), 700u);
+    EXPECT_EQ(q.pieces(), 2u);
+    EXPECT_EQ(q.buffer(0).get(), a.get()); // referenced, not copied
+    EXPECT_TRUE(gathersStream(q, 0, 500, 1000));
+    EXPECT_TRUE(gathersStream(q, 0, 0, 1700));
+}
+
+TEST(TcpSendQueue, GathersOneSegmentAcrossThreePieces)
+{
+    tcp::SendQueue q(1 << 20);
+    q.push(streamPart(0, 1000), 0);
+    q.push(streamPart(1000, 700), 0);
+    q.push(streamPart(1700, 2500), 0);
+    EXPECT_EQ(q.size(), 4200u);
+    EXPECT_TRUE(gathersStream(q, 0, 900, 1460)); // 100 + 700 + 660
+    EXPECT_TRUE(gathersStream(q, 0, 2360, 1460));
+}
+
+TEST(TcpSendQueue, RetransmissionStartsInsideAPartlyAckedPiece)
+{
+    tcp::SendQueue q(1 << 20);
+    q.push(streamPart(0, 1000), 0);
+    q.push(streamPart(1000, 700), 0);
+    q.push(streamPart(1700, 2500), 0);
+    // First transmissions move the gather cursor to the last piece.
+    for (size_t off = 0; off < 4200; off += 1460) {
+        EXPECT_TRUE(
+            gathersStream(q, 0, off, std::min<size_t>(1460, 4200 - off)));
+    }
+
+    q.popFront(1200); // ends 200 bytes into the second piece
+    EXPECT_EQ(q.pieces(), 2u);
+    EXPECT_EQ(q.size(), 3000u);
+    EXPECT_TRUE(gathersStream(q, 1200, 0, 1460)); // the retransmission
+    EXPECT_TRUE(gathersStream(q, 1200, 1460, 1460));
+
+    q.popFront(500); // releases the second piece exactly
+    EXPECT_EQ(q.pieces(), 1u);
+    EXPECT_TRUE(gathersStream(q, 1700, 1000, 1500));
+    EXPECT_TRUE(gathersStream(q, 1700, 0, 1460));
+    q.popFront(2500);
+    EXPECT_EQ(q.pieces(), 0u);
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(TcpSendQueue, PushTakesOnlyWhatFits)
+{
+    tcp::SendQueue q(3000);
+    SharedBytes m = streamPart(0, 5000);
+    EXPECT_EQ(q.push(m, 0), 3000u);
+    EXPECT_EQ(q.space(), 0u);
+    EXPECT_EQ(q.push(m, 3000), 0u);
+    q.popFront(2500);
+    EXPECT_EQ(q.push(m, 3000), 2000u);
+    EXPECT_EQ(q.pieces(), 2u); // both pieces of one message
+    EXPECT_TRUE(gathersStream(q, 2500, 0, 2500));
+}
+
+TEST(TcpSendQueue, CopyingPushMakesBoundedPieces)
+{
+    constexpr size_t kMax = tcp::SendQueue::kMaxCopyPiece;
+    tcp::SendQueue q(1 << 20);
+    Bytes data(2 * kMax + 7232);
+    fillDeterministic(data, 91, 0);
+    EXPECT_EQ(q.pushCopy(data), data.size());
+    ASSERT_EQ(q.pieces(), 3u);
+    for (size_t i = 0; i < q.pieces(); i++)
+        EXPECT_LE(q.buffer(i)->size(), kMax);
+    EXPECT_TRUE(gathersStream(q, 0, kMax - 100, 1460));
+    EXPECT_TRUE(gathersStream(q, 0, 0, data.size()));
+
+    tcp::SendQueue small(30000);
+    EXPECT_EQ(small.pushCopy(data), 30000u);
+    EXPECT_EQ(small.pieces(), 2u);
+}
+
 // ------------------------------------------------------ test application
 
 /** Sends a deterministic byte stream and verifies it at the sink. */
@@ -101,6 +203,49 @@ struct BulkSender
             if (sent >= total && closeWhenDone)
                 s.close();
         });
+    }
+};
+
+/** Sends totalBytes as msgBytes-sized messages through sendShared(),
+ *  resuming a partly accepted message where TCP stopped. */
+struct SharedSender
+{
+    uint64_t seed;
+    uint64_t total;
+    size_t msgBytes;
+    bool closeWhenDone = false;
+    uint64_t sent = 0;
+    SharedBytes msg = nullptr; ///< the message being sent
+    size_t msgOff = 0;
+    size_t firstAccepted = 0;
+
+    void
+    pump(tcp::StreamSocket &s)
+    {
+        while (sent < total) {
+            if (msg == nullptr) {
+                Bytes b(std::min<uint64_t>(msgBytes, total - sent));
+                fillDeterministic(b, seed, sent);
+                msg = std::make_shared<const Bytes>(std::move(b));
+                msgOff = 0;
+            }
+            size_t acc = s.sendShared(msg, msgOff);
+            if (sent == 0)
+                firstAccepted = acc;
+            msgOff += acc;
+            sent += acc;
+            if (msgOff < msg->size())
+                return; // resumes on writable
+            msg = nullptr;
+        }
+        if (closeWhenDone)
+            s.close();
+    }
+
+    void
+    attach(tcp::StreamSocket &s)
+    {
+        s.setOnWritable([this, &s] { pump(s); });
     }
 };
 
@@ -662,6 +807,107 @@ TEST(TcpMeta, SegmentsPreserveStreamOffsets)
         expect += s.data.size();
     }
     EXPECT_EQ(expect, 10000u);
+}
+
+TEST(TcpSendShared, PartlyAcceptedAtAFullQueueThenTheRest)
+{
+    TwoHostWorld w;
+    TcpConnection::Config ccfg;
+    ccfg.sndBufSize = 8192;
+    BulkReceiver rx{61};
+    SharedSender tx{61, 50000, 50000};
+    w.stackB->listen(80, {}, [&](TcpConnection &c) { rx.attach(c); });
+    TcpConnection &c = w.stackA->connect(TwoHostWorld::kIpA,
+                                         TwoHostWorld::kIpB, 80, ccfg);
+    tx.attach(c);
+    c.setOnConnected([&] {
+        c.core().post([&] {
+            tx.pump(c);
+            // Only the first 8 KiB fit, as a reference to the message.
+            EXPECT_EQ(tx.firstAccepted, 8192u);
+            EXPECT_EQ(c.sendQueue().pieces(), 1u);
+            EXPECT_EQ(c.sendQueue().buffer(0).get(), tx.msg.get());
+        });
+    });
+    w.sim.runUntil(500 * sim::kMillisecond);
+    EXPECT_EQ(tx.sent, 50000u);
+    EXPECT_EQ(rx.received, 50000u);
+    EXPECT_FALSE(rx.corrupt);
+    EXPECT_EQ(c.sendQueue().pieces(), 0u);
+}
+
+TEST(TcpSendShared, FinFollowsReferencedData)
+{
+    TwoHostWorld w;
+    BulkReceiver rx{62};
+    SharedSender tx{62, 30000, 30000};
+    tx.closeWhenDone = true;
+    w.stackB->listen(80, {}, [&](TcpConnection &c) { rx.attach(c); });
+    TcpConnection &c =
+        w.stackA->connect(TwoHostWorld::kIpA, TwoHostWorld::kIpB, 80, {});
+    c.setOnConnected([&] {
+        c.core().post([&] {
+            tx.pump(c); // the whole message, then the FIN
+            EXPECT_EQ(tx.sent, 30000u);
+        });
+    });
+    w.sim.runUntil(10 * sim::kMillisecond);
+    EXPECT_EQ(rx.received, 30000u);
+    EXPECT_FALSE(rx.corrupt);
+    EXPECT_TRUE(rx.peerClosed);
+    // The FIN was acked too, and nothing still pins the message.
+    EXPECT_EQ(c.state(), TcpConnection::State::FinWait2);
+    EXPECT_EQ(c.sendQueue().size(), 0u);
+    EXPECT_EQ(c.sendQueue().pieces(), 0u);
+}
+
+TEST(TcpSendShared, LossyLinkDeliversOddSizedMessagesExactly)
+{
+    // Messages of 5003 bytes against 1460-byte segments: acks end
+    // inside pieces, and retransmissions start inside them.
+    net::Link::Config lc;
+    lc.dir[0].lossRate = 0.02;
+    lc.dir[0].reorderRate = 0.01;
+    lc.dir[1].lossRate = 0.01;
+    lc.seed = 63;
+    TwoHostWorld w(lc);
+    BulkReceiver rx{63};
+    SharedSender tx{63, 1 << 20, 5003};
+    tx.closeWhenDone = true;
+    w.stackB->listen(80, {}, [&](TcpConnection &c) { rx.attach(c); });
+    TcpConnection &c =
+        w.stackA->connect(TwoHostWorld::kIpA, TwoHostWorld::kIpB, 80, {});
+    tx.attach(c);
+    c.setOnConnected([&] { c.core().post([&] { tx.pump(c); }); });
+    w.sim.runUntil(5 * sim::kSecond);
+    EXPECT_EQ(rx.received, 1u << 20);
+    EXPECT_FALSE(rx.corrupt);
+    EXPECT_TRUE(rx.peerClosed);
+    EXPECT_GT(c.stats().retransmits, 0u);
+    EXPECT_EQ(c.sendQueue().pieces(), 0u);
+}
+
+TEST(TcpBulk, LargeCopyingSendIsSplitIntoPieces)
+{
+    constexpr size_t kLen = 100000;
+    TwoHostWorld w;
+    BulkReceiver rx{64};
+    w.stackB->listen(80, {}, [&](TcpConnection &c) { rx.attach(c); });
+    TcpConnection &c =
+        w.stackA->connect(TwoHostWorld::kIpA, TwoHostWorld::kIpB, 80, {});
+    c.setOnConnected([&] {
+        c.core().post([&] {
+            Bytes b(kLen);
+            fillDeterministic(b, 64, 0);
+            EXPECT_EQ(c.send(b), kLen);
+            // ceil(100000 / 16 KiB) pieces, none acked yet.
+            EXPECT_EQ(c.sendQueue().pieces(), 7u);
+        });
+    });
+    w.sim.runUntil(100 * sim::kMillisecond);
+    EXPECT_EQ(rx.received, kLen);
+    EXPECT_FALSE(rx.corrupt);
+    EXPECT_EQ(c.sendQueue().pieces(), 0u);
 }
 
 } // namespace

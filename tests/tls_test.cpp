@@ -212,6 +212,70 @@ TEST(TlsTxOffload, RetransmissionRecoversContext)
     EXPECT_GT(p.client->stats().txMsgStateUpcalls, 0u);
 }
 
+TEST(TlsTxOffload, TcpQueuesTheBufferTheTxMapHolds)
+{
+    // A record is one buffer from build to last ack: TCP's send queue
+    // references the one the tx-message map keeps for context
+    // recovery, not a copy of it.
+    core::Testbed w;
+    TlsConfig ccfg;
+    ccfg.txOffload = true;
+    TlsPipe p(w, ccfg, {}, 0);
+    w.sim.runUntil(10 * sim::kMillisecond);
+    ASSERT_NE(p.client, nullptr);
+    tcp::TcpConnection &conn = p.client->connection();
+    uint32_t seq = conn.sndNextByteSeq();
+
+    Bytes plain(4000);
+    fillDeterministic(plain, TlsPipe::kSeed, 0);
+    ASSERT_EQ(p.client->send(plain), plain.size());
+    ASSERT_EQ(conn.sendQueue().pieces(), 1u);
+    const core::TxMsgTracker::Entry *e = p.client->txMsgs().find(seq);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(conn.sendQueue().buffer(0).get(), e->msg.get());
+    EXPECT_EQ(e->msg->size(), tls::kHeaderSize + plain.size() + tls::kTagSize);
+
+    w.sim.runFor(50 * sim::kMillisecond);
+    EXPECT_EQ(p.received, plain.size());
+    EXPECT_FALSE(p.corrupt);
+    EXPECT_EQ(p.server->stats().tagFailures, 0u);
+}
+
+TEST(TlsTxOffload, AllAckedHoldsNoPayload)
+{
+    // Under loss, records are held by TCP's queue, the tx-message map
+    // and the NIC's resync descriptors. Once every byte is acked, none
+    // of them holds a record.
+    net::Link::Config lc;
+    lc.dir[0].lossRate = 0.02;
+    lc.seed = 11;
+    core::Testbed w({.link = lc});
+    TlsConfig ccfg;
+    ccfg.txOffload = true;
+    TlsPipe p(w, ccfg, {}, 1 << 20);
+    std::vector<std::weak_ptr<const Bytes>> queued;
+    for (int i = 1; i <= 200; i++) {
+        w.sim.runUntil(i * 20 * sim::kMicrosecond);
+        if (p.client == nullptr)
+            continue;
+        const tcp::SendQueue &q = p.client->connection().sendQueue();
+        for (size_t j = 0; j < q.pieces(); j++)
+            queued.push_back(q.buffer(j));
+    }
+    ASSERT_FALSE(queued.empty());
+    w.sim.runUntil(3 * sim::kSecond);
+    EXPECT_EQ(p.received, 1u << 20);
+    EXPECT_FALSE(p.corrupt);
+    EXPECT_GT(w.a.nicDev().stats().txResyncs, 0u);
+
+    const tcp::TcpConnection &conn = p.client->connection();
+    EXPECT_EQ(conn.sndUna(), conn.sndNextByteSeq());
+    EXPECT_EQ(conn.sendQueue().pieces(), 0u);
+    EXPECT_TRUE(p.client->txMsgs().empty());
+    for (const std::weak_ptr<const Bytes> &rec : queued)
+        EXPECT_TRUE(rec.expired());
+}
+
 TEST(TlsRxOffload, CleanLinkFullyOffloadsEverything)
 {
     core::Testbed w;
