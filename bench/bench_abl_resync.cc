@@ -36,8 +36,7 @@ run(sim::RunContext &ctx, double loss, double reorder, size_t recordSize)
     lc.dir[0].lossRate = loss;
     lc.dir[0].reorderRate = reorder;
     lc.seed = 91;
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(2)
                   .generatorCores(8)
                   .pageCache()

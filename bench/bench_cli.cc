@@ -100,6 +100,12 @@ makeBenchSink(std::string jsonPath)
     };
 }
 
+void
+flushRun(sim::RunContext &ctx)
+{
+    makeBenchSink("")(ctx.takeOutput());
+}
+
 Sweep::Sweep(std::string bench, const BenchOptions &opt)
     : bench_(std::move(bench)), opt_(opt),
       runner_(sim::JobRunner::Config{opt.jobs, opt.runConfig(),

@@ -53,6 +53,11 @@ BenchOptions parseBenchCli(int argc, char **argv);
  *  file, snapshots -> ANIC_SNAPSHOT_DIR, trace dump -> ANIC_TRACE_FILE. */
 sim::JobRunner::Sink makeBenchSink(std::string jsonPath);
 
+/** Writes what @p ctx has buffered through the bench sink now: for
+ *  single-run tools (the examples, bench_crypto_micro) that run their
+ *  one context without a JobRunner. */
+void flushRun(sim::RunContext &ctx);
+
 /**
  * One bench sweep: submit each data point as an independent job; the
  * human table is printed by the bench after drain() from per-point

@@ -5,9 +5,8 @@ namespace anic::bench {
 NginxResult
 runNginx(sim::RunContext &ctx, const NginxParams &p)
 {
-    ExperimentBuilder b;
-    b.run(ctx)
-        .serverCores(p.serverCores)
+    ExperimentBuilder b(ctx);
+    b.serverCores(p.serverCores)
         .generatorCores(p.generatorCores)
         .link(p.link)
         .serverSndBuf(p.serverSndBuf)

@@ -22,13 +22,12 @@
 #include <cstring>
 #include <vector>
 
-#include "bench_json.hh"
+#include "bench_cli.hh"
 #include "crypto/aes.hh"
 #include "crypto/cpu.hh"
 #include "crypto/crc32c.hh"
 #include "crypto/gcm.hh"
 #include "crypto/kernels.hh"
-#include "crypto/sha1.hh"
 #include "util/bytes.hh"
 
 namespace {
@@ -159,17 +158,6 @@ BM_PayloadCheck(benchmark::State &state, const util::PayloadKernel *k)
 }
 
 void
-BM_Sha1(benchmark::State &state)
-{
-    Bytes data(16384);
-    fillDeterministic(data, 4, 0);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(Sha1::compute(data));
-    }
-    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 16384);
-}
-
-void
 registerAll()
 {
     for (const detail::Crc32cKernel &k : detail::crc32cKernels()) {
@@ -203,7 +191,6 @@ registerAll()
             ->Arg(1448)
             ->Arg(65536);
     }
-    benchmark::RegisterBenchmark("BM_Sha1", BM_Sha1);
 }
 
 // --------------------------------------------------------- summary
@@ -240,16 +227,16 @@ crcThroughput(const detail::Crc32cKernel &k, size_t len)
 }
 
 void
-speedupSummary()
+speedupSummary(sim::RunContext &ctx)
 {
     if (!hwCryptoSupported()) {
-        std::printf("\nhw kernels unavailable (%s); scalar only\n",
-                    hwCryptoCompiled() ? "CPU lacks AES-NI/PCLMUL/SSE4.2"
-                                       : "not compiled in");
+        ctx.print("\nhw kernels unavailable (%s); scalar only\n",
+                  hwCryptoCompiled() ? "CPU lacks AES-NI/PCLMUL/SSE4.2"
+                                     : "not compiled in");
         return;
     }
 
-    std::printf("\n-- hw vs scalar speedup --\n");
+    ctx.print("\n-- hw vs scalar speedup --\n");
 
     auto gcmSeal = [](CryptoImpl impl, size_t len) {
         Bytes key(16, 0x11);
@@ -290,30 +277,30 @@ speedupSummary()
         double hw =
             r.gcm ? gcmSeal(CryptoImpl::Hw, r.len) : crc(CryptoImpl::Hw, r.len);
         double speedup = scalar > 0 ? hw / scalar : 0;
-        std::printf("%-20s scalar %8.0f MB/s   hw %8.0f MB/s   %5.1fx\n",
-                    r.name, scalar / 1e6, hw / 1e6, speedup);
-        anic::bench::jsonRecord("crypto_micro",
+        ctx.print("%-20s scalar %8.0f MB/s   hw %8.0f MB/s   %5.1fx\n",
+                  r.name, scalar / 1e6, hw / 1e6, speedup);
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_speedup").c_str(),
                                 speedup);
-        anic::bench::jsonRecord("crypto_micro",
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_hw_mbps").c_str(),
                                 hw / 1e6);
     }
 }
 
 void
-crcFoldSummary()
+crcFoldSummary(sim::RunContext &ctx)
 {
     const detail::Crc32cKernel *threeWay =
         kernelNamed(detail::crc32cKernels(), "3way");
     const detail::Crc32cKernel *fold =
         kernelNamed(detail::crc32cKernels(), "fold");
     if (threeWay == nullptr || fold == nullptr) {
-        std::printf("\ncrc32c fold kernel unavailable (needs AVX-512F/DQ/VL "
-                    "+ VPCLMULQDQ)\n");
+        ctx.print("\ncrc32c fold kernel unavailable (needs AVX-512F/DQ/VL "
+                  "+ VPCLMULQDQ)\n");
         return;
     }
-    std::printf("\n-- crc32c fold vs 3way --\n");
+    ctx.print("\n-- crc32c fold vs 3way --\n");
     struct Row
     {
         const char *name;
@@ -329,25 +316,25 @@ crcFoldSummary()
         double base = crcThroughput(*threeWay, r.len);
         double fast = crcThroughput(*fold, r.len);
         double ratio = base > 0 ? fast / base : 0;
-        std::printf("%-20s 3way %6.1f GB/s   fold %6.1f GB/s   %5.2fx\n",
-                    r.name, base / 1e9, fast / 1e9, ratio);
-        anic::bench::jsonRecord("crypto_micro",
+        ctx.print("%-20s 3way %6.1f GB/s   fold %6.1f GB/s   %5.2fx\n",
+                  r.name, base / 1e9, fast / 1e9, ratio);
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_over_3way").c_str(),
                                 ratio);
     }
 }
 
 void
-gcmKernelSummary()
+gcmKernelSummary(sim::RunContext &ctx)
 {
     const detail::GcmKernel *aesni = kernelNamed(detail::gcmKernels(), "aesni");
     const detail::GcmKernel *vaes = kernelNamed(detail::gcmKernels(), "vaes");
     if (aesni == nullptr || vaes == nullptr) {
-        std::printf("\naes-gcm vaes kernel unavailable (needs AVX-512F/BW/VL "
-                    "+ VAES + VPCLMULQDQ)\n");
+        ctx.print("\naes-gcm vaes kernel unavailable (needs AVX-512F/BW/VL "
+                  "+ VAES + VPCLMULQDQ)\n");
         return;
     }
-    std::printf("\n-- aes-gcm vaes vs aesni --\n");
+    ctx.print("\n-- aes-gcm vaes vs aesni --\n");
     Bytes key(16, 0x11);
     Aes128 aes(key);
     alignas(16) uint8_t rk[Aes128::kRounds + 1][16];
@@ -387,25 +374,25 @@ gcmKernelSummary()
         double base = seal(*aesni, r.len);
         double fast = seal(*vaes, r.len);
         double ratio = base > 0 ? fast / base : 0;
-        std::printf("%-20s aesni %5.2f GB/s   vaes %5.2f GB/s   %5.2fx\n",
-                    r.name, base / 1e9, fast / 1e9, ratio);
-        anic::bench::jsonRecord("crypto_micro",
+        ctx.print("%-20s aesni %5.2f GB/s   vaes %5.2f GB/s   %5.2fx\n",
+                  r.name, base / 1e9, fast / 1e9, ratio);
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_over_aesni").c_str(),
                                 ratio);
     }
 }
 
 void
-payloadSummary()
+payloadSummary(sim::RunContext &ctx)
 {
     auto kernels = util::payloadKernels();
     const util::PayloadKernel &portable = kernels.front();
     const util::PayloadKernel &wide = kernels.back();
     if (kernels.size() < 2) {
-        std::printf("\npayload kernels: portable only\n");
+        ctx.print("\npayload kernels: portable only\n");
         return;
     }
-    std::printf("\n-- payload %s vs %s --\n", wide.name, portable.name);
+    ctx.print("\n-- payload %s vs %s --\n", wide.name, portable.name);
 
     auto fill = [](const util::PayloadKernel &k, size_t len) {
         Bytes data(len);
@@ -441,10 +428,10 @@ payloadSummary()
         double base = r.fill ? fill(portable, r.len) : check(portable, r.len);
         double fast = r.fill ? fill(wide, r.len) : check(wide, r.len);
         double speedup = base > 0 ? fast / base : 0;
-        std::printf("%-20s %s %5.3f ns/B   %s %5.3f ns/B   %5.1fx\n", r.name,
-                    portable.name, 1e9 / base, wide.name, 1e9 / fast,
-                    speedup);
-        anic::bench::jsonRecord("crypto_micro",
+        ctx.print("%-20s %s %5.3f ns/B   %s %5.3f ns/B   %5.1fx\n", r.name,
+                  portable.name, 1e9 / base, wide.name, 1e9 / fast,
+                  speedup);
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_speedup").c_str(),
                                 speedup);
     }
@@ -459,10 +446,11 @@ main(int argc, char **argv)
     registerAll();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    speedupSummary();
-    crcFoldSummary();
-    gcmKernelSummary();
-    payloadSummary();
-    anic::bench::emitRegistrySnapshot("crypto_micro");
+    sim::RunContext ctx;
+    speedupSummary(ctx);
+    crcFoldSummary(ctx);
+    gcmKernelSummary(ctx);
+    payloadSummary(ctx);
+    anic::bench::flushRun(ctx);
     return 0;
 }

@@ -25,8 +25,7 @@ struct Row
 Row
 nvmeRow(sim::RunContext &ctx, bool writes)
 {
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)
                   .generatorCores(8)
                   .remoteStorage()
@@ -70,8 +69,7 @@ nvmeRow(sim::RunContext &ctx, bool writes)
 Row
 tlsRow(sim::RunContext &ctx, bool rxSide)
 {
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)
                   .generatorCores(rxSide ? 4 : 1)
                   .pageCache()

@@ -25,8 +25,7 @@ struct Point
 Point
 measure(sim::RunContext &ctx, uint32_t blockSize, int depth)
 {
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)
                   .generatorCores(8)
                   .remoteStorage()

@@ -22,8 +22,7 @@ struct Point
 Point
 measure(sim::RunContext &ctx, size_t recordSize, bool rxSide)
 {
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)
                   .generatorCores(rxSide ? 4 : 1)
                   .pageCache()

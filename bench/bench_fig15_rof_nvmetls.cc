@@ -26,8 +26,7 @@ runKv(sim::RunContext &ctx, int serverCores, uint64_t valueSize, bool offload)
     sv.tls = true; // NVMe over TLS both ways
     sv.offload = offload;
     sv.tlsOffload = offload;
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(serverCores)
                   .generatorCores(16)
                   .remoteStorage(sv)

@@ -29,8 +29,7 @@ run(sim::RunContext &ctx, double loss, int mode /*0=tcp 1=offload 2=tls*/)
     net::Link::Config lc;
     lc.dir[0].lossRate = loss;
     lc.seed = 77;
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(8)    // receiver must not be the bottleneck
                   .generatorCores(1) // the measured, saturated sender core
                   .pageCache()

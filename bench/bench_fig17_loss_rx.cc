@@ -29,8 +29,7 @@ run(sim::RunContext &ctx, double loss, int mode /*0=tcp 1=offload 2=tls*/)
     net::Link::Config lc;
     lc.dir[0].lossRate = loss;
     lc.seed = 78;
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)    // the measured, saturated receiver core
                   .generatorCores(8) // sender must not be the bottleneck
                   .pageCache()

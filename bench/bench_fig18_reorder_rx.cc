@@ -31,8 +31,7 @@ run(sim::RunContext &ctx, double rate, int mode /*0=tcp 1=offload 2=tls*/)
     // default 20 us barely leaves the current window.
     lc.dir[0].reorderExtraDelay = 500 * sim::kMicrosecond;
     lc.seed = 79;
-    auto ex = ExperimentBuilder()
-                  .run(ctx)
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)    // the measured, saturated receiver core
                   .generatorCores(8) // sender must not be the bottleneck
                   .pageCache()

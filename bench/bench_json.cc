@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "crypto/cpu.hh"
-#include "sim/trace.hh"
 #include "util/env.hh"
 
 namespace anic::bench {
@@ -63,20 +62,6 @@ snapshotLine(const std::string &bench, const ScenarioTags &scenario,
 }
 
 void
-writeJsonLine(const std::string &line, const std::string &jsonPath)
-{
-    std::printf("%s\n", line.c_str());
-    const std::string &path =
-        jsonPath.empty() ? util::Env::benchJson() : jsonPath;
-    if (!path.empty()) {
-        if (std::FILE *f = std::fopen(path.c_str(), "a")) {
-            std::fprintf(f, "%s\n", line.c_str());
-            std::fclose(f);
-        }
-    }
-}
-
-void
 writeSnapshotFile(const std::string &bench, const std::string &line)
 {
     const std::string &dir = util::Env::snapshotDir();
@@ -84,7 +69,7 @@ writeSnapshotFile(const std::string &bench, const std::string &line)
         return;
     // One file per snapshot: <bench>.json, <bench>-2.json, ...
     // Callers flush in submission order, so numbering is stable; the
-    // mutex only guards the map against concurrent ad-hoc writers.
+    // mutex only guards the map against concurrent flushers.
     static std::mutex mu;
     static std::vector<std::pair<std::string, int>> seq;
     int n = 0;
@@ -142,27 +127,6 @@ emitRegistrySnapshot(sim::RunContext &ctx, const std::string &bench,
         ctx.addSnapshot(bench, line);
     if (!util::Env::traceFile().empty())
         ctx.captureTraceDump();
-}
-
-void
-jsonRecord(const char *bench, const char *metric, double value,
-           JsonExtra extra)
-{
-    detail::writeJsonLine(detail::recordLine(bench, metric, value, extra));
-}
-
-void
-emitRegistrySnapshot(const std::string &bench, const ScenarioTags &scenario,
-                     sim::StatsRegistry *reg)
-{
-    if (reg == nullptr)
-        reg = &sim::StatsRegistry::global();
-    std::string line = detail::snapshotLine(bench, scenario, *reg);
-    detail::writeJsonLine(line);
-    detail::writeSnapshotFile(bench, line);
-    sim::TraceRing &ring = sim::TraceRing::global();
-    if (ring.enabled())
-        detail::writeTraceFile(ring.jsonl());
 }
 
 } // namespace anic::bench

@@ -18,17 +18,9 @@ variantName(HttpVariant v)
     return "?";
 }
 
-ExperimentBuilder::ExperimentBuilder()
+ExperimentBuilder::ExperimentBuilder(sim::RunContext &ctx) : ctx_(ctx)
 {
     cfg_.remoteStorage = false;
-}
-
-ExperimentBuilder &
-ExperimentBuilder::run(sim::RunContext &ctx)
-{
-    ctx_ = &ctx;
-    cfg_.bindRun(ctx);
-    return *this;
 }
 
 ExperimentBuilder &
@@ -142,9 +134,9 @@ ExperimentBuilder::build()
     }
 
     auto ex = std::unique_ptr<Experiment>(new Experiment());
-    ex->ctx_ = ctx_;
+    ex->ctx_ = &ctx_;
     ex->connections_ = connections_;
-    ex->world_ = std::make_unique<app::MacroWorld>(cfg_);
+    ex->world_ = std::make_unique<app::MacroWorld>(ctx_, cfg_);
     if (fileCount_ > 0)
         ex->fileIds_ = ex->world_->makeFiles(fileCount_, fileBytes_);
     if (!cfg_.remoteStorage)
@@ -204,9 +196,7 @@ Experiment::kvClientCfg() const
 sim::Tick
 Experiment::scaledWindow(sim::Tick full) const
 {
-    if (ctx_ != nullptr)
-        return ctx_->scaleWindow(full);
-    return full == 0 ? 0 : (full < 1 ? 1 : full);
+    return ctx_->scaleWindow(full);
 }
 
 double

@@ -4,8 +4,7 @@
  * flow / TLS / NVMe-TCP setup that benches and examples previously
  * copy-pasted. One chain configures the testbed:
  *
- *   auto ex = ExperimentBuilder()
- *                 .run(ctx)                 // per-run isolation
+ *   auto ex = ExperimentBuilder(ctx)        // the run's registry
  *                 .serverCores(4).generatorCores(12)
  *                 .pageCache()              // or .remoteStorage(...)
  *                 .httpVariant(HttpVariant::OffloadZc)
@@ -54,11 +53,9 @@ class Experiment;
 class ExperimentBuilder
 {
   public:
-    ExperimentBuilder();
-
     /** Binds the world to @p ctx's registry/trace ring and scales
      *  measurement windows by its RunConfig. */
-    ExperimentBuilder &run(sim::RunContext &ctx);
+    explicit ExperimentBuilder(sim::RunContext &ctx);
 
     // ------------------------------------------------- topology
     ExperimentBuilder &serverCores(int n);
@@ -91,8 +88,8 @@ class ExperimentBuilder
     std::unique_ptr<Experiment> build();
 
   private:
+    sim::RunContext &ctx_;
     app::MacroWorld::Config cfg_;
-    sim::RunContext *ctx_ = nullptr;
     bool haveHttp_ = false;
     HttpVariant http_ = HttpVariant::Https;
     bool haveKv_ = false;
@@ -107,7 +104,6 @@ class Experiment
   public:
     app::MacroWorld &world() { return *world_; }
     sim::Simulator &sim() { return world_->sim; }
-    sim::RunContext *runCtx() { return ctx_; }
 
     const std::vector<uint32_t> &fileIds() const { return fileIds_; }
 

@@ -14,8 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -25,7 +25,8 @@ namespace {
 void
 run(HttpVariant v, int connections, uint64_t fileKib)
 {
-    auto ex = ExperimentBuilder()
+    sim::RunContext ctx;
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(4)
                   .generatorCores(12)
                   .pageCache()
@@ -53,6 +54,8 @@ run(HttpVariant v, int connections, uint64_t fileKib)
                 static_cast<double>(client.windowResponses()) /
                     sim::ticksToSeconds(window),
                 busy);
+    emitRegistrySnapshot(ctx, "https_server", {{"variant", variantName(v)}});
+    flushRun(ctx);
 }
 
 } // namespace
@@ -70,6 +73,5 @@ main(int argc, char **argv)
                           HttpVariant::Offload, HttpVariant::OffloadZc}) {
         run(v, connections, file_kib);
     }
-    anic::bench::emitRegistrySnapshot("https_server");
     return 0;
 }

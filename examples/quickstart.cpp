@@ -13,8 +13,8 @@
 
 #include <cstdio>
 
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 
@@ -25,7 +25,8 @@ main()
     //    connected by a link with 1% packet loss toward the server.
     net::Link::Config link;
     link.dir[0].lossRate = 0.01;
-    auto ex = bench::ExperimentBuilder()
+    sim::RunContext ctx; // owns the world's registry and trace ring
+    auto ex = bench::ExperimentBuilder(ctx)
                   .pageCache() // no storage needed here
                   .link(link)
                   .build();
@@ -110,6 +111,7 @@ main()
                 "context recoveries\n",
                 (unsigned long long)w.a.nicDev().stats().txOffloadedPkts,
                 (unsigned long long)w.a.nicDev().stats().txResyncs);
-    anic::bench::emitRegistrySnapshot("quickstart");
+    bench::emitRegistrySnapshot(ctx, "quickstart");
+    bench::flushRun(ctx);
     return corrupt || received != kTotal ? 1 : 0;
 }

@@ -15,8 +15,8 @@
 #include <cstdlib>
 
 #include "app/fio.hh"
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -28,7 +28,8 @@ run(bool offload, uint32_t ioKib, int depth)
 {
     StorageVariant sv;
     sv.offload = offload;
-    auto ex = ExperimentBuilder()
+    sim::RunContext ctx;
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(1)
                   .generatorCores(8)
                   .remoteStorage(sv)
@@ -64,6 +65,9 @@ run(bool offload, uint32_t ioKib, int depth)
                 (unsigned long long)st.crcSkipped,
                 (unsigned long long)st.crcSoftware,
                 (unsigned long long)(st.failures + job.failures()));
+    emitRegistrySnapshot(ctx, "remote_storage",
+                         {{"variant", offload ? "offload" : "software"}});
+    flushRun(ctx);
 }
 
 } // namespace
@@ -78,6 +82,5 @@ main(int argc, char **argv)
                 io_kib, depth);
     run(false, io_kib, depth);
     run(true, io_kib, depth);
-    anic::bench::emitRegistrySnapshot("remote_storage");
     return 0;
 }

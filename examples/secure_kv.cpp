@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -27,7 +27,8 @@ run(bool offload, uint64_t valueKib, int connections)
     sv.tls = true; // NVMe over TLS
     sv.offload = offload;
     sv.tlsOffload = offload;
-    auto ex = ExperimentBuilder()
+    sim::RunContext ctx;
+    auto ex = ExperimentBuilder(ctx)
                   .serverCores(2)
                   .generatorCores(12)
                   .remoteStorage(sv)
@@ -65,6 +66,9 @@ run(bool offload, uint64_t valueKib, int connections)
                 busy, (unsigned long long)client.stats().corruptions,
                 static_cast<double>(placed) / (1 << 20),
                 (unsigned long long)skipped);
+    emitRegistrySnapshot(ctx, "secure_kv",
+                         {{"variant", offload ? "offload" : "software"}});
+    flushRun(ctx);
 }
 
 } // namespace
@@ -79,6 +83,5 @@ main(int argc, char **argv)
                 (unsigned long long)value_kib, connections);
     run(false, value_kib, connections);
     run(true, value_kib, connections);
-    anic::bench::emitRegistrySnapshot("secure_kv");
     return 0;
 }

@@ -68,8 +68,9 @@ class OffCpuAccelerator
 /** Per-cipher on-CPU cost (cycles/byte) for the Table 1 comparison. */
 struct CipherCosts
 {
-    /** AES-128-CBC-HMAC-SHA1 with AES-NI: AES accelerated, SHA1 not. */
-    static constexpr double kCbcHmacSha1PerByte = 3.45;
+    /** AES-128-CBC-HMAC-SHA1 with AES-NI: AES accelerated, SHA-1 not.
+     *  A cost-model constant: no CBC or HMAC code runs. */
+    static constexpr double kCbcHmacPerByte = 3.45;
     /** AES-128-GCM with AES-NI + PCLMUL. */
     static constexpr double kGcmPerByte = 0.76;
 };

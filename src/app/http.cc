@@ -7,6 +7,9 @@ namespace anic::app {
 namespace {
 
 constexpr size_t kPlainBodyChunk = 65536;
+/** Session-key secret both ends derive from (stands in for the
+ *  handshake). */
+constexpr uint64_t kTlsSecret = 0x5ec;
 
 std::string
 buildResponseHeader(uint64_t contentLength)
@@ -42,7 +45,7 @@ HttpServer::accept(tcp::TcpConnection &c)
     conn->raw = &c;
     if (cfg_.tlsEnabled) {
         conn->tlsSock = std::make_unique<tls::TlsSocket>(
-            c, tls::SessionKeys::derive(cfg_.tlsSecret, false), cfg_.tlsCfg);
+            c, tls::SessionKeys::derive(kTlsSecret, false), cfg_.tlsCfg);
         conn->tlsSock->enableOffload(node_.device());
         conn->sock = conn->tlsSock.get();
     } else {
@@ -174,7 +177,6 @@ HttpClient::start()
     for (int i = 0; i < cfg_.connections; i++) {
         auto conn = std::make_unique<Conn>();
         conn->cli = this;
-        conn->requestsLeft = cfg_.requestsPerConn;
         Conn *cp = conn.get();
         conns_.push_back(std::move(conn));
         node_.sim().schedule(
@@ -193,7 +195,7 @@ HttpClient::openConnection(Conn &conn)
         c.setOnConnected([this, cp, &c] {
             if (cfg_.tlsEnabled) {
                 cp->tlsSock = std::make_unique<tls::TlsSocket>(
-                    c, tls::SessionKeys::derive(cfg_.tlsSecret, true),
+                    c, tls::SessionKeys::derive(kTlsSecret, true),
                     cfg_.tlsCfg);
                 cp->tlsSock->enableOffload(node_.device());
                 cp->sock = cp->tlsSock.get();
@@ -224,10 +226,6 @@ HttpClient::measureStop()
 void
 HttpClient::Conn::sendRequest()
 {
-    if (requestsLeft == 0)
-        return;
-    if (requestsLeft > 0)
-        requestsLeft--;
     uint32_t id = cli->cfg_.fileIds[cli->rng_.below(cli->cfg_.fileIds.size())];
     file = &cli->files_.get(id);
     std::string req = strprintf("GET /%u HTTP/1.1\r\nHost: dut\r\n\r\n", id);

@@ -22,7 +22,6 @@ struct HttpServerConfig
 {
     bool tlsEnabled = false;
     tls::TlsConfig tlsCfg;
-    uint64_t tlsSecret = 0x5ec;
 };
 
 struct HttpServerStats
@@ -76,11 +75,9 @@ struct HttpClientConfig
     int connections = 16;
     bool tlsEnabled = false;
     tls::TlsConfig tlsCfg; ///< client side (usually software crypto)
-    uint64_t tlsSecret = 0x5ec;
     std::vector<uint32_t> fileIds; ///< request targets (uniform random)
     uint64_t seed = 99;
     bool verifyContent = true;
-    int requestsPerConn = -1; ///< -1 = unlimited (run by time window)
     /** Connection-establishment ramp: opening tens of thousands of
      *  connections in one instant overflows SYN queues everywhere
      *  (real load generators ramp too). */
@@ -131,7 +128,6 @@ class HttpClient
         uint64_t bodyOffset = 0;
         const host::File *file = nullptr;
         sim::Tick requestStart = 0;
-        int requestsLeft = -1;
 
         void sendRequest();
         void onReadable();

@@ -4,6 +4,14 @@
 
 namespace anic::app {
 
+namespace {
+
+/** Session-key secret both ends derive from (stands in for the
+ *  handshake). */
+constexpr uint64_t kTlsSecret = 0x1beef;
+
+} // namespace
+
 IperfRun::IperfRun(core::Node &sender, net::IpAddr senderIp,
                    core::Node &receiver, net::IpAddr receiverIp,
                    IperfConfig cfg)
@@ -35,7 +43,7 @@ IperfRun::start()
             Stream *s = streams_[idx].get();
             if (cfg_.tlsEnabled) {
                 s->rxTls = std::make_unique<tls::TlsSocket>(
-                    c, tls::SessionKeys::derive(cfg_.tlsSecret, false),
+                    c, tls::SessionKeys::derive(kTlsSecret, false),
                     cfg_.serverTls);
                 s->rxTls->enableOffload(receiver_.device());
                 s->rx = s->rxTls.get();
@@ -70,7 +78,7 @@ IperfRun::start()
         c.setOnConnected([this, sp, &c] {
             if (cfg_.tlsEnabled) {
                 sp->txTls = std::make_unique<tls::TlsSocket>(
-                    c, tls::SessionKeys::derive(cfg_.tlsSecret, true),
+                    c, tls::SessionKeys::derive(kTlsSecret, true),
                     cfg_.clientTls);
                 sp->txTls->enableOffload(sender_.device());
                 sp->tx = sp->txTls.get();

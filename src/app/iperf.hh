@@ -22,7 +22,6 @@ struct IperfConfig
     bool tlsEnabled = true;
     tls::TlsConfig clientTls; ///< sender-side config (tx offload knob)
     tls::TlsConfig serverTls; ///< receiver-side config (rx offload knob)
-    uint64_t tlsSecret = 0x1beef;
     bool verifyContent = false; ///< integrity check at the receiver
 };
 

@@ -4,6 +4,14 @@
 
 namespace anic::app {
 
+namespace {
+
+/** Session-key secret both ends derive from (stands in for the
+ *  handshake). */
+constexpr uint64_t kTlsSecret = 0xcafe;
+
+} // namespace
+
 // ------------------------------------------------------------- server
 
 KvServer::KvServer(core::Node &node, uint16_t port, StorageService &storage,
@@ -27,7 +35,7 @@ KvServer::accept(tcp::TcpConnection &c)
     conn->srv = this;
     if (cfg_.tlsEnabled) {
         conn->tlsSock = std::make_unique<tls::TlsSocket>(
-            c, tls::SessionKeys::derive(cfg_.tlsSecret, false), cfg_.tlsCfg);
+            c, tls::SessionKeys::derive(kTlsSecret, false), cfg_.tlsCfg);
         conn->tlsSock->enableOffload(node_.device());
         conn->sock = conn->tlsSock.get();
     } else {
@@ -155,7 +163,7 @@ KvClient::start()
         c.setOnConnected([this, cp, &c] {
             if (cfg_.tlsEnabled) {
                 cp->tlsSock = std::make_unique<tls::TlsSocket>(
-                    c, tls::SessionKeys::derive(cfg_.tlsSecret, true),
+                    c, tls::SessionKeys::derive(kTlsSecret, true),
                     cfg_.tlsCfg);
                 cp->tlsSock->enableOffload(node_.device());
                 cp->sock = cp->tlsSock.get();

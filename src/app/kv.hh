@@ -22,7 +22,6 @@ struct KvServerConfig
 {
     bool tlsEnabled = false; ///< client-facing transport
     tls::TlsConfig tlsCfg;
-    uint64_t tlsSecret = 0xcafe;
 };
 
 struct KvServerStats
@@ -75,7 +74,6 @@ struct KvClientConfig
     int connections = 8;
     bool tlsEnabled = false;
     tls::TlsConfig tlsCfg;
-    uint64_t tlsSecret = 0xcafe;
     uint32_t keyCount = 64;
     uint64_t seed = 0x9e7;
     bool verifyContent = true;

@@ -38,22 +38,23 @@ struct MacroWorld : core::Testbed
         bool remoteStorage = true; ///< C1: serve through NVMe-TCP
     };
 
-    explicit MacroWorld(Config cfg)
-        : Testbed(cfg), drive(sim, cfg.drive), files(cfg.drive.contentSeed)
+    MacroWorld(sim::RunContext &run, Config cfg)
+        : Testbed(run, cfg), drive(sim, cfg.drive), files(cfg.drive.contentSeed)
     {
         storage = std::make_unique<app::StorageService>(b, files, cfg.storage);
         if (cfg.remoteStorage) {
             // NVMe-TCP target on the generator, one session per
             // accepted queue connection.
             nvmetcp::WireConfig wire = cfg.storage.wire;
-            uint64_t tlsSecret = cfg.storage.tlsSecret;
             bool tlsTransport = cfg.storage.tlsTransport;
             a.stack().listen(
                 kNvmePort, a.tcpConfig(),
-                [this, wire, tlsTransport, tlsSecret](tcp::TcpConnection &c) {
+                [this, wire, tlsTransport](tcp::TcpConnection &c) {
                     if (tlsTransport) {
                         targetTls.push_back(std::make_unique<tls::TlsSocket>(
-                            c, tls::SessionKeys::derive(tlsSecret, false),
+                            c,
+                            tls::SessionKeys::derive(
+                                app::StorageService::kTlsSecret, false),
                             tls::TlsConfig{}));
                         targets.push_back(
                             std::make_unique<nvmetcp::NvmeTarget>(

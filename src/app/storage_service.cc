@@ -50,7 +50,7 @@ StorageService::connectRemote(net::IpAddr localIp, net::IpAddr targetIp,
                 tls::TlsConfig tcfg = cfg_.tlsCfg;
                 tcfg.aggregate = &tlsAgg_;
                 r.tls = std::make_unique<tls::TlsSocket>(
-                    c, tls::SessionKeys::derive(cfg_.tlsSecret, true), tcfg);
+                    c, tls::SessionKeys::derive(kTlsSecret, true), tcfg);
                 r.tls->enableOffload(node_.device());
                 r.queue = std::make_unique<nvmetcp::NvmeHostQueue>(
                     *r.tls, cfg_.wire, cfg_.offload, &nvmeAgg_);

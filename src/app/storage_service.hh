@@ -27,8 +27,11 @@ class StorageService
         bool offloadEnabled = false; ///< request NIC offloads on queues
         bool tlsTransport = false;   ///< NVMe-TLS composition
         tls::TlsConfig tlsCfg;
-        uint64_t tlsSecret = 0x4242;
     };
+
+    /** NVMe-TLS session-key secret the queues and the target derive
+     *  from (stands in for the handshake). */
+    static constexpr uint64_t kTlsSecret = 0x4242;
 
     StorageService(core::Node &node, host::FileStore &files, Config cfg);
 

@@ -118,7 +118,6 @@ class L5Offload
      *  (e.g. NVMe-TCP l5o_add_rr_state / l5o_del_rr_state update the
      *  CID -> buffer map inside the rx engine). */
     virtual nic::L5Engine *rxEngine() = 0;
-    virtual nic::L5Engine *txEngine() = 0;
 
     /** Context id the stack tags outgoing packets with. */
     virtual uint64_t txCtxId() const = 0;

@@ -1,12 +1,14 @@
 #include "core/node.hh"
 
+#include "util/panic.hh"
+
 namespace anic::core {
 
 Node::Node(sim::Simulator &sim, Config cfg) : sim_(sim), cfg_(std::move(cfg))
 {
-    sim::StatsRegistry &reg = cfg_.registry != nullptr
-                                  ? *cfg_.registry
-                                  : sim::StatsRegistry::global();
+    sim::StatsRegistry &reg = required(cfg_.registry, "Node::Config::registry");
+    required(cfg_.trace, "Node::Config::trace");
+    required(cfg_.pool, "Node::Config::pool");
     name_ = reg.uniqueName(cfg_.name.empty() ? "node" : cfg_.name);
     scope_ = sim::StatsScope(reg, name_);
     for (int i = 0; i < cfg_.cores; i++) {
@@ -17,8 +19,8 @@ Node::Node(sim::Simulator &sim, Config cfg) : sim_(sim), cfg_(std::move(cfg))
     for (auto &c : cores_)
         raw.push_back(c.get());
     stack_ = std::make_unique<tcp::TcpStack>(sim_, raw, cfg_.stackSeed,
-                                             scope_.child("tcp"), cfg_.trace,
-                                             cfg_.pool);
+                                             cfg_.pool, cfg_.trace,
+                                             scope_.child("tcp"));
 }
 
 OffloadDevice &

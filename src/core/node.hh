@@ -33,14 +33,14 @@ class Node
          *  become <name>.cpu<i>, the stack <name>.tcp, and port @p i's
          *  NIC <name>.nic<i>. */
         std::string name;
-        /** Registry to publish under; null -> StatsRegistry::global(). */
+        /** Registry to publish under (required; the run's). */
         sim::StatsRegistry *registry = nullptr;
-        /** Trace ring for this node's stack and NICs; null ->
-         *  TraceRing::global(). */
+        /** Trace ring for this node's stack and NICs (required; the
+         *  run's). */
         sim::TraceRing *trace = nullptr;
-        /** Packet arena for this node's stack; null ->
-         *  PacketPool::threadDefault(). core::Testbed injects the pool
-         *  it owns, so packet recycling stays per-world. */
+        /** Packet arena for this node's stack (required). core::Testbed
+         *  injects the pool it owns, so packet recycling stays
+         *  per-world. */
         net::PacketPool *pool = nullptr;
 
         /** Binds registry + trace to @p run's per-run instances. */

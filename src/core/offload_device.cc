@@ -34,12 +34,6 @@ class OffloadDevice::OffloadImpl : public L5Offload
         return rxCtx_ ? dev_.nic_.rxEngine(rxCtx_) : nullptr;
     }
 
-    nic::L5Engine *
-    txEngine() override
-    {
-        return txCtx_ ? dev_.nic_.txEngine(txCtx_) : nullptr;
-    }
-
     uint64_t txCtxId() const override { return txCtx_; }
 
     const nic::FsmStats *

@@ -319,8 +319,6 @@ namespace {
 constexpr sim::Counter *StorageCounters::*kCompleted[] = {
     &StorageCounters::readsCompleted,
     &StorageCounters::writesCompleted,
-    &StorageCounters::flushesCompleted,
-    &StorageCounters::comparesCompleted,
 };
 
 } // namespace

@@ -58,8 +58,6 @@ struct StorageCounters
     sim::Counter *failures = nullptr;
     sim::Counter *readsCompleted = nullptr;
     sim::Counter *writesCompleted = nullptr;
-    sim::Counter *flushesCompleted = nullptr;
-    sim::Counter *comparesCompleted = nullptr;
 };
 
 class StorageEndpoint : public L5pStream
@@ -78,8 +76,6 @@ class StorageEndpoint : public L5pStream
     {
         Read,
         Write,
-        Flush,
-        Compare,
     };
 
     /** A command in flight: outstanding at an initiator, a pending

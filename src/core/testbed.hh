@@ -2,7 +2,9 @@
  * @file
  * Testbed: the paper's two hosts back to back over one link (§2), the
  * one type every two-node world builds on. Node a sits on link port 0
- * at 10.0.0.1, node b on port 1 at 10.0.0.2.
+ * at 10.0.0.1, node b on port 1 at 10.0.0.2. The testbed owns the
+ * packet pool; the sim::RunContext it runs under owns the registry and
+ * the trace ring both nodes publish to.
  */
 
 #ifndef ANIC_CORE_TESTBED_HH
@@ -24,14 +26,6 @@ struct Testbed
         Node::Config a = named("a", 11);
         Node::Config b = named("b", 22);
 
-        /** Binds both nodes' registry + trace to @p run. */
-        void
-        bindRun(sim::RunContext &run)
-        {
-            a.bindRun(run);
-            b.bindRun(run);
-        }
-
         static Node::Config
         named(const char *name, uint64_t stackSeed)
         {
@@ -42,15 +36,16 @@ struct Testbed
         }
     };
 
-    Testbed() : Testbed(Config{}) {}
+    explicit Testbed(sim::RunContext &run) : Testbed(run, Config{}) {}
 
-    /** Injects the pool into the link and both nodes, attaches the
-     *  nodes and publishes the pool as sim.alloc under a's registry. */
-    explicit Testbed(Config cfg)
-        : link(sim, withPool(cfg.link)), a(sim, withPool(cfg.a)),
-          b(sim, withPool(cfg.b))
+    /** Injects the pool into the link and both nodes, binds the nodes
+     *  to @p run's registry and trace ring, attaches them and
+     *  publishes the pool as sim.alloc under the run's registry. */
+    Testbed(sim::RunContext &run, Config cfg)
+        : link(sim, withPool(cfg.link)), a(sim, bound(cfg.a, run)),
+          b(sim, bound(cfg.b, run))
     {
-        pool.linkStats(sim::StatsScope(a.registry(), "sim.alloc"));
+        pool.linkStats(sim::StatsScope(run.registry(), "sim.alloc"));
         a.attachPort(link, 0, kIpA);
         b.attachPort(link, 1, kIpB);
     }
@@ -71,6 +66,13 @@ struct Testbed
     {
         c.pool = &pool;
         return c;
+    }
+
+    Node::Config
+    bound(Node::Config c, sim::RunContext &run)
+    {
+        c.bindRun(run);
+        return withPool(std::move(c));
     }
 };
 

@@ -30,7 +30,6 @@ gmul(uint8_t a, uint8_t b)
 struct AesTables
 {
     uint8_t sbox[256];
-    uint8_t inv_sbox[256];
     // T-tables for the encryption rounds; Te[1..3] are byte rotations
     // of Te[0].
     uint32_t te[4][256];
@@ -61,7 +60,6 @@ struct AesTables
                 s ^= static_cast<uint8_t>((v << r) | (v >> (8 - r)));
             s ^= 0x63;
             sbox[i] = s;
-            inv_sbox[s] = static_cast<uint8_t>(i);
         }
 
         for (int i = 0; i < 256; i++) {
@@ -173,101 +171,6 @@ Aes128::encryptBlock(const uint8_t in[16], uint8_t out[16]) const
     putBe32(out + 4, t1 ^ ek_[4 * kRounds + 1]);
     putBe32(out + 8, t2 ^ ek_[4 * kRounds + 2]);
     putBe32(out + 12, t3 ^ ek_[4 * kRounds + 3]);
-}
-
-void
-Aes128::decryptBlock(const uint8_t in[16], uint8_t out[16]) const
-{
-    const AesTables &t = tbl();
-
-    // Straightforward inverse cipher over a byte-matrix state. The
-    // state is column-major: state[c][r] is row r of column c.
-    uint8_t st[16];
-    std::memcpy(st, in, 16);
-
-    auto add_round_key = [&](int round) {
-        for (int c = 0; c < 4; c++) {
-            uint32_t w = ek_[4 * round + c];
-            st[4 * c + 0] ^= static_cast<uint8_t>(w >> 24);
-            st[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
-            st[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);
-            st[4 * c + 3] ^= static_cast<uint8_t>(w);
-        }
-    };
-    auto inv_shift_rows = [&]() {
-        uint8_t tmp[16];
-        std::memcpy(tmp, st, 16);
-        // Row r shifts right by r positions.
-        for (int r = 1; r < 4; r++) {
-            for (int c = 0; c < 4; c++)
-                st[4 * ((c + r) % 4) + r] = tmp[4 * c + r];
-        }
-    };
-    auto inv_sub_bytes = [&]() {
-        for (auto &b : st)
-            b = t.inv_sbox[b];
-    };
-    auto inv_mix_columns = [&]() {
-        for (int c = 0; c < 4; c++) {
-            uint8_t a0 = st[4 * c];
-            uint8_t a1 = st[4 * c + 1];
-            uint8_t a2 = st[4 * c + 2];
-            uint8_t a3 = st[4 * c + 3];
-            st[4 * c + 0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9);
-            st[4 * c + 1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13);
-            st[4 * c + 2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11);
-            st[4 * c + 3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14);
-        }
-    };
-
-    add_round_key(kRounds);
-    for (int r = kRounds - 1; r >= 1; r--) {
-        inv_shift_rows();
-        inv_sub_bytes();
-        add_round_key(r);
-        inv_mix_columns();
-    }
-    inv_shift_rows();
-    inv_sub_bytes();
-    add_round_key(0);
-
-    std::memcpy(out, st, 16);
-}
-
-AesCbc::AesCbc(ByteView key, ByteView iv)
-    : aes_(key)
-{
-    ANIC_ASSERT(iv.size() == 16, "CBC IV must be 16 bytes");
-    std::memcpy(ivEnc_, iv.data(), 16);
-    std::memcpy(ivDec_, iv.data(), 16);
-}
-
-void
-AesCbc::encrypt(ByteView in, ByteSpan out)
-{
-    ANIC_ASSERT(in.size() % 16 == 0 && out.size() >= in.size());
-    uint8_t block[16];
-    for (size_t off = 0; off < in.size(); off += 16) {
-        for (int i = 0; i < 16; i++)
-            block[i] = in[off + i] ^ ivEnc_[i];
-        aes_.encryptBlock(block, out.data() + off);
-        std::memcpy(ivEnc_, out.data() + off, 16);
-    }
-}
-
-void
-AesCbc::decrypt(ByteView in, ByteSpan out)
-{
-    ANIC_ASSERT(in.size() % 16 == 0 && out.size() >= in.size());
-    uint8_t block[16];
-    uint8_t next_iv[16];
-    for (size_t off = 0; off < in.size(); off += 16) {
-        std::memcpy(next_iv, in.data() + off, 16);
-        aes_.decryptBlock(in.data() + off, block);
-        for (int i = 0; i < 16; i++)
-            out[off + i] = block[i] ^ ivDec_[i];
-        std::memcpy(ivDec_, next_iv, 16);
-    }
 }
 
 } // namespace anic::crypto

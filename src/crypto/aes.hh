@@ -1,9 +1,8 @@
 /**
  * @file
- * AES-128 block cipher (FIPS-197). The encryption path is implemented
- * with runtime-generated T-tables for throughput (the simulator
- * encrypts real payload bytes); decryption uses the straightforward
- * inverse-round formulation since only CBC needs it.
+ * AES-128 block cipher (FIPS-197), encryption only: GCM runs the
+ * cipher forward in both directions. Implemented with runtime-generated
+ * T-tables for throughput (the simulator encrypts real payload bytes).
  */
 
 #ifndef ANIC_CRYPTO_AES_HH
@@ -33,9 +32,6 @@ class Aes128
     /** Encrypts one 16-byte block, in may alias out. */
     void encryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
-    /** Decrypts one 16-byte block, in may alias out. */
-    void decryptBlock(const uint8_t in[16], uint8_t out[16]) const;
-
     /**
      * Writes the expanded encryption round keys in wire order (the
      * byte sequence XORed into the state), the layout the hardware
@@ -45,29 +41,8 @@ class Aes128
     void exportRoundKeys(uint8_t rk[kRounds + 1][16]) const;
 
   private:
-    /** Round keys; the inverse cipher reads them in reverse order. */
+    /** Encryption round keys. */
     uint32_t ek_[4 * (kRounds + 1)];
-};
-
-/**
- * AES-128-CBC with PKCS#7-free semantics: operates on whole blocks
- * only (callers pad). Used by the off-CPU accelerator study (Table 1).
- */
-class AesCbc
-{
-  public:
-    AesCbc(ByteView key, ByteView iv);
-
-    /** Encrypts whole blocks in place-capable fashion. */
-    void encrypt(ByteView in, ByteSpan out);
-
-    /** Decrypts whole blocks. */
-    void decrypt(ByteView in, ByteSpan out);
-
-  private:
-    Aes128 aes_;
-    uint8_t ivEnc_[16];
-    uint8_t ivDec_[16];
 };
 
 } // namespace anic::crypto

@@ -19,6 +19,7 @@
 #include "net/packet.hh"
 #include "net/packet_pool.hh"
 #include "sim/simulator.hh"
+#include "util/panic.hh"
 #include "util/rand.hh"
 
 namespace anic::net {
@@ -69,8 +70,7 @@ class Link
         sim::Tick propDelay = 2 * sim::kMicrosecond;
         Impairments dir[2]; // [0]: port0->port1, [1]: port1->port0
         uint64_t seed = 1;
-        /** Arena for corruption/duplication copies; null falls back to
-         *  PacketPool::threadDefault(). */
+        /** Arena for corruption/duplication copies (required). */
         PacketPool *pool = nullptr;
     };
 
@@ -80,7 +80,7 @@ class Link
         : sim_(sim),
           cfg_(cfg),
           rng_(cfg.seed),
-          pool_(cfg.pool != nullptr ? *cfg.pool : PacketPool::threadDefault())
+          pool_(required(cfg.pool, "Link::Config::pool"))
     {
     }
 

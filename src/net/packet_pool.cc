@@ -115,13 +115,4 @@ PacketPool::linkStats(sim::StatsScope scope)
     scope_.link("cbHeapFallbacks", cbHeapFallbacks_);
 }
 
-PacketPool &
-PacketPool::threadDefault()
-{
-    // One arena per thread: JobRunner workers each simulate a private
-    // world, so no locking is needed.
-    static thread_local PacketPool pool;
-    return pool;
-}
-
 } // namespace anic::net

@@ -10,11 +10,8 @@
  * one), which keeps --jobs N runs isolated without locks; the pool
  * must be declared before the Simulator that schedules events holding
  * PacketPtrs, so that every packet is released before the pool is
- * destroyed.
- *
- * Code without a plumbed pool (bare unit tests) falls back to
- * PacketPool::threadDefault(), a thread-local arena with the same
- * semantics.
+ * destroyed. There is no fallback pool: a Link, TcpStack or Node
+ * built without one panics.
  */
 
 #ifndef ANIC_NET_PACKET_POOL_HH
@@ -58,9 +55,6 @@ class PacketPool
     uint64_t grows() const { return grows_; }
     uint64_t liveCount() const { return liveCount_; }
     uint64_t freeCount() const { return freeCount_; }
-
-    /** Thread-local fallback pool for code without a plumbed pool. */
-    static PacketPool &threadDefault();
 
   private:
     friend class PacketPtr;

@@ -55,11 +55,10 @@ FlowContext::advanceTo(uint32_t seq)
 Nic::Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg)
     : sim_(sim), link_(link), port_(port), cfg_(cfg)
 {
-    sim::StatsRegistry &reg =
-        cfg_.registry != nullptr ? *cfg_.registry : sim::StatsRegistry::global();
+    sim::StatsRegistry &reg = required(cfg_.registry, "Nic::Config::registry");
     name_ = reg.uniqueName(cfg_.name.empty() ? "nic" : cfg_.name);
     scope_ = sim::StatsScope(reg, name_);
-    trace_ = cfg_.trace != nullptr ? cfg_.trace : &sim::TraceRing::global();
+    trace_ = &required(cfg_.trace, "Nic::Config::trace");
 
     // 0 = auto; the driver resolves it to the host core count before
     // construction (Node::attachPort), bare construction gets 1.
@@ -641,21 +640,6 @@ Nic::rxEngine(uint64_t ctxId)
 {
     RxRef *r = rxById_.find(ctxId);
     return r == nullptr ? nullptr : &ctxArena_.at(r->ctx).engine();
-}
-
-L5Engine *
-Nic::txEngine(uint64_t ctxId)
-{
-    TxCtx *tc = txById_.find(ctxId);
-    return tc == nullptr ? nullptr : &ctxArena_.at(tc->ctx).engine();
-}
-
-uint32_t
-Nic::txExpectedSeq(uint64_t ctxId) const
-{
-    const TxCtx *tc = txById_.find(ctxId);
-    ANIC_ASSERT(tc != nullptr);
-    return tc->expectedSeq;
 }
 
 const FsmStats *

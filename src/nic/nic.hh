@@ -164,10 +164,10 @@ class Nic
         /** Stable instance name for the stats registry ("srv.nic0");
          *  empty -> a unique "nic", "nic2", ... is chosen. */
         std::string name;
-        /** Registry to publish under; null -> StatsRegistry::global(). */
+        /** Registry to publish under (required; the run's). */
         sim::StatsRegistry *registry = nullptr;
         /** Trace ring for evict/resync events and per-flow FSM
-         *  transitions; null -> TraceRing::global(). */
+         *  transitions (required; the run's). */
         sim::TraceRing *trace = nullptr;
         /** Optional invariant probe installed on every per-flow FSM
          *  (fuzz harness / tests); null -> no probing. */
@@ -274,10 +274,6 @@ class Nic
     /** Engine access for protocol-specific driver commands
      *  (l5o_add_rr_state: NVMe CID -> buffer map updates). */
     L5Engine *rxEngine(uint64_t ctxId);
-    L5Engine *txEngine(uint64_t ctxId);
-
-    /** Expected transmit sequence of a tx context (driver shadow). */
-    uint32_t txExpectedSeq(uint64_t ctxId) const;
 
     // ------------------------------------------------------ stats
     const NicStats &stats() const { return stats_; }

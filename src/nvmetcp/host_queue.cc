@@ -24,9 +24,7 @@ counters(NvmeHostStats *s)
             .resyncConfirmed = &s->resyncConfirmed,
             .failures = &s->failures,
             .readsCompleted = &s->readsCompleted,
-            .writesCompleted = &s->writesCompleted,
-            .flushesCompleted = &s->flushesCompleted,
-            .comparesCompleted = &s->comparesCompleted};
+            .writesCompleted = &s->writesCompleted};
 }
 
 } // namespace
@@ -127,36 +125,12 @@ void
 NvmeHostQueue::write(uint64_t slba, uint32_t len, uint64_t contentSeed,
                      WriteDone done)
 {
-    issueDataOutCmd(kOpWrite, Verb::Write, slba, len, contentSeed,
-                    std::move(done));
-}
-
-void
-NvmeHostQueue::flush(WriteDone done)
-{
-    issueDataOutCmd(kOpFlush, Verb::Flush, 0, 0, 0, std::move(done));
-}
-
-void
-NvmeHostQueue::compare(uint64_t slba, uint32_t len, uint64_t contentSeed,
-                       WriteDone done)
-{
-    issueDataOutCmd(kOpCompare, Verb::Compare, slba, len, contentSeed,
-                    std::move(done));
-}
-
-void
-NvmeHostQueue::issueDataOutCmd(uint8_t opcode, Verb verb, uint64_t slba,
-                               uint32_t len, uint64_t contentSeed,
-                               WriteDone done)
-{
     uint32_t cid =
-        issue(verb, slba, len, contentSeed, nullptr, std::move(done));
+        issue(Verb::Write, slba, len, contentSeed, nullptr, std::move(done));
     enqueue(buildCmdCapsule(
-        wc_, CmdCapsule{static_cast<uint16_t>(cid), opcode, slba, len}));
+        wc_, CmdCapsule{static_cast<uint16_t>(cid), kOpWrite, slba, len}));
     // The payload stays queued until the target grants R2T credit
-    // (NVMe/TCP §3.3.2.2); data-less commands complete on the
-    // response capsule alone.
+    // (NVMe/TCP §3.3.2.2).
 }
 
 void

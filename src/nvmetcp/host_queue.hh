@@ -1,14 +1,13 @@
 /**
  * @file
- * NVMe-TCP host (initiator) queue: maps read/write/flush/compare
- * block requests to capsules over a StreamSocket. Data-out commands
- * (write, compare) are R2T-gated: H2CData PDUs are emitted only for
- * ranges the target has invited.
+ * NVMe-TCP host (initiator) queue: maps read/write block requests to
+ * capsules over a StreamSocket. Writes are R2T-gated: H2CData PDUs
+ * are emitted only for ranges the target has invited.
  *
  * The command table, the data path and the paper's offloads (rx CRC,
  * rx copy, tx CRC and plain-TCP resync) are the shared
  * core::StorageInitiator's. This queue keeps the NVMe capsules, R2T
- * credit, FLUSH/COMPARE and the NVMe-TLS composition, whose resync
+ * credit and the NVMe-TLS composition, whose resync
  * anchors arrive as (record, offset) pairs via the TLS layer.
  *
  * The transport is any StreamSocket: a TcpConnection (plain NVMe-TCP)
@@ -28,8 +27,6 @@ struct NvmeHostStats
 {
     sim::Counter readsCompleted;
     sim::Counter writesCompleted;
-    sim::Counter flushesCompleted;
-    sim::Counter comparesCompleted;
     sim::Counter failures;
     sim::Counter dataPdusRx;
     sim::Counter r2tPdusRx;   ///< write credits granted by the target
@@ -78,22 +75,12 @@ class NvmeHostQueue : public core::StorageInitiator,
     void write(uint64_t slba, uint32_t len, uint64_t contentSeed,
                WriteDone done);
 
-    /** FLUSH: a data-less command fence. */
-    void flush(WriteDone done);
-
-    /** COMPARE: sends @p len deterministic bytes for the target to
-     *  match against the addressed range (R2T-gated like a write). */
-    void compare(uint64_t slba, uint32_t len, uint64_t contentSeed,
-                 WriteDone done);
-
     const NvmeHostStats &stats() const { return stats_; }
 
     /** FSM stats of the rx offload (outer or inner), if any. */
     const nic::FsmStats *rxFsmStats() const;
 
   private:
-    void issueDataOutCmd(uint8_t opcode, Verb verb, uint64_t slba,
-                         uint32_t len, uint64_t contentSeed, WriteDone done);
     void onR2t(const R2tHdr &r2t);
     /** Resolves a pending inner anchor as its record completes. */
     void onRecord(uint64_t recIdx, uint64_t plainOff) override;

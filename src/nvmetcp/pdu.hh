@@ -55,10 +55,8 @@ enum PduFlags : uint8_t
 
 enum NvmeOpcode : uint8_t
 {
-    kOpFlush = 0x00,
     kOpWrite = 0x01,
     kOpRead = 0x02,
-    kOpCompare = 0x05,
 };
 
 constexpr size_t kCommonHdrSize = 8;

@@ -1,7 +1,6 @@
 #include "nvmetcp/target.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "host/core.hh"
 #include "util/panic.hh"
@@ -33,12 +32,8 @@ NvmeTarget::onPdu(core::RxMsg &&pdu)
             serveRead(cmd);
             return;
         }
-        // Data-out (WRITE, COMPARE) or data-less (FLUSH) command.
-        Command &w = enter(cmd.cid,
-                           cmd.opcode == kOpCompare ? Verb::Compare
-                           : cmd.opcode == kOpFlush ? Verb::Flush
-                                                    : Verb::Write,
-                           cmd.slba, cmd.length);
+        // WRITE: the data follows as R2T invites it.
+        Command &w = enter(cmd.cid, Verb::Write, cmd.slba, cmd.length);
         w.buffer = std::make_shared<host::BlockBuffer>(cmd.length);
         if (cmd.length == 0)
             finishWrite(cmd.cid);
@@ -114,42 +109,10 @@ NvmeTarget::finishWrite(uint16_t cid)
     ANIC_ASSERT(w.has_value());
     bool digestOk = !w->failed;
 
-    if (w->verb == Verb::Compare) {
-        // COMPARE: read the addressed range back and match it against
-        // the received payload; miscompare is a non-zero status.
-        drive_.read(w->slba, w->len,
-                    [this, cid, buf = w->buffer, digestOk](Bytes data) {
-            sock_.core().post(
-                [this, cid, buf, digestOk, data = std::move(data)] {
-                    host::Core &c = sock_.core();
-                    c.charge(c.model().copyLlcPerByte *
-                             static_cast<double>(data.size())); // memcmp
-                    bool match = data.size() == buf->data.size() &&
-                                 std::memcmp(data.data(), buf->data.data(),
-                                             data.size()) == 0;
-                    stats_.comparesServed++;
-                    if (!match)
-                        stats_.compareMismatches++;
-                    RespCapsule resp;
-                    resp.cid = cid;
-                    resp.status = (digestOk && match) ? 0 : 1;
-                    enqueue(buildRespCapsule(wc_, resp));
-                });
-        });
-        return;
-    }
-
-    // WRITE and FLUSH share the drive's write channel (a flush is a
-    // zero-length fence: access latency, no data).
-    drive_.write(w->slba, w->len,
-                 [this, cid, verb = w->verb, len = w->len, digestOk] {
-        sock_.core().post([this, cid, verb, len, digestOk] {
-            if (verb == Verb::Flush) {
-                stats_.flushesServed++;
-            } else {
-                stats_.writesServed++;
-                stats_.bytesWritten += len;
-            }
+    drive_.write(w->slba, w->len, [this, cid, len = w->len, digestOk] {
+        sock_.core().post([this, cid, len, digestOk] {
+            stats_.writesServed++;
+            stats_.bytesWritten += len;
             RespCapsule resp;
             resp.cid = cid;
             resp.status = digestOk ? 0 : 1;

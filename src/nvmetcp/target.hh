@@ -5,14 +5,14 @@
  * paper's setup ("the server utilizes an Optane ... NVMe SSD that
  * resides remotely, on the generator").
  *
- * The write path is R2T-gated: a data-out command (WRITE, COMPARE)
- * is granted one outstanding R2T window at a time, and H2CData outside
+ * The write path is R2T-gated: a WRITE is granted one outstanding R2T
+ * window at a time, and H2CData outside
  * the ranges granted so far is a fatal transport error. The pending
  * writes, the data path and the offloads are the shared
  * core::StorageEndpoint's: with enableOffload() the NIC verifies H2CData
  * digests and places payload directly into the pending write's block
  * buffer (rx), and fills C2HData digests on the way out (tx). This
- * class keeps the NVMe capsules, R2T credit, reads, FLUSH and COMPARE.
+ * class keeps the NVMe capsules, R2T credit and reads.
  */
 
 #ifndef ANIC_NVMETCP_TARGET_HH
@@ -27,9 +27,6 @@ struct NvmeTargetStats
 {
     sim::Counter readsServed;
     sim::Counter writesServed;
-    sim::Counter flushesServed;
-    sim::Counter comparesServed;
-    sim::Counter compareMismatches;
     sim::Counter bytesRead;
     sim::Counter bytesWritten;
     sim::Counter r2tsSent;

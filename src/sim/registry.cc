@@ -111,16 +111,6 @@ appendInstrumentJson(const InstrumentRef &ref, std::string &out)
         ref);
 }
 
-StatsRegistry &
-StatsRegistry::global()
-{
-    // Thread-local: each JobRunner worker that falls through to the
-    // fallback registry gets its own (runs should inject their
-    // RunContext's registry instead — see DESIGN.md §12).
-    static thread_local StatsRegistry reg;
-    return reg;
-}
-
 void
 StatsRegistry::put(const std::string &path, InstrumentRef ref,
                    std::shared_ptr<void> owned)
@@ -223,16 +213,6 @@ StatsRegistry::findDistribution(const std::string &path) const
     if (it == entries_.end())
         return nullptr;
     auto *p = std::get_if<const Distribution *>(&it->second.ref);
-    return p ? *p : nullptr;
-}
-
-const RateMeter *
-StatsRegistry::findRate(const std::string &path) const
-{
-    auto it = entries_.find(path);
-    if (it == entries_.end())
-        return nullptr;
-    auto *p = std::get_if<const RateMeter *>(&it->second.ref);
     return p ? *p : nullptr;
 }
 

@@ -221,11 +221,6 @@ class StatsRegistry
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
-    /** Thread-local fallback; components register here unless a
-     *  config supplies another registry (worlds running under a
-     *  RunContext must use its registry instead). */
-    static StatsRegistry &global();
-
     // ------------------------------------------------------- links
     void link(const std::string &path, const Counter &c) { put(path, &c, {}); }
     void link(const std::string &path, const Gauge &g) { put(path, &g, {}); }
@@ -254,7 +249,6 @@ class StatsRegistry
     const Counter *findCounter(const std::string &path) const;
     const Gauge *findGauge(const std::string &path) const;
     const Distribution *findDistribution(const std::string &path) const;
-    const RateMeter *findRate(const std::string &path) const;
 
     size_t size() const { return entries_.size(); }
 

@@ -12,10 +12,10 @@
  * Output and is flushed by the JobRunner in submission order, which
  * is what makes `--jobs N` byte-identical to a serial sweep.
  *
- * Ownership rules (DESIGN.md §12): a simulation world must take its
- * StatsRegistry and TraceRing from the RunContext it runs under; the
- * thread-local global() fallbacks exist only for ad-hoc single-run
- * tools and unit tests.
+ * Ownership rules (DESIGN.md §12): a simulation world takes its
+ * StatsRegistry and TraceRing from the RunContext it runs under, and
+ * there is no fallback: a Node or Nic without them panics. Unit tests
+ * and single-run tools build a RunContext of their own.
  */
 
 #ifndef ANIC_SIM_RUN_CONTEXT_HH
@@ -109,8 +109,8 @@ class RunContext
     void print(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
 
     /** Appends one machine-readable JSON line: it appears in the
-     *  stdout stream *and* the jsonLines sink, like the historical
-     *  jsonRecord() behavior. */
+     *  stdout stream *and* the jsonLines sink (ANIC_BENCH_JSON) when
+     *  the output is flushed. */
     void json(const std::string &line);
 
     /** Registers a registry-snapshot line for per-run file output. */

@@ -1,6 +1,5 @@
 #include "sim/trace.hh"
 
-#include "util/env.hh"
 #include "util/panic.hh"
 
 namespace anic::sim {
@@ -33,18 +32,6 @@ traceKindName(TraceKind k)
         return "custom";
     }
     return "?";
-}
-
-TraceRing &
-TraceRing::global()
-{
-    static thread_local TraceRing *ring = [] {
-        auto *r = new TraceRing;
-        if (util::Env::traceEnabled())
-            r->enable();
-        return r;
-    }();
-    return *ring;
 }
 
 void
@@ -86,34 +73,6 @@ TraceRing::jsonl() const
             (unsigned long long)ev.b);
     }
     return out;
-}
-
-void
-TraceRing::dumpJsonl(std::FILE *f) const
-{
-    std::string out = jsonl();
-    std::fwrite(out.data(), 1, out.size(), f);
-}
-
-void
-TraceRing::dumpChromeTrace(std::FILE *f) const
-{
-    std::fprintf(f, "[");
-    bool first = true;
-    for (const TraceEvent &ev : events()) {
-        // chrome://tracing wants microsecond timestamps.
-        std::fprintf(f,
-                     "%s{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\","
-                     "\"ts\":%.3f,\"pid\":1,\"tid\":1,"
-                     "\"args\":{\"comp\":\"%s\",\"id\":%llu,"
-                     "\"a\":%llu,\"b\":%llu}}",
-                     first ? "" : ",\n", traceKindName(ev.kind),
-                     static_cast<double>(ev.ts) / kMicrosecond,
-                     ev.comp.c_str(), (unsigned long long)ev.id,
-                     (unsigned long long)ev.a, (unsigned long long)ev.b);
-        first = false;
-    }
-    std::fprintf(f, "]\n");
 }
 
 } // namespace anic::sim

@@ -6,16 +6,16 @@
  * ring; when full, the oldest events are overwritten (and counted as
  * dropped), so tracing is safe to leave compiled in.
  *
- * The global ring is disabled by default; set ANIC_TRACE=1 to enable
- * it (kDefaultCapacity events). Benches dump it
- * as JSONL or chrome://tracing format when ANIC_TRACE_FILE is set.
+ * Each sim::RunContext owns one ring, disabled by default so record()
+ * is a cheap no-op; ANIC_TRACE=1 arms every run's ring
+ * (kDefaultCapacity events). Benches write a run's ring as JSONL to
+ * ANIC_TRACE_FILE.
  */
 
 #ifndef ANIC_SIM_TRACE_HH
 #define ANIC_SIM_TRACE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,16 +61,6 @@ class TraceRing
     {
     }
 
-    /**
-     * Fallback ring used by components that have no injected ring.
-     * Thread-local: parallel JobRunner workers that fall through to
-     * it never share a ring (runs should inject their RunContext's
-     * ring instead — see DESIGN.md §12). Enabled from ANIC_TRACE on
-     * first use per thread; stays
-     * disabled otherwise so record() is a cheap no-op.
-     */
-    static TraceRing &global();
-
     bool enabled() const { return enabled_; }
     void enable() { enabled_ = true; }
     void disable() { enabled_ = false; }
@@ -109,12 +99,6 @@ class TraceRing
 
     /** One JSON object per line, as a string. */
     std::string jsonl() const;
-
-    /** One JSON object per line. */
-    void dumpJsonl(std::FILE *f) const;
-
-    /** chrome://tracing "trace events" array (instant events). */
-    void dumpChromeTrace(std::FILE *f) const;
 
   private:
     void push(Tick ts, TraceKind kind, std::string_view comp, uint64_t id,

@@ -5,12 +5,11 @@
 namespace anic::tcp {
 
 TcpStack::TcpStack(sim::Simulator &sim, std::vector<host::Core *> cores,
-                   uint64_t seed, sim::StatsScope scope,
-                   sim::TraceRing *trace, net::PacketPool *pool)
+                   uint64_t seed, net::PacketPool *pool,
+                   sim::TraceRing *trace, sim::StatsScope scope)
     : sim_(sim), cores_(std::move(cores)), rng_(seed),
-      pool_(pool != nullptr ? *pool : net::PacketPool::threadDefault()),
-      scope_(std::move(scope)),
-      trace_(trace != nullptr ? trace : &sim::TraceRing::global())
+      pool_(required(pool, "TcpStack pool")), scope_(std::move(scope)),
+      trace_(&required(trace, "TcpStack trace"))
 {
     ANIC_ASSERT(!cores_.empty(), "stack needs at least one core");
     scope_.link("dataPktsSent", agg_.dataPktsSent);

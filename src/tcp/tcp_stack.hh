@@ -31,18 +31,14 @@ class TcpStack
   public:
     using AcceptFn = std::function<void(TcpConnection &)>;
 
-    /** @param scope registry scope to publish stack-wide counters
+    /** @param pool packet arena for outgoing segments (required).
+     *  @param trace ring for retransmit events (required; the run's).
+     *  @param scope registry scope to publish stack-wide counters
      *  under ("<node>.tcp"); a detached scope keeps the stack
-     *  unregistered (bare construction in unit tests).
-     *  @param trace ring for retransmit events; null falls back to
-     *  the thread-local TraceRing::global() (worlds owned by a
-     *  RunContext must inject its ring).
-     *  @param pool packet arena for outgoing segments; null falls
-     *  back to PacketPool::threadDefault(). */
+     *  unregistered (bare construction in unit tests). */
     TcpStack(sim::Simulator &sim, std::vector<host::Core *> cores,
-             uint64_t seed = 0x7cb, sim::StatsScope scope = {},
-             sim::TraceRing *trace = nullptr,
-             net::PacketPool *pool = nullptr);
+             uint64_t seed, net::PacketPool *pool, sim::TraceRing *trace,
+             sim::StatsScope scope = {});
 
     /** Binds a device/IP pair (a host may have several ports). */
     void addDevice(NetDevice *dev);

@@ -49,8 +49,7 @@ genSecret(const TlsFlowSpec &f, uint64_t gen)
 }
 
 Testbed::Config
-testbedCfg(const Scenario &s, sim::StatsRegistry &reg, sim::TraceRing &trace,
-           nic::FsmProbe *probeA, nic::FsmProbe *probeB)
+testbedCfg(const Scenario &s, nic::FsmProbe *probeA, nic::FsmProbe *probeB)
 {
     Testbed::Config c;
     c.link.seed = s.wireSeed;
@@ -59,8 +58,6 @@ testbedCfg(const Scenario &s, sim::StatsRegistry &reg, sim::TraceRing &trace,
         c.link.dir[1] = s.phases[0].dir[1];
     }
     for (core::Node::Config *n : {&c.a, &c.b}) {
-        n->registry = &reg;
-        n->trace = &trace;
         n->nicCfg.ctxCacheCapacity = s.ctxCacheCapacity;
         n->tcpCfg.cc = s.cc;
         n->tcpCfg.ecn = s.ecn;
@@ -72,14 +69,13 @@ testbedCfg(const Scenario &s, sim::StatsRegistry &reg, sim::TraceRing &trace,
 }
 
 /**
- * One isolated execution world: its own registry, trace ring and
- * testbed, so the offload and software runs share nothing. The
- * impairment schedule is armed at construction.
+ * One isolated execution world: its own run context (registry and
+ * trace ring) and testbed, so the offload and software runs share
+ * nothing. The impairment schedule is armed at construction.
  */
 struct FuzzWorld
 {
-    sim::StatsRegistry registry;
-    sim::TraceRing trace{1 << 16};
+    sim::RunContext run{sim::RunConfig{}};
     Testbed bed;
     // Per-phase impairment pairs, indexed by scheduled events (an
     // index capture fits the inline callback budget; the structs
@@ -88,9 +84,10 @@ struct FuzzWorld
 
     FuzzWorld(const Scenario &s, nic::FsmProbe *probeA,
               nic::FsmProbe *probeB)
-        : bed(testbedCfg(s, registry, trace, probeA, probeB))
+        : bed(run, testbedCfg(s, probeA, probeB))
     {
-        trace.enable();
+        run.trace().setCapacity(1 << 16);
+        run.trace().enable();
         // Phase 0 is live from t=0 (via the link config); later phase
         // boundaries and the final clean-drain switch are scheduled.
         sim::Tick at = 0;
@@ -779,9 +776,9 @@ DifferentialRunner::runOne(const Scenario &s, bool offload)
         r.errors.push_back("fsm invariant (nic a): " + v);
     for (const std::string &v : probeB.violations())
         r.errors.push_back("fsm invariant (nic b): " + v);
-    for (const std::string &v : checkTraceRing(w.trace))
+    for (const std::string &v : checkTraceRing(w.run.trace()))
         r.errors.push_back(v);
-    r.traceHash = traceHash(w.trace);
+    r.traceHash = traceHash(w.run.trace());
     r.fsmEvents = probeA.eventsSeen() + probeB.eventsSeen();
     if (!r.errors.empty())
         for (size_t i = 0; i < tls.size(); i++)

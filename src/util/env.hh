@@ -8,7 +8,7 @@
  * Knob table (documented in README "Environment knobs"):
  *
  *   ANIC_QUICK         bool    shrink bench measurement windows (CI)
- *   ANIC_TRACE         bool    enable the fallback global trace ring
+ *   ANIC_TRACE         bool    arm each run's trace ring (no global one)
  *   ANIC_TRACE_FILE    path    dump the trace ring as JSONL
  *   ANIC_SNAPSHOT_DIR  path    write one registry snapshot file/run
  *   ANIC_BENCH_JSON    path    append bench JSON lines to this file
@@ -36,7 +36,7 @@ class Env
     /** ANIC_QUICK: set (and not "0") -> shrink measurement windows. */
     static bool quick();
 
-    /** ANIC_TRACE: enable the fallback global TraceRing. */
+    /** ANIC_TRACE: arm every RunContext's TraceRing. */
     static bool traceEnabled();
 
     /** ANIC_TRACE_FILE: JSONL dump path ("" when unset). */

@@ -23,6 +23,17 @@ std::string strprintf(const char *fmt, ...)
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 
+/** *@p p, for a pointer a constructor requires; panics naming @p what
+ *  (the field or argument) when it is null. */
+template <typename T>
+T &
+required(T *p, const char *what)
+{
+    if (p == nullptr)
+        panicImpl(__FILE__, __LINE__, std::string(what) + " is null");
+    return *p;
+}
+
 } // namespace anic
 
 #define panic(...) \

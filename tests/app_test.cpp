@@ -38,7 +38,8 @@ c1Config(int serverCores = 1)
 
 TEST(HttpApp, PlainHttpServesCorrectBodies)
 {
-    MacroWorld w(c2Config());
+    sim::RunContext ctx;
+    MacroWorld w(ctx, c2Config());
     auto ids = w.makeFiles(4, 65536);
     w.storage->prewarm();
 
@@ -69,7 +70,8 @@ TEST(HttpApp, HttpsVariantsServeIdenticalContent)
     };
     for (Variant v : {Variant{false, false}, Variant{true, false},
                       Variant{true, true}}) {
-        MacroWorld w(c2Config());
+        sim::RunContext ctx;
+        MacroWorld w(ctx, c2Config());
         auto ids = w.makeFiles(4, 262144);
         w.storage->prewarm();
 
@@ -97,7 +99,8 @@ TEST(HttpApp, HttpsVariantsServeIdenticalContent)
 
 TEST(HttpApp, C1ReadsComeFromTheRemoteDrive)
 {
-    MacroWorld w(c1Config());
+    sim::RunContext ctx;
+    MacroWorld w(ctx, c1Config());
     auto ids = w.makeFiles(64, 65536);
 
     app::HttpServer server(w.b, 80, *w.storage, {});
@@ -121,7 +124,8 @@ TEST(HttpApp, C1WithNvmeOffloadsStillCorrect)
     cfg.storage.offloadEnabled = true;
     cfg.storage.offload.crcRx = true;
     cfg.storage.offload.copyRx = true;
-    MacroWorld w(cfg);
+    sim::RunContext ctx;
+    MacroWorld w(ctx, cfg);
     auto ids = w.makeFiles(64, 262144);
 
     app::HttpServer server(w.b, 80, *w.storage, {});
@@ -150,7 +154,8 @@ TEST(HttpApp, C1OverNvmeTlsComposition)
     cfg.storage.offloadEnabled = true;
     cfg.storage.offload.crcRx = true;
     cfg.storage.offload.copyRx = true;
-    MacroWorld w(cfg);
+    sim::RunContext ctx;
+    MacroWorld w(ctx, cfg);
     auto ids = w.makeFiles(32, 262144);
 
     app::HttpServer server(w.b, 80, *w.storage, {});
@@ -180,7 +185,8 @@ TEST(KvApp, GetWorkloadServesValues)
     cfg.storage.offloadEnabled = true;
     cfg.storage.offload.crcRx = true;
     cfg.storage.offload.copyRx = true;
-    MacroWorld w(cfg);
+    sim::RunContext ctx;
+    MacroWorld w(ctx, cfg);
     w.makeFiles(64, 65536);
 
     app::KvServer server(w.b, 6379, *w.storage, {});
@@ -204,7 +210,8 @@ TEST(IperfApp, TlsStreamsWithOffloadAndLoss)
     lc.seed = 5;
     MacroWorld::Config cfg = c2Config();
     cfg.link = lc;
-    MacroWorld w(cfg);
+    sim::RunContext ctx;
+    MacroWorld w(ctx, cfg);
 
     app::IperfConfig icfg;
     icfg.streams = 8;
@@ -234,7 +241,8 @@ TEST(FioApp, RandomReadsAtDepth)
     cfg.storage.offloadEnabled = true;
     cfg.storage.offload.crcRx = true;
     cfg.storage.offload.copyRx = true;
-    MacroWorld w(cfg);
+    sim::RunContext ctx;
+    MacroWorld w(ctx, cfg);
 
     app::FioConfig fcfg;
     fcfg.blockSize = 65536;
@@ -261,7 +269,7 @@ TEST(AccelModel, Table1CrossoverShape)
     accel::OffCpuAccelerator dev(sim, {});
 
     double aesni_cbc = accel::runOnCpuSpeedTest(
-        sim, core, accel::CipherCosts::kCbcHmacSha1PerByte, 16384,
+        sim, core, accel::CipherCosts::kCbcHmacPerByte, 16384,
         20 * sim::kMillisecond);
     double qat1 = accel::runAcceleratedSpeedTest(sim, core, dev, 1, 16384,
                                                  20 * sim::kMillisecond);

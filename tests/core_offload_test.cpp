@@ -77,7 +77,8 @@ TEST(OffloadDriver, StaleResyncResponseIsDropped)
     // Covered behaviourally: a response for a speculation the NIC
     // abandoned must not confirm the new speculation. Exercised at
     // the unit level via the public l5o handle.
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     std::unique_ptr<tls::TlsSocket> server;
     std::unique_ptr<tls::TlsSocket> client;
     w.b.stack().listen(443, {}, [&](tcp::TcpConnection &c) {
@@ -107,7 +108,8 @@ TEST(OffloadDriver, TxRecoveryFeedsRebuildOverPcie)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.05;
     lc.seed = 3;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
 
     std::unique_ptr<tls::TlsSocket> server;
     std::unique_ptr<tls::TlsSocket> client;
@@ -173,7 +175,8 @@ TEST(Testbed, TeardownMidTransferReleasesEveryPacket)
     // on the link and, pinned by zero-copy segments, in an unread
     // socket buffer. Destroying the testbed must release all of them
     // before the pool's destructor asserts liveCount == 0.
-    auto w = std::make_unique<core::Testbed>();
+    sim::RunContext ctx;
+    auto w = std::make_unique<core::Testbed>(ctx);
     tcp::TcpConnection *server = nullptr;
     w->b.stack().listen(80, {}, [&](tcp::TcpConnection &c) { server = &c; });
     tcp::TcpConnection &c = w->a.stack().connect(
@@ -193,6 +196,31 @@ TEST(Testbed, TeardownMidTransferReleasesEveryPacket)
     ASSERT_TRUE(inFlight());
     EXPECT_GT(w->pool.liveCount(), 0u);
     w.reset();
+}
+
+TEST(NodeDeathTest, MissingPoolRegistryOrTracePanicsNamingTheField)
+{
+    // A node takes all three from its world; none falls back to
+    // thread-local state.
+    sim::RunContext ctx;
+    net::PacketPool pool;
+    sim::Simulator sim;
+    auto bound = [&] {
+        core::Node::Config c;
+        c.bindRun(ctx);
+        c.pool = &pool;
+        return c;
+    };
+    core::Node::Config noPool = bound();
+    noPool.pool = nullptr;
+    EXPECT_DEATH(core::Node(sim, noPool), "Node::Config::pool is null");
+    core::Node::Config noRegistry = bound();
+    noRegistry.registry = nullptr;
+    EXPECT_DEATH(core::Node(sim, noRegistry),
+                 "Node::Config::registry is null");
+    core::Node::Config noTrace = bound();
+    noTrace.trace = nullptr;
+    EXPECT_DEATH(core::Node(sim, noTrace), "Node::Config::trace is null");
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Known-answer and property tests for the crypto library: CRC32C,
- * SHA-1, HMAC-SHA1, AES-128 (ECB/CBC), AES-128-GCM, GHASH.
+ * AES-128, AES-128-GCM, GHASH.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "crypto/crc32c.hh"
 #include "crypto/gcm.hh"
 #include "crypto/kernels.hh"
-#include "crypto/sha1.hh"
 #include "util/bytes.hh"
 #include "util/env.hh"
 #include "util/rand.hh"
@@ -83,55 +82,6 @@ TEST(Crc32c, ResetRestoresInitialState)
     EXPECT_EQ(c.value(), 0xe3069283u);
 }
 
-// ---------------------------------------------------------------- SHA-1
-
-TEST(Sha1, KnownAnswers)
-{
-    EXPECT_EQ(toHex(Sha1::compute(ascii("abc"))),
-              "a9993e364706816aba3e25717850c26c9cd0d89d");
-    EXPECT_EQ(toHex(Sha1::compute(ascii(""))),
-              "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-    EXPECT_EQ(toHex(Sha1::compute(ascii(
-                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-              "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
-
-TEST(Sha1, IncrementalEqualsOneShot)
-{
-    Bytes data(100000);
-    fillDeterministic(data, 3, 0);
-    auto whole = Sha1::compute(data);
-
-    Sha1 s;
-    size_t off = 0;
-    size_t step = 1;
-    while (off < data.size()) {
-        size_t n = std::min(step, data.size() - off);
-        s.update(ByteView(data).subspan(off, n));
-        off += n;
-        step = step * 3 + 1;
-    }
-    std::array<uint8_t, Sha1::kDigestSize> out;
-    s.final(out);
-    EXPECT_EQ(out, whole);
-}
-
-TEST(HmacSha1, Rfc2202Vectors)
-{
-    Bytes key1(20, 0x0b);
-    EXPECT_EQ(toHex(hmacSha1(key1, ascii("Hi There"))),
-              "b617318655057264e28bc0b6fb378c8ef146be00");
-
-    EXPECT_EQ(toHex(hmacSha1(ascii("Jefe"),
-                             ascii("what do ya want for nothing?"))),
-              "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
-
-    Bytes key3(20, 0xaa);
-    Bytes data3(50, 0xdd);
-    EXPECT_EQ(toHex(hmacSha1(key3, data3)),
-              "125d7342b9ac11cd91a39af48aa17b4f63f175d3");
-}
-
 // ---------------------------------------------------------------- AES
 
 TEST(Aes128, Fips197Vector)
@@ -141,10 +91,6 @@ TEST(Aes128, Fips197Vector)
     uint8_t ct[16];
     aes.encryptBlock(pt.data(), ct);
     EXPECT_EQ(toHex(ByteView(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-
-    uint8_t back[16];
-    aes.decryptBlock(ct, back);
-    EXPECT_EQ(toHex(ByteView(back, 16)), toHex(pt));
 }
 
 TEST(Aes128, ZeroKeyZeroBlock)
@@ -154,43 +100,6 @@ TEST(Aes128, ZeroKeyZeroBlock)
     uint8_t zero[16] = {0};
     aes.encryptBlock(zero, ct);
     EXPECT_EQ(toHex(ByteView(ct, 16)), "66e94bd4ef8a2c3b884cfa59ca342b2e");
-}
-
-TEST(Aes128, EncryptDecryptRoundTripRandom)
-{
-    Rng rng(1234);
-    for (int trial = 0; trial < 50; trial++) {
-        Bytes key(16);
-        Bytes pt(16);
-        fillDeterministic(key, trial, 0);
-        fillDeterministic(pt, trial, 100);
-        Aes128 aes(key);
-        uint8_t ct[16];
-        uint8_t back[16];
-        aes.encryptBlock(pt.data(), ct);
-        aes.decryptBlock(ct, back);
-        EXPECT_EQ(0, std::memcmp(back, pt.data(), 16));
-    }
-}
-
-TEST(AesCbc, Sp800_38aVectors)
-{
-    Bytes key = fromHex("2b7e151628aed2a6abf7158809cf4f3c");
-    Bytes iv = fromHex("000102030405060708090a0b0c0d0e0f");
-    Bytes pt = fromHex(
-        "6bc1bee22e409f96e93d7e117393172a"
-        "ae2d8a571e03ac9c9eb76fac45af8e51");
-    AesCbc cbc(key, iv);
-    Bytes ct(pt.size());
-    cbc.encrypt(pt, ct);
-    EXPECT_EQ(toHex(ct),
-              "7649abac8119b246cee98e9b12e9197d"
-              "5086cb9b507219ee95db113a917678b2");
-
-    AesCbc cbc2(key, iv);
-    Bytes back(ct.size());
-    cbc2.decrypt(ct, back);
-    EXPECT_EQ(back, pt);
 }
 
 // ---------------------------------------------------------------- GHASH

@@ -223,7 +223,8 @@ TEST(EcnOffloadInteraction, MidStreamImpairmentFlipHoldsFsmInvariants)
     cfg.a.tcpCfg.cc = CcAlgo::Dctcp;
     cfg.b.tcpCfg.cc = CcAlgo::Dctcp;
     cfg.b.nicCfg.fsmProbe = &checker;
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    core::Testbed w(ctx, cfg);
 
     constexpr uint64_t kTlsBytes = 4 << 20;
     constexpr uint64_t kSecret = 0xeca57;

@@ -175,7 +175,8 @@ verifyRead(const host::NvmeDrive &drive, const host::BlockBufferPtr &buf,
 
 TEST(IscsiFabric, SoftwareReadDeliversDriveContent)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiFabric f(w, {});
     bool done = false;
     bool ok = false;
@@ -197,7 +198,8 @@ TEST(IscsiFabric, SoftwareReadDeliversDriveContent)
 
 TEST(IscsiFabric, DigestOffloadSkipsSoftwareCrc)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = true;
     IscsiFabric f(w, ocfg);
@@ -218,7 +220,8 @@ TEST(IscsiFabric, DigestOffloadSkipsSoftwareCrc)
 
 TEST(IscsiFabric, CopyOffloadPlacesByItt)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -241,7 +244,8 @@ TEST(IscsiFabric, CopyOffloadPlacesByItt)
 
 TEST(IscsiFabric, UnsolicitedWriteReachesTheDrive)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiFabric f(w, {});
     bool ok = false;
     f.init->write(0, 131072, /*seed=*/9, [&](bool o) { ok = o; });
@@ -260,7 +264,8 @@ TEST(IscsiFabric, TargetOffloadedWritePath)
     // Initiator fills data digests via its tx engine; the target NIC
     // verifies them and places Data-Out payload into the pending
     // write buffer registered at command time.
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig initO;
     initO.crcTx = true;
     IscsiOffloadConfig tgtO;
@@ -285,7 +290,8 @@ TEST(IscsiFabric, TargetOffloadedWritePath)
 
 TEST(IscsiFabric, TxCrcOffloadProducesValidDigests)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig ocfg;
     ocfg.crcTx = true;
     IscsiFabric f(w, ocfg);
@@ -306,7 +312,8 @@ TEST(IscsiFabric, TxCrcOffloadProducesValidDigests)
 
 TEST(IscsiFabric, MixedReadsAndWrites)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -367,7 +374,8 @@ TEST_P(IscsiMixedIo, BothEndsOffloaded)
     cfg.link.seed = 0x15b71;
     cfg.link.dir[0].lossRate = p.loss;
     cfg.link.dir[1].lossRate = p.loss;
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    core::Testbed w(ctx, cfg);
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = true;
     IscsiFabric f(w, ocfg, ocfg);
@@ -432,7 +440,8 @@ INSTANTIATE_TEST_SUITE_P(
 /** An initiator on node b whose target is a raw peer on node a. */
 struct CraftedTarget
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w{ctx};
     testing::RawPeer peer;
     IscsiWireConfig wc;
     std::unique_ptr<IscsiInitiator> init;
@@ -510,7 +519,8 @@ TEST(IscsiCrafted, FramingLossFailsEveryTaskOnceInIssueOrder)
 
 TEST(IscsiCrafted, DataOutOutsideTheTaskIsFatal)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     testing::RawPeer peer;
     host::NvmeDrive drive(w.sim, {});
     IscsiWireConfig wc;
@@ -540,7 +550,8 @@ TEST(IscsiFabric, LossyLinkFallsBackAndRecovers)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.01; // target -> initiator data direction
     lc.seed = 3;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -575,7 +586,8 @@ TEST(IscsiFabric, LossyLinkFallsBackAndRecovers)
 
 TEST(IscsiFabric, NoDigestsConfigStillTransfers)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiWireConfig wire;
     wire.headerDigest = false;
     wire.dataDigest = false;
@@ -598,7 +610,8 @@ TEST(IscsiFabric, NoDigestsConfigStillTransfers)
 
 TEST(IscsiFabric, EngineStatsPublished)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     IscsiOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;

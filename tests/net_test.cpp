@@ -105,25 +105,27 @@ TEST(Packet, MakeAndViews)
 }
 
 net::PacketPtr
-mkPkt(int tag)
+mkPkt(PacketPool &pool, int tag)
 {
     Ipv4Header ip;
     TcpHeader tcp;
     tcp.seq = static_cast<uint32_t>(tag);
     Bytes payload(10, static_cast<uint8_t>(tag));
-    return PacketPool::threadDefault().make(ip, tcp, payload);
+    return pool.make(ip, tcp, payload);
 }
 
 TEST(Link, DeliversWithPropagationDelay)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.propDelay = 5 * sim::kMicrosecond;
     Link link(sim, cfg);
     sim::Tick arrival = 0;
     link.attach(1, [&](PacketPtr) { arrival = sim.now(); });
     link.attach(0, [](PacketPtr) {});
-    link.transmit(0, mkPkt(1));
+    link.transmit(0, mkPkt(pool, 1));
     sim.run();
     EXPECT_EQ(arrival, 5 * sim::kMicrosecond);
     EXPECT_EQ(link.stats(0).delivered, 1u);
@@ -131,8 +133,10 @@ TEST(Link, DeliversWithPropagationDelay)
 
 TEST(Link, LossDropsApproximatelyAtRate)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.dir[0].lossRate = 0.25;
     cfg.seed = 5;
     Link link(sim, cfg);
@@ -140,7 +144,7 @@ TEST(Link, LossDropsApproximatelyAtRate)
     link.attach(1, [&](PacketPtr) { got++; });
     const int kPkts = 4000;
     for (int i = 0; i < kPkts; i++)
-        link.transmit(0, mkPkt(i));
+        link.transmit(0, mkPkt(pool, i));
     sim.run();
     EXPECT_NEAR(static_cast<double>(kPkts - got) / kPkts, 0.25, 0.03);
     EXPECT_EQ(link.stats(0).dropped + link.stats(0).delivered,
@@ -149,8 +153,10 @@ TEST(Link, LossDropsApproximatelyAtRate)
 
 TEST(Link, ReorderDelaysSelectedPackets)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.dir[0].reorderRate = 0.2;
     cfg.dir[0].reorderExtraDelay = 100 * sim::kMicrosecond;
     cfg.seed = 6;
@@ -158,7 +164,7 @@ TEST(Link, ReorderDelaysSelectedPackets)
     std::vector<uint32_t> order;
     link.attach(1, [&](PacketPtr p) { order.push_back(p->tcp().seq); });
     for (int i = 0; i < 200; i++)
-        link.transmit(0, mkPkt(i));
+        link.transmit(0, mkPkt(pool, i));
     sim.run();
     ASSERT_EQ(order.size(), 200u);
     bool out_of_order = false;
@@ -170,14 +176,16 @@ TEST(Link, ReorderDelaysSelectedPackets)
 
 TEST(Link, DuplicationCreatesIndependentCopies)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.dir[0].duplicateRate = 1.0; // every packet duplicated
     cfg.seed = 7;
     Link link(sim, cfg);
     std::vector<PacketPtr> got;
     link.attach(1, [&](PacketPtr p) { got.push_back(std::move(p)); });
-    link.transmit(0, mkPkt(42));
+    link.transmit(0, mkPkt(pool, 42));
     sim.run();
     ASSERT_EQ(got.size(), 2u);
     // The duplicate owns its bytes: mutating one must not alias.
@@ -188,8 +196,10 @@ TEST(Link, DuplicationCreatesIndependentCopies)
 
 TEST(Link, CorruptionFlipsPayloadLeavesHeadersValid)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.dir[0].corruptRate = 1.0; // every payload-carrying packet corrupted
     cfg.seed = 8;
     Link link(sim, cfg);
@@ -203,10 +213,10 @@ TEST(Link, CorruptionFlipsPayloadLeavesHeadersValid)
     tcp.dstPort = 2000;
     tcp.seq = 12345;
     Bytes payload(64, 0xab);
-    auto pkt = PacketPool::threadDefault().make(ip, tcp, payload);
+    auto pkt = pool.make(ip, tcp, payload);
     link.transmit(0, pkt);
     // A pure-ACK packet must never be corrupted (nothing to flip).
-    link.transmit(0, PacketPool::threadDefault().make(ip, tcp, {}));
+    link.transmit(0, pool.make(ip, tcp, {}));
     sim.run();
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(link.stats(0).corrupted, 1u);
@@ -222,8 +232,10 @@ TEST(Link, CorruptionFlipsPayloadLeavesHeadersValid)
 
 TEST(Link, ImpairmentsAreDirectional)
 {
+    PacketPool pool;
     sim::Simulator sim;
     Link::Config cfg;
+    cfg.pool = &pool;
     cfg.dir[0].lossRate = 1.0; // 0->1 fully lossy, 1->0 clean
     Link link(sim, cfg);
     int got0 = 0;
@@ -231,12 +243,18 @@ TEST(Link, ImpairmentsAreDirectional)
     link.attach(0, [&](PacketPtr) { got0++; });
     link.attach(1, [&](PacketPtr) { got1++; });
     for (int i = 0; i < 10; i++) {
-        link.transmit(0, mkPkt(i));
-        link.transmit(1, mkPkt(i));
+        link.transmit(0, mkPkt(pool, i));
+        link.transmit(1, mkPkt(pool, i));
     }
     sim.run();
     EXPECT_EQ(got1, 0);
     EXPECT_EQ(got0, 10);
+}
+
+TEST(LinkDeathTest, NullPoolPanicsNamingTheField)
+{
+    sim::Simulator sim;
+    EXPECT_DEATH(Link(sim, Link::Config{}), "Link::Config::pool is null");
 }
 
 } // namespace

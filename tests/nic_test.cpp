@@ -15,14 +15,15 @@
 #include "net/packet_pool.hh"
 #include "support/alloc_counter.hh"
 #include "nic/nic.hh"
+#include "sim/run_context.hh"
 #include "tls/tls_engine.hh"
 
 namespace anic::nic {
 namespace {
 
 net::PacketPtr
-mkPkt(net::IpAddr src, net::IpAddr dst, uint32_t seq, size_t payloadLen,
-      uint64_t txCtx = 0)
+mkPkt(net::PacketPool &pool, net::IpAddr src, net::IpAddr dst, uint32_t seq,
+      size_t payloadLen, uint64_t txCtx = 0)
 {
     net::Ipv4Header ip;
     ip.src = src;
@@ -32,22 +33,43 @@ mkPkt(net::IpAddr src, net::IpAddr dst, uint32_t seq, size_t payloadLen,
     tcp.dstPort = 2;
     tcp.seq = seq;
     Bytes payload(payloadLen, 0xab);
-    auto p = net::PacketPool::threadDefault().make(ip, tcp, payload);
+    auto p = pool.make(ip, tcp, payload);
     p->txCtx = txCtx;
     return p;
 }
 
 struct NicWorld
 {
+    // Pool first: destroyed last, so its destructor sees every packet
+    // released.
+    net::PacketPool pool;
+    sim::RunContext run;
     sim::Simulator sim;
     net::Link link;
     Nic nicA;
     std::vector<net::PacketPtr> atB;
 
     explicit NicWorld(Nic::Config cfg = {})
-        : link(sim, {}), nicA(sim, link, 0, cfg)
+        : link(sim, linkConfig()), nicA(sim, link, 0, bound(cfg))
     {
         link.attach(1, [this](net::PacketPtr p) { atB.push_back(p); });
+    }
+
+    net::Link::Config
+    linkConfig()
+    {
+        net::Link::Config c;
+        c.pool = &pool;
+        return c;
+    }
+
+    /** @p cfg publishing to this world's registry and trace ring. */
+    Nic::Config
+    bound(Nic::Config cfg)
+    {
+        cfg.registry = &run.registry();
+        cfg.trace = &run.trace();
+        return cfg;
     }
 };
 
@@ -59,8 +81,8 @@ TEST(NicDevice, SerializesAtLineRate)
     NicWorld w(cfg);
 
     // Two 10000-byte packets: second leaves one serialization later.
-    w.nicA.transmit(mkPkt(1, 2, 0, 10000));
-    w.nicA.transmit(mkPkt(1, 2, 10000, 10000));
+    w.nicA.transmit(mkPkt(w.pool, 1, 2, 0, 10000));
+    w.nicA.transmit(mkPkt(w.pool, 1, 2, 10000, 10000));
     w.sim.run();
     ASSERT_EQ(w.atB.size(), 2u);
     EXPECT_EQ(w.nicA.stats().pktsTx, 2u);
@@ -80,7 +102,8 @@ TEST(NicDevice, TxRingBackpressure)
 
     int accepted = 0;
     for (int i = 0; i < 10; i++)
-        accepted += w.nicA.transmit(mkPkt(1, 2, i * 100, 100)) ? 1 : 0;
+        accepted +=
+            w.nicA.transmit(mkPkt(w.pool, 1, 2, i * 100, 100)) ? 1 : 0;
     EXPECT_EQ(accepted, 4);
     w.sim.run();
     EXPECT_GT(space_events, 0);
@@ -90,8 +113,8 @@ TEST(NicDevice, TxRingBackpressure)
 TEST(NicDevice, PcieAccountsTxAndRx)
 {
     NicWorld w;
-    Nic nicB(w.sim, w.link, 1, {}); // replaces the raw handler
-    w.nicA.transmit(mkPkt(1, 2, 0, 1000));
+    Nic nicB(w.sim, w.link, 1, w.bound({})); // replaces the raw handler
+    w.nicA.transmit(mkPkt(w.pool, 1, 2, 0, 1000));
     w.sim.run();
     EXPECT_EQ(w.nicA.pcie().txDataBytes, 1040u);
     EXPECT_EQ(nicB.pcie().rxDataBytes, 1040u);
@@ -131,12 +154,11 @@ TEST(NicDevice, RegistryMirrorsStatsUnderCacheChurn)
     // touch in the round-robin misses, fetches over PCIe and evicts
     // (with writeback) an older context. The registry view must stay
     // bit-identical to the legacy NicStats/PcieStats structs.
-    sim::StatsRegistry reg;
     Nic::Config cfg;
     cfg.ctxCacheCapacity = 4;
     cfg.name = "dut";
-    cfg.registry = &reg;
     NicWorld w(cfg);
+    const sim::StatsRegistry &reg = w.run.registry();
 
     tls::DirectionKeys keys;
     keys.key.assign(16, 1);
@@ -151,7 +173,7 @@ TEST(NicDevice, RegistryMirrorsStatsUnderCacheChurn)
     std::vector<uint32_t> seq(kFlows, 0);
     for (int round = 0; round < 3; round++) {
         for (int i = 0; i < kFlows; i++) {
-            w.nicA.transmit(mkPkt(1, 2, seq[i], 1000, ids[i]));
+            w.nicA.transmit(mkPkt(w.pool, 1, 2, seq[i], 1000, ids[i]));
             seq[i] += 1000;
         }
     }
@@ -212,12 +234,12 @@ TEST(NicDevice, TxOffloadEncryptsThroughRingInOrder)
     ip.dst = 2;
     net::TcpHeader t1;
     t1.seq = 1000;
-    auto p1 = net::PacketPool::threadDefault().make(
+    auto p1 = w.pool.make(
         ip, t1, ByteView(rec).subspan(0, 60));
     p1->txCtx = ctx;
     net::TcpHeader t2;
     t2.seq = 1060;
-    auto p2 = net::PacketPool::threadDefault().make(
+    auto p2 = w.pool.make(
         ip, t2, ByteView(rec).subspan(60));
     p2->txCtx = ctx;
     w.nicA.transmit(p1);
@@ -282,7 +304,7 @@ struct TxRecordWorld
     {
         net::TcpHeader t;
         t.seq = seq;
-        auto p = net::PacketPool::threadDefault().make(ip, t, payload);
+        auto p = w.pool.make(ip, t, payload);
         p->txCtx = ctx;
         w.nicA.transmit(p);
     }
@@ -418,7 +440,8 @@ TEST(NicDevice, TxResyncAndRetransmitDoZeroHeapAllocation)
 }
 
 net::PacketPtr
-mkFlowPkt(const net::FlowKey &flow, uint32_t seq, size_t payloadLen)
+mkFlowPkt(net::PacketPool &pool, const net::FlowKey &flow, uint32_t seq,
+          size_t payloadLen)
 {
     net::Ipv4Header ip;
     ip.src = flow.srcIp;
@@ -428,7 +451,7 @@ mkFlowPkt(const net::FlowKey &flow, uint32_t seq, size_t payloadLen)
     tcp.dstPort = flow.dstPort;
     tcp.seq = seq;
     Bytes payload(payloadLen, 0xcd);
-    return net::PacketPool::threadDefault().make(ip, tcp, payload);
+    return pool.make(ip, tcp, payload);
 }
 
 net::FlowKey
@@ -447,7 +470,7 @@ TEST(NicMultiQueue, RssSteersFlowsToStableQueues)
     NicWorld w;
     Nic::Config cfgB;
     cfgB.numQueues = 4;
-    Nic nicB(w.sim, w.link, 1, cfgB);
+    Nic nicB(w.sim, w.link, 1, w.bound(cfgB));
     ASSERT_EQ(nicB.queueCount(), 4);
 
     std::vector<std::pair<int, net::FlowKey>> delivered;
@@ -459,8 +482,9 @@ TEST(NicMultiQueue, RssSteersFlowsToStableQueues)
     constexpr int kPktsPerFlow = 3;
     for (int round = 0; round < kPktsPerFlow; round++) {
         for (int f = 0; f < kFlows; f++) {
-            w.nicA.transmit(mkFlowPkt(flowKey(static_cast<uint16_t>(5000 + f)),
-                                      round * 100, 100));
+            w.nicA.transmit(mkFlowPkt(
+                w.pool, flowKey(static_cast<uint16_t>(5000 + f)), round * 100,
+                100));
         }
     }
     w.sim.run();
@@ -506,8 +530,8 @@ TEST(NicMultiQueue, RoundRobinDrainsEveryTxRing)
     for (int q = 0; q < 4; q++) {
         for (int i = 0; i < 3; i++) {
             ASSERT_TRUE(w.nicA.transmit(
-                mkFlowPkt(flowKey(static_cast<uint16_t>(100 + q)), i * 100,
-                          100),
+                mkFlowPkt(w.pool, flowKey(static_cast<uint16_t>(100 + q)),
+                          i * 100, 100),
                 q));
         }
     }
@@ -526,18 +550,17 @@ TEST(NicMultiQueue, RoundRobinDrainsEveryTxRing)
 
 TEST(NicMultiQueue, PerQueueStatsPublishedInRegistry)
 {
-    sim::StatsRegistry reg;
     NicWorld w;
+    const sim::StatsRegistry &reg = w.run.registry();
     Nic::Config cfgB;
     cfgB.numQueues = 2;
     cfgB.name = "dut";
-    cfgB.registry = &reg;
-    Nic nicB(w.sim, w.link, 1, cfgB);
+    Nic nicB(w.sim, w.link, 1, w.bound(cfgB));
     nicB.setOnRxInterrupt([](int, net::PacketPtr) {});
 
     for (int f = 0; f < 8; f++)
-        w.nicA.transmit(mkFlowPkt(flowKey(static_cast<uint16_t>(6000 + f)),
-                                  0, 100));
+        w.nicA.transmit(mkFlowPkt(
+            w.pool, flowKey(static_cast<uint16_t>(6000 + f)), 0, 100));
     w.sim.run();
 
     auto counter = [&](const std::string &path) {
@@ -560,7 +583,7 @@ TEST(NicMultiQueue, SingleQueueMatchesLegacyPerPacketDelivery)
     // Defaults (1 queue): every packet is its own interrupt and lands
     // on queue 0 — the exact pre-multi-queue schedule.
     NicWorld w;
-    Nic nicB(w.sim, w.link, 1, {});
+    Nic nicB(w.sim, w.link, 1, w.bound({}));
     ASSERT_EQ(nicB.queueCount(), 1);
 
     std::vector<uint32_t> seqs;
@@ -569,7 +592,7 @@ TEST(NicMultiQueue, SingleQueueMatchesLegacyPerPacketDelivery)
         seqs.push_back(pkt->tcp().seq);
     });
     for (int i = 0; i < 5; i++)
-        w.nicA.transmit(mkFlowPkt(flowKey(9002), i * 100, 100));
+        w.nicA.transmit(mkFlowPkt(w.pool, flowKey(9002), i * 100, 100));
     w.sim.run();
 
     EXPECT_EQ(seqs, (std::vector<uint32_t>{0, 100, 200, 300, 400}));
@@ -587,7 +610,7 @@ TEST(NicDevice, DestroyedContextStopsOffloading)
     uint64_t ctx = w.nicA.createTxContext(
         std::make_unique<tls::TlsTxEngine>(keys), 0, 0);
     w.nicA.destroyTxContext(ctx);
-    auto p = mkPkt(1, 2, 0, 50, ctx);
+    auto p = mkPkt(w.pool, 1, 2, 0, 50, ctx);
     Bytes before(p->payload().begin(), p->payload().end());
     w.nicA.transmit(p);
     w.sim.run();
@@ -742,7 +765,7 @@ TEST(NicDevice, DestroyOfEvictedContextIsSafe)
     ip.dst = 2;
     net::TcpHeader t;
     t.seq = 0;
-    auto p = net::PacketPool::threadDefault().make(ip, t, rec);
+    auto p = w.pool.make(ip, t, rec);
     p->txCtx = c2;
     w.nicA.transmit(p);
     w.sim.run();
@@ -785,7 +808,7 @@ TEST(NicDevice, EvictedContextRefetchesAndResumes)
     auto ship = [&](uint64_t ctx, uint32_t seq, const Bytes &rec) {
         net::TcpHeader t;
         t.seq = seq;
-        auto p = net::PacketPool::threadDefault().make(ip, t, rec);
+        auto p = w.pool.make(ip, t, rec);
         p->txCtx = ctx;
         ASSERT_TRUE(w.nicA.transmit(p));
     };
@@ -835,6 +858,18 @@ TEST(NicDevice, EvictedContextRefetchesAndResumes)
     }
     w.nicA.destroyTxContext(c1);
     w.nicA.destroyTxContext(c2);
+}
+
+TEST(NicDeathTest, MissingRegistryOrTracePanicsNamingTheField)
+{
+    NicWorld w;
+    Nic::Config noRegistry = w.bound({});
+    noRegistry.registry = nullptr;
+    EXPECT_DEATH(Nic(w.sim, w.link, 1, noRegistry),
+                 "Nic::Config::registry is null");
+    Nic::Config noTrace = w.bound({});
+    noTrace.trace = nullptr;
+    EXPECT_DEATH(Nic(w.sim, w.link, 1, noTrace), "Nic::Config::trace is null");
 }
 
 } // namespace

@@ -129,7 +129,8 @@ verifyRead(const host::NvmeDrive &drive, const host::BlockBufferPtr &buf,
 
 TEST(NvmeFabric, SoftwareReadDeliversDriveContent)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeFabric f(w, {});
     bool done = false;
     bool ok = false;
@@ -151,7 +152,8 @@ TEST(NvmeFabric, SoftwareReadDeliversDriveContent)
 
 TEST(NvmeFabric, CrcOffloadSkipsSoftwareDigest)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     NvmeFabric f(w, ocfg);
@@ -170,7 +172,8 @@ TEST(NvmeFabric, CrcOffloadSkipsSoftwareDigest)
 
 TEST(NvmeFabric, CopyOffloadPlacesDirectly)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -192,7 +195,8 @@ TEST(NvmeFabric, CopyOffloadPlacesDirectly)
 
 TEST(NvmeFabric, ManyConcurrentReads)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -219,7 +223,8 @@ TEST(NvmeFabric, LossyLinkFallsBackAndRecovers)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.01; // target -> host data direction
     lc.seed = 3;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -253,7 +258,8 @@ TEST(NvmeFabric, LossyLinkFallsBackAndRecovers)
 
 TEST(NvmeFabric, WritesReachTheDrive)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeFabric f(w, {});
     bool ok = false;
     f.hostq->write(0, 131072, /*seed=*/9, [&](bool o) { ok = o; });
@@ -270,7 +276,8 @@ TEST(NvmeFabric, WritesReachTheDrive)
 
 TEST(NvmeFabric, LargeWriteUsesOneR2tWindowAtATime)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeFabric f(w, {});
     bool ok = false;
     f.hostq->write(0, 512 << 10, /*seed=*/4, [&](bool o) { ok = o; });
@@ -282,36 +289,13 @@ TEST(NvmeFabric, LargeWriteUsesOneR2tWindowAtATime)
     EXPECT_EQ(f.drive.bytesWritten(), 512u << 10);
 }
 
-TEST(NvmeFabric, FlushAndCompareRoundTrip)
-{
-    core::Testbed w;
-    NvmeFabric f(w, {});
-    uint64_t seed = f.drive.config().contentSeed;
-    bool wok = false, fok = false, cok = false, cbad = true;
-    f.hostq->write(0, 65536, seed, [&](bool o) { wok = o; });
-    f.hostq->flush([&](bool o) { fok = o; });
-    // COMPARE against the drive's synthetic content: the matching
-    // seed succeeds, a different one must miscompare.
-    f.hostq->compare(8192, 65536, seed, [&](bool o) { cok = o; });
-    f.hostq->compare(8192, 65536, seed ^ 0xbad, [&](bool o) { cbad = o; });
-    w.sim.runUntil(200 * sim::kMillisecond);
-    EXPECT_TRUE(wok);
-    EXPECT_TRUE(fok);
-    EXPECT_TRUE(cok);
-    EXPECT_FALSE(cbad);
-    EXPECT_EQ(f.target->stats().flushesServed, 1u);
-    EXPECT_EQ(f.target->stats().comparesServed, 2u);
-    EXPECT_EQ(f.target->stats().compareMismatches, 1u);
-    EXPECT_EQ(f.hostq->stats().flushesCompleted, 1u);
-    EXPECT_EQ(f.hostq->stats().comparesCompleted, 2u);
-}
-
 TEST(NvmeFabric, TargetOffloadedWritePath)
 {
     // Host fills H2CData digests via its tx engine; the target's NIC
     // verifies them and places payload straight into the pending
     // write's buffer (the ISSUE's ≥90 % full-offload criterion).
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig hostO;
     hostO.crcTx = true;
     NvmeOffloadConfig tgtO;
@@ -336,7 +320,8 @@ TEST(NvmeFabric, TargetOffloadedWritePath)
 
 TEST(NvmeFabric, TxCrcOffloadProducesValidDigests)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig ocfg;
     ocfg.crcTx = true;
     NvmeFabric f(w, ocfg);
@@ -359,7 +344,8 @@ TEST(NvmeFabric, TxCrcOffloadSurvivesLoss)
     net::Link::Config lc;
     lc.dir[1].lossRate = 0.02; // host -> target direction
     lc.seed = 11;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcTx = true;
     NvmeFabric f(w, ocfg);
@@ -394,7 +380,8 @@ TEST_P(NvmeMixedIo, BothEndsOffloaded)
     cfg.link.seed = 0x15b71;
     cfg.link.dir[0].lossRate = loss;
     cfg.link.dir[1].lossRate = loss;
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    core::Testbed w(ctx, cfg);
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = ocfg.copyRx = ocfg.crcTx = true;
     NvmeFabric f(w, ocfg, {}, ocfg);
@@ -457,7 +444,8 @@ INSTANTIATE_TEST_SUITE_P(Wire, NvmeMixedIo, ::testing::Values(0.0, 0.005),
 /** A host queue on node b whose target is a raw peer on node a. */
 struct CraftedTarget
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w{ctx};
     testing::RawPeer peer;
     WireConfig wc;
     std::unique_ptr<NvmeHostQueue> hostq;
@@ -555,7 +543,8 @@ TEST(NvmeCrafted, FramingLossFailsEveryCommandOnceInIssueOrder)
 
 TEST(NvmeCrafted, H2CDataOutsideTheGrantIsFatal)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     testing::RawPeer peer;
     host::NvmeDrive drive(w.sim, {});
     WireConfig wc;
@@ -585,11 +574,9 @@ TEST(NvmeCrafted, SpeculationPassedInOneBatchIsStillConfirmed)
     // the rest of the current PDU, the speculated PDU whole and the
     // start of the one after it: software reaches the speculated
     // position inside the batch and must confirm it there.
-    sim::TraceRing ring;
-    ring.enable();
-    core::Testbed::Config cfg;
-    cfg.b.trace = &ring;
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    ctx.trace().enable();
+    core::Testbed w(ctx);
     testing::RawPeer peer;
     WireConfig wc;
     NvmeOffloadConfig ocfg;
@@ -640,7 +627,7 @@ TEST(NvmeCrafted, SpeculationPassedInOneBatchIsStillConfirmed)
     // Confirmed as message 1: the PDU that starts where the NIC
     // speculated.
     int confirms = 0;
-    for (const sim::TraceEvent &e : ring.events()) {
+    for (const sim::TraceEvent &e : ctx.trace().events()) {
         if (e.kind == sim::TraceKind::ResyncConfirmed) {
             confirms++;
             EXPECT_EQ(e.a, 1u);
@@ -697,7 +684,8 @@ struct NvmeTlsFabric
 
 TEST(NvmeTls, SoftwareTlsTransportWorks)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeTlsFabric f(w, {}, /*tlsRxOffload=*/false);
     bool ok = false;
     host::BlockBufferPtr buf;
@@ -713,7 +701,8 @@ TEST(NvmeTls, SoftwareTlsTransportWorks)
 
 TEST(NvmeTls, ComposedOffloadPlacesAndVerifies)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;
@@ -746,7 +735,8 @@ TEST(NvmeTls, ComposedOffloadSurvivesLoss)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.01;
     lc.seed = 7;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     NvmeOffloadConfig ocfg;
     ocfg.crcRx = true;
     ocfg.copyRx = true;

@@ -194,7 +194,8 @@ TEST_P(TcpProperty, ExactDeliveryUnderImpairments)
                                                  .reorder = 0.0,
                                                  .duplicate = 0.0});
     lc.seed = 2000 + idx;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
 
     constexpr uint64_t kBytes = 512 << 10;
     testing::DeliveryChecker rx{/*seed=*/5};
@@ -243,7 +244,8 @@ TEST_P(TlsProperty, OffloadedStreamsStayAuthenticated)
                                                  .reorder = 0.0,
                                                  .duplicate = 0.0});
     lc.seed = 4000 + idx;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
 
     constexpr uint64_t kBytes = 768 << 10;
     constexpr uint64_t kSeed = 99;

@@ -21,6 +21,7 @@
 #include "net/packet_pool.hh"
 #include "nic/nic.hh"
 #include "nic/stream_fsm.hh"
+#include "sim/run_context.hh"
 #include "nvmetcp/pdu.hh"
 #include "tls/ktls.hh"
 #include "util/rand.hh"
@@ -535,9 +536,16 @@ TEST_P(StorageWireTest, TxReplayEndingInsideTheDigestWritesNothing)
     // digest trailer, so the resync replays the whole data region and
     // half the trailer: the replay computes the digest but must write
     // nothing into the retained PDU, which keeps software's dummy.
+    net::PacketPool pool;
+    sim::RunContext run;
     sim::Simulator sim;
-    net::Link link(sim, {});
-    nic::Nic nic(sim, link, 0, {});
+    net::Link::Config lcfg;
+    lcfg.pool = &pool;
+    net::Link link(sim, lcfg);
+    nic::Nic::Config ncfg;
+    ncfg.registry = &run.registry();
+    ncfg.trace = &run.trace();
+    nic::Nic nic(sim, link, 0, ncfg);
     std::vector<Bytes> wire;
     link.attach(1, [&](net::PacketPtr pkt) {
         ByteView pl = pkt->payload();
@@ -553,7 +561,7 @@ TEST_P(StorageWireTest, TxReplayEndingInsideTheDigestWritesNothing)
         net::Ipv4Header ip;
         net::TcpHeader tcp;
         tcp.seq = kSeq + static_cast<uint32_t>(off);
-        net::PacketPtr pkt = net::PacketPool::threadDefault().make(
+        net::PacketPtr pkt = pool.make(
             ip, tcp, ByteView(pdu).subspan(off));
         pkt->txCtx = ctx;
         nic.transmit(std::move(pkt));

@@ -14,6 +14,7 @@
 
 #include "host/core.hh"
 #include "net/link.hh"
+#include "sim/run_context.hh"
 #include "tcp/net_device.hh"
 #include "tcp/tcp_stack.hh"
 
@@ -114,7 +115,7 @@ struct TwoHostWorld
 
     explicit TwoHostWorld(net::Link::Config linkCfg = {}, int coresPerHost = 1,
                           double gbps = 100.0)
-        : link(sim, linkCfg)
+        : link(sim, withPool(linkCfg))
     {
         for (int i = 0; i < coresPerHost; i++) {
             coresA.push_back(std::make_unique<host::Core>(sim, model, i));
@@ -129,14 +130,33 @@ struct TwoHostWorld
                 out.push_back(c.get());
             return out;
         };
-        stackA = std::make_unique<tcp::TcpStack>(sim, raw(coresA), 1);
-        stackB = std::make_unique<tcp::TcpStack>(sim, raw(coresB), 2);
+        stackA = makeStack(raw(coresA), 1);
+        stackB = makeStack(raw(coresB), 2);
         stackA->addDevice(devA.get());
         stackB->addDevice(devB.get());
         devA->attachStack(stackA.get());
         devB->attachStack(stackB.get());
     }
 
+    /** A stack on @p cores that sends from this world's pool. */
+    std::unique_ptr<tcp::TcpStack>
+    makeStack(std::vector<host::Core *> cores, uint64_t seed)
+    {
+        return std::make_unique<tcp::TcpStack>(sim, std::move(cores), seed,
+                                               &pool, &run.trace());
+    }
+
+    net::Link::Config
+    withPool(net::Link::Config c)
+    {
+        c.pool = &pool;
+        return c;
+    }
+
+    // Pool first: it is destroyed last, after every packet the stacks,
+    // devices, link and pending events hold, and checks for leaks.
+    net::PacketPool pool;
+    sim::RunContext run;
     sim::Simulator sim;
     host::CycleModel model;
     net::Link link;

@@ -540,7 +540,7 @@ TEST(TcpBackpressure, TinyTxRingStillDeliversEverything)
     w.devA = std::make_unique<testing::SimpleDevice>(
         w.sim, w.link, 0, TwoHostWorld::kIpA, 100.0, /*txRing=*/8);
     auto cores = std::vector<host::Core *>{w.coresA[0].get()};
-    w.stackA = std::make_unique<tcp::TcpStack>(w.sim, cores, 1);
+    w.stackA = w.makeStack(cores, 1);
     w.stackA->addDevice(w.devA.get());
     w.devA->attachStack(w.stackA.get());
 
@@ -568,7 +568,7 @@ TEST(TcpBackpressure, DestroyWhileTxBlockedIsSafe)
     w.devA = std::make_unique<testing::SimpleDevice>(
         w.sim, w.link, 0, TwoHostWorld::kIpA, 0.1, /*txRing=*/2);
     auto cores = std::vector<host::Core *>{w.coresA[0].get()};
-    w.stackA = std::make_unique<tcp::TcpStack>(w.sim, cores, 1);
+    w.stackA = w.makeStack(cores, 1);
     w.stackA->addDevice(w.devA.get());
     w.devA->attachStack(w.stackA.get());
 
@@ -656,7 +656,7 @@ TEST(TcpBackpressure, TinyRingsBothSidesEchoCompletes)
             side == 0 ? TwoHostWorld::kIpA : TwoHostWorld::kIpB, 100.0,
             /*txRing=*/4);
         auto cores = std::vector<host::Core *>{coresV[0].get()};
-        stack = std::make_unique<tcp::TcpStack>(w.sim, cores, side + 1);
+        stack = w.makeStack(cores, side + 1);
         stack->addDevice(dev.get());
         dev->attachStack(stack.get());
     }
@@ -908,6 +908,16 @@ TEST(TcpBulk, LargeCopyingSendIsSplitIntoPieces)
     EXPECT_EQ(rx.received, kLen);
     EXPECT_FALSE(rx.corrupt);
     EXPECT_EQ(c.sendQueue().pieces(), 0u);
+}
+
+TEST(TcpStackDeathTest, NullPoolOrTracePanicsNamingTheArgument)
+{
+    TwoHostWorld w;
+    std::vector<host::Core *> cores{w.coresA[0].get()};
+    EXPECT_DEATH(tcp::TcpStack(w.sim, cores, 1, nullptr, &w.run.trace()),
+                 "TcpStack pool is null");
+    EXPECT_DEATH(tcp::TcpStack(w.sim, cores, 1, &w.pool, nullptr),
+                 "TcpStack trace is null");
 }
 
 } // namespace

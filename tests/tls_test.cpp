@@ -155,7 +155,8 @@ struct TlsPipe
 
 TEST(TlsSoftware, CleanLinkDeliversPlaintext)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsPipe p(w, {}, {}, 1 << 20);
     w.sim.runUntil(500 * sim::kMillisecond);
     EXPECT_EQ(p.received, 1u << 20);
@@ -170,7 +171,8 @@ TEST(TlsSoftware, LossyLinkStillAuthenticates)
     lc.dir[0].lossRate = 0.02;
     lc.dir[1].lossRate = 0.01;
     lc.seed = 7;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsPipe p(w, {}, {}, 1 << 20);
     w.sim.runUntil(3 * sim::kSecond);
     EXPECT_EQ(p.received, 1u << 20);
@@ -180,7 +182,8 @@ TEST(TlsSoftware, LossyLinkStillAuthenticates)
 
 TEST(TlsTxOffload, NicEncryptsValidRecords)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 1 << 20);
@@ -198,7 +201,8 @@ TEST(TlsTxOffload, RetransmissionRecoversContext)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.02;
     lc.seed = 9;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 1 << 20);
@@ -217,7 +221,8 @@ TEST(TlsTxOffload, TcpQueuesTheBufferTheTxMapHolds)
     // A record is one buffer from build to last ack: TCP's send queue
     // references the one the tx-message map keeps for context
     // recovery, not a copy of it.
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 0);
@@ -249,7 +254,8 @@ TEST(TlsTxOffload, AllAckedHoldsNoPayload)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.02;
     lc.seed = 11;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig ccfg;
     ccfg.txOffload = true;
     TlsPipe p(w, ccfg, {}, 1 << 20);
@@ -278,7 +284,8 @@ TEST(TlsTxOffload, AllAckedHoldsNoPayload)
 
 TEST(TlsRxOffload, CleanLinkFullyOffloadsEverything)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 1 << 20);
@@ -297,7 +304,8 @@ TEST(TlsRxOffload, LossCausesPartialsButRecovers)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.02;
     lc.seed = 13;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -320,7 +328,8 @@ TEST(TlsRxOffload, ResyncRequestsAreAnsweredAndConfirmed)
     net::Link::Config lc;
     lc.dir[0].lossRate = 0.03;
     lc.seed = 21;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -341,7 +350,8 @@ TEST(TlsRxOffload, ReorderingDegradesGracefully)
     net::Link::Config lc;
     lc.dir[0].reorderRate = 0.03;
     lc.seed = 31;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig scfg;
     scfg.rxOffload = true;
     TlsPipe p(w, {}, scfg, 2 << 20);
@@ -357,7 +367,8 @@ TEST(TlsBothOffloads, LossBothDirections)
     lc.dir[0].lossRate = 0.02;
     lc.dir[1].lossRate = 0.02;
     lc.seed = 17;
-    core::Testbed w({.link = lc});
+    sim::RunContext ctx;
+    core::Testbed w(ctx, {.link = lc});
     TlsConfig cfg;
     cfg.txOffload = true;
     cfg.rxOffload = true;
@@ -370,7 +381,8 @@ TEST(TlsBothOffloads, LossBothDirections)
 
 TEST(TlsBothOffloads, SmallRecords)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig cfg;
     cfg.txOffload = true;
     cfg.rxOffload = true;
@@ -388,7 +400,8 @@ TEST(TlsBothOffloads, SmallRecords)
 
 TEST(TlsLazyCrypto, OffloadedServerNeverKeysSoftwareCrypto)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig scfg;
     scfg.txOffload = true;
     scfg.rxOffload = true;
@@ -409,7 +422,8 @@ TEST(TlsLazyCrypto, OffloadedServerNeverKeysSoftwareCrypto)
 
 TEST(TlsLazyCrypto, OneLossKeysRxCryptoForThePartialRecord)
 {
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w(ctx);
     TlsConfig scfg;
     scfg.rxOffload = true;
     const uint64_t total = 4 << 20;
@@ -448,7 +462,8 @@ TEST(TlsSendfile, AllVariantsDeliverIdenticalContent)
     };
     for (Variant v : {Variant{false, false}, Variant{true, false},
                       Variant{true, true}}) {
-        core::Testbed w;
+        sim::RunContext ctx;
+        core::Testbed w(ctx);
         constexpr uint64_t kFileSeed = 777;
         constexpr uint64_t kLen = 300000;
 
@@ -506,7 +521,8 @@ TEST(TlsSendfile, ZeroCopyCostsFewerCycles)
 {
     double cycles[2];
     for (int zc = 0; zc < 2; zc++) {
-        core::Testbed w;
+        sim::RunContext ctx;
+        core::Testbed w(ctx);
         std::unique_ptr<TlsSocket> server;
         std::unique_ptr<TlsSocket> client;
         uint64_t received = 0;
@@ -554,7 +570,8 @@ TEST(TlsOffload, TinyContextCacheStillCorrect)
     core::Testbed::Config cfg;
     cfg.a.nicCfg.ctxCacheCapacity = 3;
     cfg.b.nicCfg.ctxCacheCapacity = 3;
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    core::Testbed w(ctx, cfg);
 
     const int kConns = 8;
     constexpr uint64_t kBytes = 100000;
@@ -660,7 +677,8 @@ struct CraftedClient
     static constexpr size_t kPlain = 1000;
     static constexpr size_t kWire = kPlain + tls::kHeaderSize + tls::kTagSize;
 
-    core::Testbed w;
+    sim::RunContext ctx;
+    core::Testbed w{ctx};
     testing::RawPeer peer;
     std::unique_ptr<ProbedTls> server;
     uint64_t received = 0;
@@ -840,7 +858,8 @@ TEST_P(TlsIncast, FanInKeepsRecordsFullyOffloaded)
         toSrv.ecnMarkThresholdBytes = 4 << 10;
         toSrv.ecnMarkRate = 0.02;
     }
-    core::Testbed w(cfg);
+    sim::RunContext ctx;
+    core::Testbed w(ctx, cfg);
 
     tls::TlsStats agg;
     TlsConfig scfg;
